@@ -6,8 +6,8 @@ from .spectrum import (HomEigenpair, HomSpectrum, Mode, build_spectrum,
                        characteristic_det, check_c0, eval_eigenfunction,
                        find_hom_eigenvalue, torsional_first_exists)
 from .weights import (GridField, MembershipReport, Weight, eval_weight,
-                      make_breve_p, make_doublebar_p, make_pbar_j, make_pj_sin4,
-                      make_tilde_p, make_uniform, threshold_for_area, validate,
+                      make_breve_p, make_doublebar_p, make_pbar_j, make_tilde_p,
+                      make_uniform, threshold_for_area, validate,
                       weight_from_json, weight_to_json)
 from .galerkin import (GalerkinSpectrum, WeylReport, assemble_mass,
                        merged_eigenvalues, reconstruct, solve_weighted,
@@ -25,7 +25,7 @@ __all__ = [
     "torsional_first_exists", "check_c0", "eval_eigenfunction",
     "Weight", "GridField", "MembershipReport",
     "validate", "eval_weight", "threshold_for_area",
-    "make_uniform", "make_pbar_j", "make_pj_sin4", "make_breve_p",
+    "make_uniform", "make_pbar_j", "make_breve_p",
     "make_doublebar_p", "make_tilde_p", "make_pstar",
     "weight_to_json", "weight_from_json",
     "GalerkinSpectrum", "assemble_mass", "solve_weighted", "reconstruct",

@@ -35,7 +35,10 @@ class CliError(Exception):
 def _atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
+        os.fchmod(fd, 0o666 & ~umask)  # mkstemp creates 0600; follow the umask instead
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)

@@ -16,8 +16,8 @@ import numpy as np
 from .config import PlateConfig
 from .numerics import QuadratureRule, SymMatrix, sym_eig
 from .spectrum import EVEN, ODD, HomEigenpair, HomSpectrum, profile_derivatives, profile_values
-from .weights import (Cross, GridField, Sublevel, Uniform, Weight, XBands, YBands,
-                      eval_weight, sqrt_mass_integral)
+from .weights import (GridField, Sublevel, Weight, _in_intervals, eval_weight,
+                      sqrt_mass_integral)
 
 
 class GalerkinError(Exception):
@@ -94,22 +94,9 @@ def _profiles_on(pairs: list[HomEigenpair], y: np.ndarray) -> np.ndarray:
     return np.array([profile_values(p, y) for p in pairs])
 
 
-def _separable_terms(v) -> list[tuple[float, object, object]]:
-    """Decompose an analytic weight into sum of coeff * chi_x(x) * chi_y(y)
-    terms; None stands for the constant-one factor."""
-    if isinstance(v, Uniform):
-        return [(v.value, None, None)]
-    d = v.inside - v.outside
-    if isinstance(v, XBands):
-        return [(v.outside, None, None), (d, v.intervals, None)]
-    if isinstance(v, YBands):
-        return [(v.outside, None, None), (d, None, v.intervals)]
-    if isinstance(v, Cross):
-        return [(v.outside, None, None),
-                (d, v.x_intervals, None),
-                (d, None, v.y_intervals),
-                (-d, v.x_intervals, v.y_intervals)]
-    raise TypeError(f"not a separable analytic weight: {type(v).__name__}")
+def _inner_edges(intervals, lo: float, hi: float) -> list[float]:
+    """Interval end points strictly inside (lo, hi): quadrature breakpoints."""
+    return [t for a, b in intervals for t in (a, b) if lo < t < hi]
 
 
 def assemble_mass(w: Weight, spectrum: HomSpectrum, parity: str, n: int) -> SymMatrix:
@@ -134,28 +121,15 @@ def assemble_mass(w: Weight, spectrum: HomSpectrum, parity: str, n: int) -> SymM
         basis = np.einsum("ni,nj->nij", sines, profs).reshape(n, -1)
         mat = (basis * cell_w.ravel()) @ basis.T
     else:
-        bkpts = set()
-        for _, _, y_iv in _separable_terms(v):
-            if y_iv is not None:
-                for a, b in y_iv:
-                    for t in (a, b):
-                        if -cfg.ell < t < cfg.ell:
-                            bkpts.add(t)
-        rule = _y_rule(pairs, cfg, sorted(bkpts))
+        rule = _y_rule(pairs, cfg, sorted(set(_inner_edges(v.y_intervals, -cfg.ell, cfg.ell))))
         y, wq = rule.nodes_weights()
         profs = _profiles_on(pairs, y)
         mat = np.zeros((n, n))
-        for coeff, x_iv, y_iv in _separable_terms(v):
+        for coeff, x_iv, y_iv in v.terms():
             if coeff == 0.0:
                 continue
             xm = _x_matrix(freqs, x_iv)
-            if y_iv is None:
-                yw = wq
-            else:
-                hit = np.zeros(y.shape, dtype=bool)
-                for a, b in y_iv:
-                    hit |= (y >= a) & (y < b)
-                yw = wq * hit
+            yw = wq if y_iv is None else wq * _in_intervals(y, y_iv)
             ym = (profs * yw) @ profs.T
             mat = mat + coeff * (xm * ym)
 
@@ -257,15 +231,9 @@ def weighted_l2_sq(pairs: list[HomEigenpair], coeffs: np.ndarray, w: Weight,
         u = np.einsum("n,ni,nj->ij", coeffs, sines, profs)
         return float(np.sum(v.node_values() * u * u) * f.cell_area)
 
-    x_bk: list[float] = []
-    y_bk: list[float] = []
-    for _, x_iv, y_iv in _separable_terms(v):
-        for iv, acc, lo, hi in ((x_iv, x_bk, 0.0, math.pi), (y_iv, y_bk, -cfg.ell, cfg.ell)):
-            if iv is not None:
-                acc.extend(t for a, b in iv for t in (a, b) if lo < t < hi)
     freqs = [p.mode.m for p in pairs]
-    rx = _x_rule_for(freqs, x_bk)
-    ry = _y_rule(pairs, cfg, sorted(set(y_bk)))
+    rx = _x_rule_for(freqs, _inner_edges(v.x_intervals, 0.0, math.pi))
+    ry = _y_rule(pairs, cfg, sorted(set(_inner_edges(v.y_intervals, -cfg.ell, cfg.ell))))
     x, wx = rx.nodes_weights()
     y, wy = ry.nodes_weights()
     sines = np.array([np.sin(p.mode.m * x) for p in pairs])

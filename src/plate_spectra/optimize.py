@@ -12,10 +12,9 @@ import numpy as np
 from .config import PlateConfig
 from .galerkin import expand_field, solve_parity, solve_weighted
 from .spectrum import EVEN, ODD, HomSpectrum, build_spectrum, eval_eigenfunction
-from .weights import (Cross, GridField, Sublevel, Uniform, Weight, XBands, YBands,
-                      make_breve_p, make_doublebar_p, make_pbar_j, make_tilde_p,
-                      make_uniform, sample_field, sublevel_split, validate,
-                      weight_to_dict)
+from .weights import (GridField, Sublevel, Weight, make_breve_p, make_doublebar_p,
+                      make_pbar_j, make_tilde_p, make_uniform, sample_field,
+                      sublevel_split, validate, weight_to_dict)
 
 
 class OptimizeError(Exception):
@@ -189,7 +188,7 @@ def minimize_mu_j(j: int, cfg: PlateConfig, epsilon: float = 1e-4,
         g_field = u_sq if g_field is None else (
             (1.0 - relaxation) * g_field + relaxation * u_sq)
         w_next = rearrange_max(GridField(g_field, cfg.ell, "even"), cfg)
-        if isinstance(w_next.variant, Sublevel) and w_next.variant.degenerate:
+        if w_next.variant.degenerate:
             stop = DEGENERATE
             break
         if _same_sublevel(w_next, w):
@@ -252,7 +251,7 @@ def maximize_nu1_fixed_point(cfg: PlateConfig, max_iters: int = 100,
         u = expand_field(spectrum, ODD, coeffs[:, 0], grid)
         fld = GridField(u.values ** 2, cfg.ell, "even")
         w_next = rearrange_min(fld, cfg)
-        if isinstance(w_next.variant, Sublevel) and w_next.variant.degenerate:
+        if w_next.variant.degenerate:
             stop = DEGENERATE
             break
         if symmetric_difference_area(w, w_next) < area_tol * cfg.area:
@@ -297,21 +296,8 @@ def _weighted_sin4_cell(w: Weight, j: int, x_lo: float, x_hi: float,
         sin4 = np.sin(j * xs[cols]) ** 4
         return float(np.sum(pv[cols, :] * sin4[:, None]) * f.cell_area)
 
-    if isinstance(v, Uniform):
-        terms = [(v.value, None, None)]
-    elif isinstance(v, XBands):
-        terms = [(v.outside, None, None), (v.inside - v.outside, v.intervals, None)]
-    elif isinstance(v, YBands):
-        terms = [(v.outside, None, None), (v.inside - v.outside, None, v.intervals)]
-    elif isinstance(v, Cross):
-        d = v.inside - v.outside
-        terms = [(v.outside, None, None), (d, v.x_intervals, None),
-                 (d, None, v.y_intervals), (-d, v.x_intervals, v.y_intervals)]
-    else:
-        raise TypeError(f"unknown weight variant {type(v).__name__}")
-
     total = 0.0
-    for coeff, x_iv, y_iv in terms:
+    for coeff, x_iv, y_iv in v.terms():
         if coeff == 0.0:
             continue
         xs = _clip_intervals(x_iv, x_lo, x_hi) if x_iv is not None else [(x_lo, x_hi)]

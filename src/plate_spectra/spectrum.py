@@ -17,7 +17,6 @@ import numpy as np
 
 from .config import PlateConfig
 from .numerics import Bracket, NoSignChange, QuadratureRule, find_root, integrate_1d
-from . import parallel
 
 
 class SpectrumError(Exception):
@@ -260,30 +259,25 @@ def profile_derivatives(pair: HomEigenpair, y) -> tuple[np.ndarray, np.ndarray, 
     sigma, ell = pair.sigma, pair.ell
     q_amp, p_amp, c_bar, c, high = _profile_terms(m, lam, sigma)
     y = np.asarray(y, dtype=float)
+    f0 = profile_raw(m, lam, pair.mode.parity, sigma, ell, y)
     if pair.mode.parity == EVEN:
-        f0 = q_amp * _cosh_ratio(y, c_bar, ell)
         f1 = q_amp * c_bar * _sinh_over_cosh(y, c_bar, ell)
         f2 = q_amp * c_bar ** 2 * _cosh_ratio(y, c_bar, ell)
         if high:
             cos_l = math.cos(c * ell)
-            f0 = f0 + p_amp * np.cos(c * y) / cos_l
             f1 = f1 - p_amp * c * np.sin(c * y) / cos_l
             f2 = f2 - p_amp * c ** 2 * np.cos(c * y) / cos_l
         else:
-            f0 = f0 + p_amp * _cosh_ratio(y, c, ell)
             f1 = f1 + p_amp * c * _sinh_over_cosh(y, c, ell)
             f2 = f2 + p_amp * c ** 2 * _cosh_ratio(y, c, ell)
     else:
-        f0 = q_amp * _sinh_ratio(y, c_bar, ell)
         f1 = q_amp * c_bar * _cosh_over_sinh(y, c_bar, ell)
         f2 = q_amp * c_bar ** 2 * _sinh_ratio(y, c_bar, ell)
         if high:
             sin_l = math.sin(c * ell)
-            f0 = f0 + p_amp * np.sin(c * y) / sin_l
             f1 = f1 + p_amp * c * np.cos(c * y) / sin_l
             f2 = f2 - p_amp * c ** 2 * np.sin(c * y) / sin_l
         else:
-            f0 = f0 + p_amp * _sinh_ratio(y, c, ell)
             f1 = f1 + p_amp * c * _cosh_over_sinh(y, c, ell)
             f2 = f2 + p_amp * c ** 2 * _sinh_ratio(y, c, ell)
     n = pair.norm_const
@@ -426,6 +420,12 @@ def find_hom_eigenvalue(mode: Mode, cfg: PlateConfig) -> HomEigenpair:
             if len(highs) < k - 1:
                 raise RootIsolationFailure(f"could not isolate torsional ({m},{k})")
             lam = highs[k - 2]
+    return _make_pair(mode, lam, cfg)
+
+
+def _make_pair(mode: Mode, lam: float, cfg: PlateConfig) -> HomEigenpair:
+    """Eigenpair record for a located eigenvalue: wavenumbers and L2 scale."""
+    m = mode.m
     s = math.sqrt(lam)
     return HomEigenpair(
         mode=mode,
@@ -488,7 +488,7 @@ def _longitudinal_pairs(n: int, cfg: PlateConfig) -> list[HomEigenpair]:
             candidates.append(Mode(m, k, EVEN))
             k += 1
         m += 1
-    pairs = parallel.run_tasks(lambda mode: find_hom_eigenvalue(mode, cfg), candidates)
+    pairs = [find_hom_eigenvalue(mode, cfg) for mode in candidates]
     pairs.sort(key=lambda p: p.lam)
     return pairs[:n]
 
@@ -511,28 +511,13 @@ def _torsional_pairs(n: int, cfg: PlateConfig) -> list[HomEigenpair]:
             out.append((lam, Mode(m, k, ODD)))
         return out
 
-    ms = []
+    flat: list[tuple[float, Mode]] = []
     m = 1
     while (1.0 - sigma * sigma) * float(m) ** 4 <= cutoff:
-        ms.append(m)
+        flat.extend(modes_for_m(m))
         m += 1
-    found = parallel.run_tasks(modes_for_m, ms)
-    flat = [item for sub in found for item in sub]
     flat.sort(key=lambda t: t[0])
-    flat = flat[:n]
-
-    def build(item: tuple[float, Mode]) -> HomEigenpair:
-        lam, mode = item
-        s = math.sqrt(lam)
-        return HomEigenpair(
-            mode=mode, lam=lam,
-            c=math.sqrt(abs(s - mode.m ** 2)),
-            c_bar=math.sqrt(s + mode.m ** 2),
-            norm_const=_normalization(mode.m, lam, ODD, cfg),
-            sigma=cfg.sigma, ell=cfg.ell,
-        )
-
-    return parallel.run_tasks(build, flat)
+    return [_make_pair(mode, lam, cfg) for lam, mode in flat[:n]]
 
 
 def build_spectrum(cfg: PlateConfig, cap: int = 200) -> HomSpectrum:

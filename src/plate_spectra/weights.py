@@ -33,6 +33,10 @@ def _check_intervals(intervals: Sequence[Interval], lo: float, hi: float) -> tup
     return ivs
 
 
+def _length(intervals: tuple[Interval, ...]) -> float:
+    return sum(b - a for a, b in intervals)
+
+
 # ---------------------------------------------------------------------------
 # grid fields (cell-center sampling, midpoint measure)
 # ---------------------------------------------------------------------------
@@ -101,53 +105,81 @@ def sample_field(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
 # weight variants
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Uniform:
-    value: float = 1.0
+BandTerm = tuple[float, tuple[Interval, ...] | None, tuple[Interval, ...] | None]
 
 
 @dataclass(frozen=True)
-class XBands:
-    """inside on the x-intervals (half-open [a, b)), outside elsewhere."""
+class Bands:
+    """Two-phase band weight: inside where x lies in x_intervals OR y lies in
+    y_intervals (intervals half-open [a, b)), outside elsewhere.
 
-    intervals: tuple[Interval, ...]
-    inside: float
-    outside: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "intervals",
-                           _check_intervals(self.intervals, 0.0, math.pi))
-
-
-@dataclass(frozen=True)
-class YBands:
-    """inside on the y-intervals, which must be symmetric about y = 0."""
-
-    intervals: tuple[Interval, ...]
-    inside: float
-    outside: float
-    ell: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "intervals",
-                           _check_intervals(self.intervals, -self.ell, self.ell))
-
-
-@dataclass(frozen=True)
-class Cross:
-    """inside where x lies in x_intervals OR y lies in y_intervals."""
+    ell is the plate half-width the y-intervals were declared for. It only
+    bounds the intervals, goes into the JSON spec and is checked against the
+    plate in validate; all arithmetic takes its geometry from the PlateConfig.
+    Weights without y-intervals declare no geometry.
+    """
 
     x_intervals: tuple[Interval, ...]
     y_intervals: tuple[Interval, ...]
     inside: float
     outside: float
-    ell: float
+    ell: float | None = None
 
     def __post_init__(self) -> None:
+        if self.y_intervals and self.ell is None:
+            raise ValueError("y-intervals need the declared plate half-width ell")
+        half = 0.0 if self.ell is None else self.ell
         object.__setattr__(self, "x_intervals",
                            _check_intervals(self.x_intervals, 0.0, math.pi))
         object.__setattr__(self, "y_intervals",
-                           _check_intervals(self.y_intervals, -self.ell, self.ell))
+                           _check_intervals(self.y_intervals, -half, half))
+
+    def terms(self) -> list[BandTerm]:
+        """The density as a sum of coeff * chi_X(x) * chi_Y(y) terms, in the
+        order outside, X, Y, X-and-Y; None stands for the constant-one factor
+        and terms on an empty interval set are dropped."""
+        d = self.inside - self.outside
+        xs, ys = self.x_intervals or None, self.y_intervals or None
+        out: list[BandTerm] = [(self.outside, None, None)]
+        if xs:
+            out.append((d, xs, None))
+        if ys:
+            out.append((d, None, ys))
+        if xs and ys:
+            out.append((-d, xs, ys))
+        return out
+
+    def union_fraction(self, ell: float) -> float:
+        """Area fraction of {x in X or y in Y} on the plate of half-width ell."""
+        fx = _length(self.x_intervals) / math.pi
+        fy = _length(self.y_intervals) / (2.0 * ell)
+        return fx + fy - fx * fy
+
+
+class Uniform(Bands):
+    """The constant density value."""
+
+    def __init__(self, value: float = 1.0) -> None:
+        super().__init__((), (), value, value)
+
+
+class XBands(Bands):
+    """inside on the x-intervals, outside elsewhere."""
+
+    def __init__(self, intervals: Sequence[Interval], inside: float, outside: float) -> None:
+        super().__init__(intervals, (), inside, outside)
+
+
+class YBands(Bands):
+    """inside on the y-intervals, which must be symmetric about y = 0."""
+
+    def __init__(self, intervals: Sequence[Interval], inside: float, outside: float,
+                 ell: float) -> None:
+        super().__init__((), intervals, inside, outside, ell)
+
+
+class Cross(Bands):
+    """inside where x lies in x_intervals OR y lies in y_intervals."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,7 +215,7 @@ class Sublevel:
         return self.field.values <= self.threshold
 
 
-Variant = Union[Uniform, XBands, YBands, Cross, Sublevel]
+Variant = Union[Bands, Sublevel]
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,71 +243,34 @@ def eval_weight(w: Weight, x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     v = w.variant
-    if isinstance(v, Uniform):
-        return v.value + 0.0 * (x + y)
-    if isinstance(v, XBands):
-        return np.where(_in_intervals(x, v.intervals), v.inside, v.outside) + 0.0 * y
-    if isinstance(v, YBands):
-        return np.where(_in_intervals(y, v.intervals), v.inside, v.outside) + 0.0 * x
-    if isinstance(v, Cross):
+    if isinstance(v, Bands):
         hit = _in_intervals(x, v.x_intervals) | _in_intervals(y, v.y_intervals)
         return np.where(hit, v.inside, v.outside)
-    if isinstance(v, Sublevel):
-        f = v.field
-        i = np.clip((x / math.pi * f.nx).astype(int), 0, f.nx - 1)
-        j = np.clip(((y + f.ell) / (2.0 * f.ell) * f.ny).astype(int), 0, f.ny - 1)
-        return v.node_values()[i, j]
-    raise TypeError(f"unknown weight variant {type(v).__name__}")
+    f = v.field
+    i = np.clip((x / math.pi * f.nx).astype(int), 0, f.nx - 1)
+    j = np.clip(((y + f.ell) / (2.0 * f.ell) * f.ny).astype(int), 0, f.ny - 1)
+    return v.node_values()[i, j]
 
 
 # ---------------------------------------------------------------------------
 # mass, symmetry, bounds
 # ---------------------------------------------------------------------------
 
-def _length(intervals: tuple[Interval, ...]) -> float:
-    return sum(b - a for a, b in intervals)
-
-
 def mean_density(w: Weight, cfg: PlateConfig) -> float:
     """Integral of the density over Omega divided by |Omega|."""
     v = w.variant
-    if isinstance(v, Uniform):
-        return v.value
-    if isinstance(v, XBands):
-        frac = _length(v.intervals) / math.pi
-        return v.outside + (v.inside - v.outside) * frac
-    if isinstance(v, YBands):
-        frac = _length(v.intervals) / (2.0 * v.ell)
-        return v.outside + (v.inside - v.outside) * frac
-    if isinstance(v, Cross):
-        fx = _length(v.x_intervals) / math.pi
-        fy = _length(v.y_intervals) / (2.0 * v.ell)
-        union = fx + fy - fx * fy
-        return v.outside + (v.inside - v.outside) * union
-    if isinstance(v, Sublevel):
-        return float(np.mean(v.node_values()))
-    raise TypeError(f"unknown weight variant {type(v).__name__}")
+    if isinstance(v, Bands):
+        return v.outside + (v.inside - v.outside) * v.union_fraction(cfg.ell)
+    return float(np.mean(v.node_values()))
 
 
 def sqrt_mass_integral(w: Weight, cfg: PlateConfig) -> float:
     """Integral of sqrt(density) over Omega (enters the asymptotic eigenvalue law)."""
-    area = cfg.area
     v = w.variant
-    if isinstance(v, Uniform):
-        return math.sqrt(v.value) * area
-    if isinstance(v, (XBands, YBands, Cross)):
-        if isinstance(v, XBands):
-            frac = _length(v.intervals) / math.pi
-        elif isinstance(v, YBands):
-            frac = _length(v.intervals) / (2.0 * v.ell)
-        else:
-            fx = _length(v.x_intervals) / math.pi
-            fy = _length(v.y_intervals) / (2.0 * v.ell)
-            frac = fx + fy - fx * fy
-        return area * (math.sqrt(v.inside) * frac + math.sqrt(v.outside) * (1.0 - frac))
-    if isinstance(v, Sublevel):
-        return float(np.sum(np.sqrt(v.node_values()))) * v.field.cell_area
-    raise TypeError(f"unknown weight variant {type(v).__name__}")
+    if isinstance(v, Bands):
+        frac = v.union_fraction(cfg.ell)
+        return cfg.area * (math.sqrt(v.inside) * frac + math.sqrt(v.outside) * (1.0 - frac))
+    return float(np.sum(np.sqrt(v.node_values()))) * v.field.cell_area
 
 
 @dataclass(frozen=True)
@@ -288,32 +283,31 @@ class MembershipReport:
 
 
 def validate(w: Weight, cfg: PlateConfig) -> MembershipReport:
-    """Check alpha <= p <= beta, y-evenness, and total mass |Omega|."""
+    """Check the declared plate geometry, the bounds of both the weight and
+    the plate configuration, y-evenness, and total mass |Omega|."""
     v = w.variant
-    if isinstance(v, Uniform):
-        values = [v.value]
-    elif isinstance(v, (XBands, YBands, Cross)):
+    if isinstance(v, Bands):
         values = [v.inside, v.outside]
+        declared = v.ell
+        ivs = sorted(v.y_intervals)
+        mirrored = sorted((-b, -a) for a, b in ivs)
+        sym = max((max(abs(a1 - a2), abs(b1 - b2))
+                   for (a1, b1), (a2, b2) in zip(ivs, mirrored)), default=0.0)
     else:
         nv = v.node_values()
         values = [float(nv.min()), float(nv.max())]
-    bounds = max(0.0, w.alpha - min(values), max(values) - w.beta)
-
-    if isinstance(v, (Uniform, XBands)):
-        sym = 0.0
-    elif isinstance(v, (YBands, Cross)):
-        ivs = v.intervals if isinstance(v, YBands) else v.y_intervals
-        mirrored = sorted((-b, -a) for a, b in ivs)
-        sym = max((max(abs(a1 - a2), abs(b1 - b2))
-                   for (a1, b1), (a2, b2) in zip(sorted(ivs), mirrored)), default=0.0)
-    else:
-        nv = v.node_values()
+        declared = v.field.ell
         sym = float(np.max(np.abs(nv - nv[:, ::-1])))
+    lo, hi = min(values), max(values)
+    bounds = max(0.0, w.alpha - lo, cfg.alpha - lo, hi - w.beta, hi - cfg.beta)
+    geometry_ok = declared is None or abs(declared - cfg.ell) <= 1e-9 * cfg.ell
 
     mass = mean_density(w, cfg) - 1.0
 
-    passed = bounds <= 1e-12 and sym <= 1e-10 and abs(mass) <= 1e-6
+    passed = geometry_ok and bounds <= 1e-12 and sym <= 1e-10 and abs(mass) <= 1e-6
     detail = []
+    if not geometry_ok:
+        detail.append(f"declared ell {declared!r} differs from the plate's ell {cfg.ell!r}")
     if bounds > 1e-12:
         detail.append(f"bounds violated by {bounds:.3e}")
     if sym > 1e-10:
@@ -379,7 +373,11 @@ def _band_centers(j: int) -> list[float]:
 def make_pbar_j(j: int, cfg: PlateConfig) -> Weight:
     """j equal bands of the dense phase centered on the antinodes of sin(jx).
 
-    Band widths follow from the mass constraint, so membership is exact.
+    Band widths follow from the mass constraint, so membership is exact. For
+    j >= 2 this is also the bang-bang weight with alpha on {sin^4(jx) <= t_j}
+    and beta elsewhere: the sublevel set at the mass-balancing level is exactly
+    the union of the gaps between the bands, and the closed-form edges avoid
+    the quantization of the grid threshold (see pj_sin4_threshold).
     """
     if j < 1:
         raise ValueError(f"j must be >= 1, got {j}")
@@ -399,19 +397,6 @@ def pj_sin4_threshold(j: int, cfg: PlateConfig, nx_per_band: int = 8192) -> floa
                          nx=nx, ny=3, parity="even")
     target = (cfg.beta - 1.0) / (cfg.beta - cfg.alpha) * cfg.area
     return threshold_for_area(field, target).threshold
-
-
-def make_pj_sin4(j: int, cfg: PlateConfig) -> Weight:
-    """Bang-bang weight with alpha on {sin^4(jx) <= t_j}, beta elsewhere.
-
-    The sublevel set at the mass-balancing level is exactly the union of j
-    bands around the antinodes, so the weight coincides with make_pbar_j(j);
-    band edges are placed by the closed-form mass identity (the grid threshold
-    would quantize them).
-    """
-    if j < 2:
-        raise ValueError(f"j must be >= 2, got {j}")
-    return make_pbar_j(j, cfg)
 
 
 def sin4_level_exact(cfg: PlateConfig) -> float:
@@ -467,34 +452,40 @@ def make_uniform(cfg: PlateConfig) -> Weight:
 # JSON round-trip
 # ---------------------------------------------------------------------------
 
+# JSON variant name -> band subclass and its (JSON key, Bands field) pairs;
+# the keys are also the subclass constructor's parameter names.
+_BAND_FORMATS = {
+    "uniform": (Uniform, (("value", "outside"),)),
+    "x_bands": (XBands, (("intervals", "x_intervals"), ("inside", "inside"),
+                         ("outside", "outside"))),
+    "y_bands": (YBands, (("intervals", "y_intervals"), ("inside", "inside"),
+                         ("outside", "outside"), ("ell", "ell"))),
+    "cross": (Cross, (("x_intervals", "x_intervals"), ("y_intervals", "y_intervals"),
+                      ("inside", "inside"), ("outside", "outside"), ("ell", "ell"))),
+}
+_BAND_NAMES = {cls: name for name, (cls, _) in _BAND_FORMATS.items()}
+
+
 def weight_to_dict(w: Weight) -> dict:
     v = w.variant
     base = {"alpha": w.alpha, "beta": w.beta}
-    if isinstance(v, Uniform):
-        return {**base, "variant": "uniform", "parameters": {"value": v.value}}
-    if isinstance(v, XBands):
-        return {**base, "variant": "x_bands",
-                "parameters": {"intervals": [list(t) for t in v.intervals],
-                               "inside": v.inside, "outside": v.outside}}
-    if isinstance(v, YBands):
-        return {**base, "variant": "y_bands",
-                "parameters": {"intervals": [list(t) for t in v.intervals],
-                               "inside": v.inside, "outside": v.outside, "ell": v.ell}}
-    if isinstance(v, Cross):
-        return {**base, "variant": "cross",
-                "parameters": {"x_intervals": [list(t) for t in v.x_intervals],
-                               "y_intervals": [list(t) for t in v.y_intervals],
-                               "inside": v.inside, "outside": v.outside, "ell": v.ell}}
-    if isinstance(v, Sublevel):
-        f = v.field
-        return {**base, "variant": "sublevel",
-                "parameters": {"threshold": v.threshold, "inside": v.inside,
-                               "outside": v.outside, "tie_fraction": v.tie_fraction,
-                               "degenerate": v.degenerate,
-                               "field": {"nx": f.nx, "ny": f.ny, "ell": f.ell,
-                                         "parity": f.parity,
-                                         "values": f.values.ravel().tolist()}}}
-    raise TypeError(f"unknown weight variant {type(v).__name__}")
+    if isinstance(v, Bands):
+        if type(v) not in _BAND_NAMES:
+            raise TypeError(f"no JSON variant name for {type(v).__name__}")
+        name = _BAND_NAMES[type(v)]
+        params = {}
+        for key, attr in _BAND_FORMATS[name][1]:
+            value = getattr(v, attr)
+            params[key] = [list(t) for t in value] if attr.endswith("intervals") else value
+        return {**base, "variant": name, "parameters": params}
+    f = v.field
+    return {**base, "variant": "sublevel",
+            "parameters": {"threshold": v.threshold, "inside": v.inside,
+                           "outside": v.outside, "tie_fraction": v.tie_fraction,
+                           "degenerate": v.degenerate,
+                           "field": {"nx": f.nx, "ny": f.ny, "ell": f.ell,
+                                     "parity": f.parity,
+                                     "values": f.values.ravel().tolist()}}}
 
 
 def weight_from_dict(data: dict) -> Weight:
@@ -502,18 +493,11 @@ def weight_from_dict(data: dict) -> Weight:
         variant = data["variant"]
         p = data["parameters"]
         alpha, beta = float(data["alpha"]), float(data["beta"])
-        if variant == "uniform":
-            v: Variant = Uniform(float(p.get("value", 1.0)))
-        elif variant == "x_bands":
-            v = XBands(tuple(tuple(t) for t in p["intervals"]),
-                       float(p["inside"]), float(p["outside"]))
-        elif variant == "y_bands":
-            v = YBands(tuple(tuple(t) for t in p["intervals"]),
-                       float(p["inside"]), float(p["outside"]), float(p["ell"]))
-        elif variant == "cross":
-            v = Cross(tuple(tuple(t) for t in p["x_intervals"]),
-                      tuple(tuple(t) for t in p["y_intervals"]),
-                      float(p["inside"]), float(p["outside"]), float(p["ell"]))
+        if variant in _BAND_FORMATS:
+            cls, fields = _BAND_FORMATS[variant]
+            v: Variant = cls(**{key: tuple(tuple(t) for t in p[key])
+                                if key.endswith("intervals") else float(p[key])
+                                for key, _ in fields if key in p})
         elif variant == "sublevel":
             f = p["field"]
             vals = np.asarray(f["values"], dtype=float).reshape(f["nx"], f["ny"])

@@ -20,12 +20,25 @@ def ref_spectrum(ref_cfg):
 def random_band_weight(rng: np.random.Generator, cfg: PlateConfig) -> Weight:
     """Random admissible two-value band weight (exact mass, closed form).
 
-    Either an x-band or a symmetric y-band system; the inside value is solved
-    from the mass constraint so membership is exact.
+    One of the four band kinds: uniform, an x-band system, a symmetric y-band
+    system, or x-bands crossed with a central y-band; the inside value is
+    solved from the mass constraint so membership is exact.
     """
-    axis = rng.choice(["x", "y"])
+    kind = rng.choice(["uniform", "x", "y", "cross"])
+    if kind == "uniform":
+        return Weight(W.Uniform(1.0), cfg.alpha, cfg.beta)
     v_out = float(rng.uniform(cfg.alpha, 0.95))
-    if axis == "x":
+    if kind == "cross":
+        # dense-phase area fraction of the union, split between the two systems
+        frac = float(rng.uniform((1.0 - v_out) / (cfg.beta - v_out), 0.95))
+        fy = frac * float(rng.uniform(0.1, 0.9))
+        fx = (frac - fy) / (1.0 - fy)
+        edges = _random_disjoint(rng, int(rng.integers(1, 5)), fx * math.pi, math.pi)
+        hw = fy * cfg.ell
+        v_in = (1.0 - v_out * (1.0 - frac)) / frac
+        return Weight(W.Cross(tuple(edges), ((-hw, hw),), v_in, v_out, cfg.ell),
+                      cfg.alpha, cfg.beta)
+    if kind == "x":
         span = math.pi
         n_bands = int(rng.integers(1, 5))
         # inside value <= beta requires enough total band length

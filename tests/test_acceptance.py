@@ -247,10 +247,11 @@ def test_criterion_9_weyl_diagnostic():
 
 def test_criterion_10_determinism(tmp_path):
     outputs = []
-    for threads in ("1", "8"):
-        out = tmp_path / f"threads_{threads}"
-        env = dict(os.environ)
-        env["PLATE_SPECTRA_THREADS"] = threads
+    for threads in ("1", None):
+        out = tmp_path / f"blas_threads_{threads or 'default'}"
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
         proc = subprocess.run(
             [sys.executable, "-m", "plate_spectra.cli", "ratio-table",
              "--out", str(out)],
@@ -260,5 +261,5 @@ def test_criterion_10_determinism(tmp_path):
             name: (out / name).read_bytes()
             for name in ("ratio_table.csv", "ratio_table_deviation.csv")
         })
-    assert outputs[0] == outputs[1], "thread count changed the CSV bytes"
-    _pass(10, "ratio-table byte-identical for PLATE_SPECTRA_THREADS in {1, 8}")
+    assert outputs[0] == outputs[1], "BLAS thread count changed the CSV bytes"
+    _pass(10, "ratio-table byte-identical for OPENBLAS_NUM_THREADS=1 and the default")

@@ -1,12 +1,18 @@
 import csv
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from plate_spectra import PlateConfig
-from plate_spectra.weights import make_breve_p, make_uniform, weight_to_json
+from plate_spectra.cli import _atomic_write
+from plate_spectra.optimize import rearrange_min
+from plate_spectra.weights import make_breve_p, make_uniform, sample_field, weight_to_json
 
 
 def run_cli(*args, env=None):
@@ -95,6 +101,48 @@ def test_eigs_inadmissible_weight(tmp_path):
     proc = run_cli("eigs", "--weight", str(wfile), "--out", str(tmp_path))
     assert proc.returncode == 3
     assert "admissibility" in proc.stderr
+
+
+def _assert_one_line_weight_error(proc):
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "declared ell" in proc.stderr
+
+
+def test_eigs_rejects_band_weight_for_another_plate(tmp_path):
+    # mass-exact for ell = 1, but on the default plate the band covers everything
+    wfile = tmp_path / "wide.json"
+    wfile.write_text(json.dumps({
+        "variant": "y_bands", "alpha": 0.5, "beta": 1.5,
+        "parameters": {"intervals": [[-0.5, 0.5]], "inside": 1.5, "outside": 0.5,
+                       "ell": 1.0}}))
+    proc = run_cli("eigs", "--weight", str(wfile), "--out", str(tmp_path))
+    _assert_one_line_weight_error(proc)
+    assert not (tmp_path / "eigenvalues.csv").exists()
+
+
+def test_eigs_rejects_sublevel_weight_for_another_plate(tmp_path):
+    cfg5 = PlateConfig(ell=5.0)
+    fld = sample_field(lambda x, y: np.sin(x) ** 2 + 0.0 * y, cfg5, 600, 31,
+                       parity="even")
+    wfile = tmp_path / "sub.json"
+    wfile.write_text(weight_to_json(rearrange_min(fld, cfg5)))
+    proc = run_cli("eigs", "--weight", str(wfile), "--out", str(tmp_path))
+    _assert_one_line_weight_error(proc)
+    assert not (tmp_path / "eigenvalues.csv").exists()
+
+
+def test_atomic_write_follows_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        _atomic_write(tmp_path / "out" / "a.csv", "x\n")
+    finally:
+        os.umask(old)
+    path = tmp_path / "out" / "a.csv"
+    assert path.read_text() == "x\n"
+    assert stat.S_IMODE(path.stat().st_mode) == 0o644
+    assert [p.name for p in path.parent.iterdir()] == ["a.csv"]
 
 
 def test_optimize_min_mu_1(tmp_path):

@@ -3,7 +3,6 @@ import math
 import pytest
 
 from plate_spectra import PlateConfig
-from plate_spectra.parallel import ENV_VAR, run_tasks, thread_count
 
 
 def test_config_defaults():
@@ -31,24 +30,3 @@ def test_config_with(ref_cfg):
     other = ref_cfg.with_(n_modes=5)
     assert other.n_modes == 5 and other.ell == ref_cfg.ell
 
-
-def test_thread_count_parsing(monkeypatch):
-    monkeypatch.delenv(ENV_VAR, raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv(ENV_VAR, "8")
-    assert thread_count() == 8
-    monkeypatch.setenv(ENV_VAR, "0")
-    assert thread_count() == 1
-    monkeypatch.setenv(ENV_VAR, "totally-a-number")
-    assert thread_count() == 1
-    monkeypatch.setenv(ENV_VAR, "10000")
-    assert thread_count() == 64
-
-
-def test_run_tasks_order_independent_of_threads(monkeypatch):
-    items = list(range(25))
-    monkeypatch.setenv(ENV_VAR, "1")
-    serial = run_tasks(lambda x: x * x, items)
-    monkeypatch.setenv(ENV_VAR, "8")
-    threaded = run_tasks(lambda x: x * x, items)
-    assert serial == threaded == [x * x for x in items]

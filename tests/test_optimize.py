@@ -13,7 +13,7 @@ from plate_spectra.optimize import (OptimizeError, default_study_weights, make_p
                                     rearrange_min, rearrangement_value,
                                     symmetric_difference_area, trace_to_jsonl)
 from plate_spectra.weights import (GridField, Sublevel, eval_weight, make_doublebar_p,
-                                   make_pbar_j, make_pj_sin4, make_uniform,
+                                   make_pbar_j, make_uniform,
                                    sample_field, sin4_level_exact, validate)
 
 
@@ -48,7 +48,7 @@ def test_rearrange_sin4_matches_band_weight(ref_cfg):
     fld = sample_field(lambda x, y: np.sin(5 * x) ** 4 + 0.0 * y, ref_cfg, 600, 31,
                        parity="even")
     w = rearrange_max(fld, ref_cfg)    # dense phase where sin^4 is large
-    banded = make_pj_sin4(5, ref_cfg)
+    banded = make_pbar_j(5, ref_cfg)
     xs = fld.xs
     grid_vals = w.variant.node_values()[:, 0]
     band_vals = eval_weight(banded, xs, np.zeros_like(xs))
@@ -163,7 +163,7 @@ def test_upper_bound_dominates_uniform_eigenvalues(ref_cfg, ref_spectrum):
 def test_banded_weight_tightens_bound(ref_cfg):
     for j in (2, 5, 10):
         uni = mu_upper_bound(make_uniform(ref_cfg), j, ref_cfg)
-        banded = mu_upper_bound(make_pj_sin4(j, ref_cfg), j, ref_cfg)
+        banded = mu_upper_bound(make_pbar_j(j, ref_cfg), j, ref_cfg)
         assert banded < uni
 
 

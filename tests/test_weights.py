@@ -1,14 +1,16 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import random_band_weight
 from plate_spectra import PlateConfig
 from plate_spectra import weights as W
-from plate_spectra.weights import (Cross, GridField, Sublevel, Weight, WeightError,
-                                   XBands, YBands, eval_weight, make_breve_p,
-                                   make_doublebar_p, make_pbar_j, make_pj_sin4,
+from plate_spectra.weights import (Cross, GridField, Sublevel, Uniform, Weight,
+                                   WeightError, XBands, YBands, eval_weight,
+                                   make_breve_p, make_doublebar_p, make_pbar_j,
                                    make_tilde_p, make_uniform, pj_sin4_threshold,
                                    sample_field, sin4_level_exact, sublevel_split,
                                    threshold_for_area, validate, weight_from_json,
@@ -56,6 +58,58 @@ def test_validate_asymmetric_yband_fails(ref_cfg):
     assert not rep.passed and rep.symmetry_residual > 0
 
 
+def test_validate_rejects_foreign_band_geometry(ref_cfg):
+    # mass-exact on a plate of half-width 1, a full-width band on this one
+    w = Weight(YBands(((-0.5, 0.5),), ref_cfg.beta, ref_cfg.alpha, 1.0),
+               ref_cfg.alpha, ref_cfg.beta)
+    assert validate(w, PlateConfig(ell=1.0)).passed
+    rep = validate(w, ref_cfg)
+    assert not rep.passed and "declared ell 1.0" in rep.detail
+
+
+def test_validate_rejects_foreign_sublevel_geometry(ref_cfg):
+    cfg5 = PlateConfig(ell=5.0)
+    fld = sample_field(lambda x, y: np.sin(x) ** 2 + 0.0 * y, cfg5, 40, 5, parity="even")
+    t, theta, _ = sublevel_split(fld, 0.5 * cfg5.area, ref_cfg.beta, ref_cfg.alpha)
+    w = Weight(Sublevel(fld, t, ref_cfg.beta, ref_cfg.alpha, theta),
+               ref_cfg.alpha, ref_cfg.beta)
+    assert validate(w, cfg5).passed
+    rep = validate(w, ref_cfg)
+    assert not rep.passed and "declared ell 5.0" in rep.detail
+
+
+def test_validate_checks_plate_bounds(ref_cfg):
+    # admissible for its own wider bounds, but denser than the plate's beta
+    w = Weight(XBands(((0.0, math.pi / 3),), 2.0, 0.5), 0.4, 2.1)
+    rep = validate(w, ref_cfg)
+    assert abs(rep.mass_error) < 1e-15
+    assert not rep.passed and rep.bounds_violation == pytest.approx(0.5)
+
+
+def test_random_band_weights_admissible(ref_cfg):
+    rng = np.random.default_rng(23)
+    xs = np.linspace(0.01, math.pi - 0.01, 41)
+    ys = np.linspace(0.0, ref_cfg.ell * 0.999, 17)
+    kinds = set()
+    for _ in range(40):
+        w = random_band_weight(rng, ref_cfg)
+        kinds.add(type(w.variant))
+        rep = validate(w, ref_cfg)
+        assert rep.passed and abs(rep.mass_error) <= 1e-12, rep.detail
+        up = eval_weight(w, xs[:, None], ys[None, :])
+        assert np.array_equal(up, eval_weight(w, xs[:, None], -ys[None, :]))
+    assert kinds == {Uniform, XBands, YBands, Cross}
+
+
+def test_band_terms_order(ref_cfg):
+    xs, ys = ((0.5, 1.0),), ((-0.01, 0.01),)
+    assert Uniform(1.0).terms() == [(1.0, None, None)]
+    assert XBands(xs, 1.5, 0.5).terms() == [(0.5, None, None), (1.0, xs, None)]
+    assert YBands(ys, 1.5, 0.5, ref_cfg.ell).terms() == [(0.5, None, None), (1.0, None, ys)]
+    assert Cross(xs, ys, 1.5, 0.5, ref_cfg.ell).terms() == [
+        (0.5, None, None), (1.0, xs, None), (1.0, None, ys), (-1.0, xs, ys)]
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
@@ -87,13 +141,13 @@ def test_eval_half_open_convention(ref_cfg):
 # ---------------------------------------------------------------------------
 
 def test_pbar_1_band(ref_cfg):
-    (a, b), = make_pbar_j(1, ref_cfg).variant.intervals
+    (a, b), = make_pbar_j(1, ref_cfg).variant.x_intervals
     assert a == pytest.approx(math.pi / 4, abs=1e-15)
     assert b == pytest.approx(3 * math.pi / 4, abs=1e-15)
 
 
 def test_pbar_10_geometry(ref_cfg):
-    ivs = make_pbar_j(10, ref_cfg).variant.intervals
+    ivs = make_pbar_j(10, ref_cfg).variant.x_intervals
     assert len(ivs) == 10
     widths = [b - a for a, b in ivs]
     assert all(abs(w - math.pi / 20) < 1e-14 for w in widths)  # pi/10 * 0.5
@@ -125,20 +179,18 @@ def test_pj_sin4_threshold_off_reference_bounds():
 
 
 def test_pj_sin4_matches_band_construction(ref_cfg):
-    w1 = make_pj_sin4(5, ref_cfg).variant
-    w2 = make_pbar_j(5, ref_cfg).variant
-    assert w1 == w2
+    w = make_pbar_j(5, ref_cfg)
     # the dense phase sits exactly on the superlevel set of sin^4
     t = sin4_level_exact(ref_cfg)
     for x in np.linspace(0.01, math.pi - 0.01, 301):
         want = ref_cfg.beta if math.sin(5 * x) ** 4 > t else ref_cfg.alpha
         if abs(math.sin(5 * x) ** 4 - t) < 1e-9:
             continue  # on the jump line
-        assert eval_weight(Weight(w1, ref_cfg.alpha, ref_cfg.beta), x, 0.0) == want
+        assert eval_weight(w, x, 0.0) == want
 
 
 def test_pj_sin4_periodicity(ref_cfg):
-    w = make_pj_sin4(5, ref_cfg)
+    w = make_pbar_j(5, ref_cfg)
     xs = np.linspace(0.01, math.pi - math.pi / 5 - 0.01, 200)
     a = eval_weight(w, xs, 0.0)
     b = eval_weight(w, xs + math.pi / 5, 0.0)
@@ -260,6 +312,29 @@ def test_json_roundtrip_sublevel(ref_cfg):
     assert np.array_equal(back.variant.field.values, fld.values)
     assert back.variant.threshold == t
     assert back.variant.tie_fraction == theta
+
+
+GOLDEN_JSON = json.loads((Path(__file__).parent / "golden_weight_json.json").read_text())
+
+
+def test_json_golden_bytes(ref_cfg):
+    # one weight per variant name; the expected text is the established format
+    fld = GridField(np.array([[2.0, 0.5, 2.0], [1.0, 0.25, 1.0]]), ref_cfg.ell, "even")
+    weights = {
+        "uniform": make_uniform(ref_cfg),
+        "x_bands": make_pbar_j(2, ref_cfg),
+        "y_bands": make_breve_p(ref_cfg),
+        "cross": make_tilde_p(ref_cfg, j=2),
+        "sublevel": Weight(Sublevel(fld, 1.0, ref_cfg.beta, ref_cfg.alpha, 0.25),
+                           ref_cfg.alpha, ref_cfg.beta),
+    }
+    assert weights.keys() == GOLDEN_JSON.keys()
+    for name, w in weights.items():
+        text = weight_to_json(w)
+        assert text == GOLDEN_JSON[name], name
+        back = weight_from_json(text)
+        assert type(back.variant) is type(w.variant)
+        assert weight_to_json(back) == text
 
 
 def test_json_malformed():
