@@ -3,7 +3,7 @@
 Commands: spectrum, eigs, optimize, ratio-table. All physical defaults match
 the benchmark configuration, so a bare invocation reproduces the published
 numbers. Exit codes: 0 success, 2 configuration error, 3 weight error,
-4 non-convergence.
+4 non-convergence, 5 numerical failure.
 """
 from __future__ import annotations
 
@@ -15,13 +15,14 @@ import sys
 import tempfile
 from pathlib import Path
 
-from . import galerkin, optimize, reference, spectrum, weights
+from . import galerkin, numerics, optimize, reference, spectrum, weights
 from .config import PlateConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_WEIGHT = 3
 EXIT_NO_CONVERGENCE = 4
+EXIT_NUMERICAL = 5
 
 FLOAT_FMT = "%.6e"
 
@@ -98,6 +99,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     if cfg.n_modes < 12:
         raise CliError("spectrum table needs n_modes >= 12", EXIT_CONFIG)
     spec = spectrum.build_spectrum(cfg)
+    spectrum.known_j0(spec)
     out = Path(args.out)
     lines = ["m,mu_m,nu_m"]
     for i in range(12):
@@ -311,6 +313,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (numerics.NumericsError, spectrum.SpectrumError,
+            galerkin.GalerkinError, optimize.OptimizeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -52,30 +52,21 @@ class GalerkinSpectrum:
 # closed-form x integrals
 # ---------------------------------------------------------------------------
 
-def _sin_product_integral(p: int, q: int, a: float, b: float) -> float:
-    """int_a^b sin(p x) sin(q x) dx for integer frequencies."""
-    if p == q:
-        return 0.5 * (b - a) - (math.sin(2 * p * b) - math.sin(2 * p * a)) / (4 * p)
-    return ((math.sin((p - q) * b) - math.sin((p - q) * a)) / (2 * (p - q))
-            - (math.sin((p + q) * b) - math.sin((p + q) * a)) / (2 * (p + q)))
-
-
 def _x_matrix(freqs: list[int], intervals) -> np.ndarray:
     """Matrix of int sin(m_n x) sin(m_m x) over the union of intervals,
     or over all of (0, pi) when intervals is None (then exactly (pi/2) delta)."""
-    n = len(freqs)
-    out = np.zeros((n, n))
+    f = np.asarray(freqs, dtype=float)
+    same = f[:, None] == f[None, :]
     if intervals is None:
-        for i in range(n):
-            for j in range(i, n):
-                if freqs[i] == freqs[j]:
-                    out[i, j] = out[j, i] = math.pi / 2.0
-        return out
-    for i in range(n):
-        for j in range(i, n):
-            val = sum(_sin_product_integral(freqs[i], freqs[j], a, b)
-                      for a, b in intervals)
-            out[i, j] = out[j, i] = val
+        return np.where(same, math.pi / 2.0, 0.0)
+    diff = f[:, None] - f[None, :]
+    tot = f[:, None] + f[None, :]
+    diff_or_1 = np.where(same, 1.0, diff)  # the diagonal formula serves equal frequencies
+    out = np.zeros(same.shape)
+    for a, b in intervals:
+        sum_part = (np.sin(tot * b) - np.sin(tot * a)) / (2.0 * tot)
+        off = (np.sin(diff * b) - np.sin(diff * a)) / (2.0 * diff_or_1) - sum_part
+        out += np.where(same, 0.5 * (b - a) - sum_part, off)
     return out
 
 
@@ -118,8 +109,10 @@ def assemble_mass(w: Weight, spectrum: HomSpectrum, parity: str, n: int) -> SymM
         sines = np.array([np.sin(m * f.xs) for m in freqs])          # (n, nx)
         profs = _profiles_on(pairs, f.ys)                            # (n, ny)
         cell_w = f.cell_area * v.node_values()                       # (nx, ny)
-        basis = np.einsum("ni,nj->nij", sines, profs).reshape(n, -1)
-        mat = (basis * cell_w.ravel()) @ basis.T
+        # one y column at a time, so no (n, nx * ny) basis array is held
+        mat = np.zeros((n, n))
+        for j in range(f.ny):
+            mat += np.outer(profs[:, j], profs[:, j]) * ((sines * cell_w[:, j]) @ sines.T)
     else:
         rule = _y_rule(pairs, cfg, sorted(set(_inner_edges(v.y_intervals, -cfg.ell, cfg.ell))))
         y, wq = rule.nodes_weights()
@@ -142,13 +135,14 @@ def assemble_mass(w: Weight, spectrum: HomSpectrum, parity: str, n: int) -> SymM
 # solve
 # ---------------------------------------------------------------------------
 
-def solve_parity(w: Weight, spectrum: HomSpectrum, parity: str, n: int,
-                 return_mass: bool = False):
-    """Eigenvalues and coefficient columns for one parity.
+def solve_parity(w: Weight, spectrum: HomSpectrum, parity: str, n: int):
+    """Eigenvalues, coefficient columns and the weighted mass matrix C for one
+    parity.
 
     The transformed symmetric problem M b = (1/lam) b with
-    M = D^{-1/2} C D^{-1/2} is solved by the Jacobi eigensolver; coefficient
-    columns are rescaled to be orthonormal in the weighted inner product.
+    M = D^{-1/2} C D^{-1/2} is solved by LAPACK's symmetric eigensolver
+    (``sym_eig``); coefficient columns are rescaled to be orthonormal in the
+    weighted inner product.
     """
     pairs = (spectrum.mu if parity == EVEN else spectrum.nu)[:n]
     d = np.array([p.lam for p in pairs])
@@ -161,17 +155,15 @@ def solve_parity(w: Weight, spectrum: HomSpectrum, parity: str, n: int,
                            f"(smallest eigenvalue {evals[0]:.3e})")
     lam = 1.0 / evals[::-1]
     coeffs = (d_isqrt[:, None] * vecs[:, ::-1]) * np.sqrt(lam)[None, :]
-    if return_mass:
-        return lam, coeffs, c
-    return lam, coeffs
+    return lam, coeffs, c
 
 
 def solve_weighted(w: Weight, spectrum: HomSpectrum, n: int | None = None) -> GalerkinSpectrum:
     """Weighted eigenvalues mu_n(p), nu_n(p) at truncation n (both parities)."""
     if n is None:
         n = spectrum.config.n_modes
-    mu_p, a = solve_parity(w, spectrum, EVEN, n)
-    nu_p, b = solve_parity(w, spectrum, ODD, n)
+    mu_p, a, _ = solve_parity(w, spectrum, EVEN, n)
+    nu_p, b, _ = solve_parity(w, spectrum, ODD, n)
     return GalerkinSpectrum(mu_p=mu_p, nu_p=nu_p, a_coeffs=a, b_coeffs=b, truncation=n)
 
 

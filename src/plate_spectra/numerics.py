@@ -1,5 +1,5 @@
-"""Self-contained numerical kernels: bracketed root finding, Gauss-Legendre
-tensor quadrature with breakpoints, and a cyclic-Jacobi symmetric eigensolver.
+"""Numerical kernels: bracketed root finding, Gauss-Legendre tensor quadrature
+with breakpoints, and the dense symmetric eigensolve (LAPACK ``eigh``).
 """
 from __future__ import annotations
 
@@ -41,12 +41,10 @@ class Bracket:
 
 
 def find_root(f: Callable[[float], float], bracket: Bracket,
-              tol_rel: float = 1e-12, polish: bool = False) -> float:
+              tol_rel: float = 1e-12) -> float:
     """Bisection root of f on the bracket, to relative width tol_rel.
 
-    The sign condition f(lo)*f(hi) < 0 is verified at solve time. With
-    polish=True a few guarded secant steps refine the bisection result
-    (still deterministic).
+    The sign condition f(lo)*f(hi) < 0 is verified at solve time.
     """
     lo, hi = float(bracket.lo), float(bracket.hi)
     flo, fhi = float(f(lo)), float(f(hi))
@@ -72,25 +70,8 @@ def find_root(f: Callable[[float], float], bracket: Bracket,
         if (fmid < 0.0) == (flo < 0.0):
             lo, flo = mid, fmid
         else:
-            hi, fhi = mid, fmid
-
-    root = 0.5 * (lo + hi)
-    if polish:
-        a, fa, b, fb = lo, flo, hi, fhi
-        for _ in range(3):
-            if fb == fa:
-                break
-            x = b - fb * (b - a) / (fb - fa)
-            if not lo <= x <= hi:
-                break
-            fx = float(f(x))
-            if not math.isfinite(fx):
-                raise NonFinite(f"f({x}) = {fx}")
-            a, fa, b, fb = b, fb, x, fx
-            if fx == 0.0:
-                break
-        root = b
-    return root
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------
@@ -197,73 +178,20 @@ class SymMatrix:
         return self.a.shape[0]
 
 
-def sym_eig(matrix: SymMatrix | np.ndarray, tol: float = 1e-14,
-            max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalization of a symmetric matrix.
+def sym_eig(matrix: SymMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigen-decomposition of a symmetric matrix by LAPACK's symmetric solver
+    (``numpy.linalg.eigh``).
 
     Returns (eigenvalues ascending, eigenvectors as orthonormal columns).
-    Deterministic: fixed sweep order, fixed sign convention (largest-magnitude
-    component of each eigenvector is positive).
+    Deterministic sign convention: the largest-magnitude component of each
+    eigenvector is positive (first index on ties).
     """
-    if isinstance(matrix, SymMatrix):
-        A = matrix.a.copy()
-    else:
-        A = SymMatrix(np.asarray(matrix, dtype=float)).a.copy()
-    n = A.shape[0]
-    V = np.eye(n)
-    if n == 1:
-        return A[0, :1].copy(), V
-
-    fro = float(np.linalg.norm(A))
-    if fro == 0.0:
-        return np.zeros(n), V
-    skip = tol * fro / (10.0 * n)
-
-    def _off_norm(mat: np.ndarray) -> float:
-        off = mat.copy()
-        np.fill_diagonal(off, 0.0)
-        return float(np.linalg.norm(off))
-
-    converged = False
-    for _ in range(max_sweeps):
-        if _off_norm(A) <= tol * fro:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= skip:
-                    continue
-                theta = 0.5 * (A[q, q] - A[p, p]) / apq
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                # similarity rotation in the (p, q) plane
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                A[p, q] = A[q, p] = 0.0
-                v_p = V[:, p].copy()
-                v_q = V[:, q].copy()
-                V[:, p] = c * v_p - s * v_q
-                V[:, q] = s * v_p + c * v_q
-    if not converged:
-        off = _off_norm(A)
-        if off > tol * fro:
-            raise NoConvergence(f"Jacobi did not converge in {max_sweeps} sweeps "
-                                f"(off-diagonal norm {off:.3e} vs target {tol * fro:.3e})")
-
-    evals = np.diag(A).copy()
-    order = np.argsort(evals, kind="stable")
-    evals = evals[order]
-    vecs = V[:, order]
-    for i in range(n):
-        k = int(np.argmax(np.abs(vecs[:, i])))
-        if vecs[k, i] < 0:
-            vecs[:, i] = -vecs[:, i]
-    return evals, vecs
+    if not isinstance(matrix, SymMatrix):
+        matrix = SymMatrix(np.asarray(matrix, dtype=float))
+    try:
+        evals, vecs = np.linalg.eigh(matrix.a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"symmetric eigensolver failed: {exc}") from exc
+    cols = np.arange(vecs.shape[1])
+    lead = vecs[np.argmax(np.abs(vecs), axis=0), cols]
+    return evals, vecs * np.where(lead < 0.0, -1.0, 1.0)

@@ -11,7 +11,7 @@ import numpy as np
 
 from .config import PlateConfig
 from .galerkin import expand_field, solve_parity, solve_weighted
-from .spectrum import EVEN, ODD, HomSpectrum, build_spectrum, eval_eigenfunction
+from .spectrum import EVEN, ODD, HomSpectrum, build_spectrum, eval_eigenfunction, known_j0
 from .weights import (GridField, Sublevel, Weight, make_breve_p, make_doublebar_p,
                       make_pbar_j, make_tilde_p, make_uniform, sample_field,
                       sublevel_split, validate, weight_to_dict)
@@ -154,7 +154,7 @@ def minimize_mu_j(j: int, cfg: PlateConfig, epsilon: float = 1e-4,
     rounds_since_best = 0
 
     for _ in range(max_iters):
-        lam, coeffs, mass = solve_parity(w, spectrum, EVEN, n, return_mass=True)
+        lam, coeffs, mass = solve_parity(w, spectrum, EVEN, n)
         idx = j - 1
         if prev_vec is not None and j > 1:
             overlaps = np.abs(prev_vec @ mass.a @ coeffs)
@@ -246,7 +246,7 @@ def maximize_nu1_fixed_point(cfg: PlateConfig, max_iters: int = 100,
     iterates: list[tuple[Weight, float]] = []
     stop = MAX_ITERS
     for _ in range(max_iters):
-        nu, coeffs = solve_parity(w, spectrum, ODD, n)
+        nu, coeffs, _ = solve_parity(w, spectrum, ODD, n)
         iterates.append((w, float(nu[0])))
         u = expand_field(spectrum, ODD, coeffs[:, 0], grid)
         fld = GridField(u.values ** 2, cfg.ell, "even")
@@ -377,7 +377,7 @@ def ratio_study(weights: list[tuple[str, Weight]], cfg: PlateConfig,
     """Tabulate mu_1..mu_12, nu_1, nu_2 and the ratio nu_1/mu_j0 per weight."""
     if spectrum is None:
         spectrum = build_spectrum(cfg.with_(n_modes=max(cfg.n_modes, n)))
-    j0 = spectrum.j0
+    j0 = known_j0(spectrum)
     if n < 12 or j0 > n:
         raise ValueError(f"need truncation >= max(12, j0={j0}), got {n}")
     rows = []

@@ -547,3 +547,12 @@ def build_spectrum(cfg: PlateConfig, cap: int = 200) -> HomSpectrum:
     nu1 = nu[0].lam
     j0 = bisect_left([p.lam for p in mu], nu1)
     return HomSpectrum(mu=tuple(mu), nu=tuple(nu), j0=j0, config=cfg)
+
+
+def known_j0(spec: HomSpectrum) -> int:
+    """spec.j0; ValueError when nu_1 lies above every computed mu, since j0 is
+    then only a lower bound."""
+    if spec.j0 == len(spec.mu):
+        raise ValueError(f"nu_1 lies above all {spec.j0} computed mu, so j0 is unknown; "
+                         "raise n_modes (--n-modes)")
+    return spec.j0

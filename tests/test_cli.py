@@ -54,6 +54,30 @@ def test_spectrum_rejects_small_truncation(tmp_path):
     assert proc.returncode == 2
 
 
+def test_truncated_j0_is_an_error(tmp_path):
+    # at ell = 0.001, nu_1 lies above mu_30, so j0 = 30 would only be a lower bound
+    for cmd in ("spectrum", "ratio-table"):
+        out = tmp_path / cmd
+        proc = run_cli(cmd, "--ell", "0.001", "--n-modes", "30", "--out", str(out))
+        _assert_one_line_error(proc, 2, "--n-modes")
+        assert not out.exists()
+
+
+def test_spectrum_j0_beyond_default_truncation(tmp_path):
+    proc = run_cli("spectrum", "--ell", "0.001", "--n-modes", "60", "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "spectrum_meta.json").read_text())["j0"] == 47
+
+
+def test_reference_csv_bytes_match_golden(tmp_path):
+    # the golden files pin the reference-configuration output across code changes
+    here = Path(__file__).parent
+    for cmd, name in (("spectrum", "table1.csv"), ("ratio-table", "ratio_table.csv")):
+        proc = run_cli(cmd, "--out", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / name).read_bytes() == (here / f"golden_{name}").read_bytes()
+
+
 def test_eigs_uniform_echo(tmp_path):
     cfg = PlateConfig()
     wfile = tmp_path / "uniform.json"
@@ -103,11 +127,11 @@ def test_eigs_inadmissible_weight(tmp_path):
     assert "admissibility" in proc.stderr
 
 
-def _assert_one_line_weight_error(proc):
-    assert proc.returncode == 3, proc.stdout + proc.stderr
+def _assert_one_line_error(proc, code, needle):
+    assert proc.returncode == code, proc.stdout + proc.stderr
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
-    assert "declared ell" in proc.stderr
+    assert needle in proc.stderr
 
 
 def test_eigs_rejects_band_weight_for_another_plate(tmp_path):
@@ -118,7 +142,7 @@ def test_eigs_rejects_band_weight_for_another_plate(tmp_path):
         "parameters": {"intervals": [[-0.5, 0.5]], "inside": 1.5, "outside": 0.5,
                        "ell": 1.0}}))
     proc = run_cli("eigs", "--weight", str(wfile), "--out", str(tmp_path))
-    _assert_one_line_weight_error(proc)
+    _assert_one_line_error(proc, 3, "declared ell")
     assert not (tmp_path / "eigenvalues.csv").exists()
 
 
@@ -129,7 +153,7 @@ def test_eigs_rejects_sublevel_weight_for_another_plate(tmp_path):
     wfile = tmp_path / "sub.json"
     wfile.write_text(weight_to_json(rearrange_min(fld, cfg5)))
     proc = run_cli("eigs", "--weight", str(wfile), "--out", str(tmp_path))
-    _assert_one_line_weight_error(proc)
+    _assert_one_line_error(proc, 3, "declared ell")
     assert not (tmp_path / "eigenvalues.csv").exists()
 
 
@@ -189,6 +213,13 @@ def test_optimize_non_convergence_exit_code(tmp_path):
     assert (tmp_path / "trace.jsonl").exists()
     meta = json.loads((tmp_path / "optimize_meta.json").read_text())
     assert meta["stop_reason"] == "max_iters"
+
+
+def test_optimize_singular_mass_exit_code(tmp_path):
+    # a 4 x 3 grid is accepted but leaves the weighted mass matrix singular
+    proc = run_cli("optimize", "--target", "max-nu1", "--grid", "4", "3",
+                   "--out", str(tmp_path))
+    _assert_one_line_error(proc, 5, "not positive definite")
 
 
 def test_ratio_table_weyl_flag(tmp_path):

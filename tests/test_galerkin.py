@@ -5,10 +5,11 @@ import pytest
 
 from conftest import random_band_weight
 from plate_spectra import PlateConfig
-from plate_spectra.galerkin import (assemble_mass, expand_field, h2_energy,
+from plate_spectra.galerkin import (_x_matrix, assemble_mass, expand_field, h2_energy,
                                     merged_eigenvalues, reconstruct, solve_parity,
                                     solve_weighted, weighted_l2_sq, weyl_diagnostic)
 from plate_spectra.numerics import QuadratureRule, integrate_2d
+from plate_spectra.optimize import make_pstar
 from plate_spectra.spectrum import build_spectrum, eval_eigenfunction
 from plate_spectra.weights import (Weight, XBands, eval_weight, make_breve_p,
                                    make_pbar_j, make_uniform, sqrt_mass_integral)
@@ -49,6 +50,36 @@ def test_band_assembly_vs_brute_force(ref_cfg, ref_spectrum):
                 * eval_eigenfunction(pairs[i], x, y)
                 * eval_eigenfunction(pairs[j], x, y), rx, ry)
             assert abs(c.a[i, j] - brute) <= 1e-6 * max(1.0, abs(brute))
+
+
+def test_sublevel_assembly_vs_brute_force(ref_cfg, ref_spectrum):
+    # the column-by-column contraction against a direct sum over the field's cells
+    w = make_pstar(ref_cfg, ref_spectrum, (120, 15))
+    f = w.variant.field
+    n = 8
+    c = assemble_mass(w, ref_spectrum, "even", n)
+    x, y = f.xs[:, None], f.ys[None, :]
+    pv = eval_weight(w, x, y)
+    z = [eval_eigenfunction(p, x, y) for p in ref_spectrum.mu[:n]]
+    brute = np.array([[np.sum(pv * zi * zj) * f.cell_area for zj in z] for zi in z])
+    assert np.abs(c.a - brute).max() <= 1e-12 * np.abs(brute).max()
+
+
+@pytest.mark.parametrize("intervals", [[(0.0, 0.3), (1.0, math.pi)], None])
+def test_x_matrix_vs_midpoint_quadrature(intervals):
+    # repeated frequencies (same m, different k) must take the diagonal formula
+    freqs = [1, 1, 2, 5, 5, 30]
+    xm = _x_matrix(freqs, intervals)
+    f = np.array(freqs, dtype=float)
+    brute = np.zeros((6, 6))
+    for a, b in intervals or [(0.0, math.pi)]:
+        x, w = QuadratureRule(a, b, kind="composite-midpoint", order=100_000).nodes_weights()
+        s = np.sin(f[:, None] * x[None, :])
+        brute += (s * w) @ s.T
+    assert np.abs(xm - brute).max() <= 1e-8
+    assert np.array_equal(xm, xm.T)
+    if intervals is None:
+        assert np.array_equal(xm, np.where(f[:, None] == f[None, :], math.pi / 2.0, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -134,7 +134,7 @@ def test_fixed_point_trial_weight_value(ref_cfg, ref_spectrum):
 
 def test_fixed_point_first_update_is_close(ref_cfg, ref_spectrum):
     pstar = make_pstar(ref_cfg, ref_spectrum)
-    nu, coeffs = solve_parity(pstar, ref_spectrum, "odd", 30)
+    nu, coeffs, _ = solve_parity(pstar, ref_spectrum, "odd", 30)
     from plate_spectra.galerkin import expand_field
     u = expand_field(ref_spectrum, "odd", coeffs[:, 0], (600, 31))
     w1 = rearrange_min(GridField(u.values ** 2, ref_cfg.ell, "even"), ref_cfg)
