@@ -54,11 +54,14 @@ def _fmt(x: float) -> str:
 
 
 def _grid_csv(field: weights.GridField) -> str:
+    # one template holds the ny lines of an x column: "%s,<y>,%.6e" each
+    row = "\n".join(f"%s,{_fmt(y)},{FLOAT_FMT}" for y in field.ys)
+    cells: list = [None] * (2 * field.ny)
     lines = ["x,y,value"]
-    xs, ys = field.xs, field.ys
-    for i in range(field.nx):
-        for j in range(field.ny):
-            lines.append(f"{_fmt(xs[i])},{_fmt(ys[j])},{_fmt(field.values[i, j])}")
+    for x, values in zip(field.xs, field.values.tolist()):
+        cells[0::2] = [_fmt(x)] * field.ny
+        cells[1::2] = values
+        lines.append(row % tuple(cells))
     return "\n".join(lines) + "\n"
 
 
@@ -156,13 +159,19 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
     spec = spectrum.build_spectrum(cfg)
     grid = tuple(args.grid)
-    if args.target == "min-mu":
-        trace = optimize.minimize_mu_j(args.j, cfg, epsilon=args.epsilon,
-                                       max_iters=args.max_iters,
-                                       spectrum=spec, grid=grid)
-    else:
-        trace = optimize.maximize_nu1_fixed_point(cfg, max_iters=args.max_iters,
-                                                  spectrum=spec, grid=grid)
+    try:
+        if args.target == "min-mu":
+            trace = optimize.minimize_mu_j(args.j, cfg, epsilon=args.epsilon,
+                                           max_iters=args.max_iters,
+                                           spectrum=spec, grid=grid)
+        else:
+            trace = optimize.maximize_nu1_fixed_point(cfg, max_iters=args.max_iters,
+                                                      spectrum=spec, grid=grid)
+    except galerkin.SingularMass as exc:
+        # an admissible weight has a positive definite mass matrix; on this
+        # grid the sampled weight cannot resolve the basis
+        raise CliError(f"grid {grid[0]} x {grid[1]} is too coarse for n_modes="
+                       f"{cfg.n_modes}: {exc}", EXIT_CONFIG) from exc
     out = Path(args.out)
     _atomic_write(out / "trace.jsonl", optimize.trace_to_jsonl(trace))
     final = trace.final_weight
@@ -197,7 +206,8 @@ def cmd_ratio_table(args: argparse.Namespace) -> int:
         raise CliError("ratio table needs n_modes >= 12", EXIT_CONFIG)
     spec = spectrum.build_spectrum(cfg)
     study = optimize.default_study_weights(cfg, spec, tuple(args.grid))
-    report = optimize.ratio_study(study, cfg, spec, n=min(cfg.n_modes, 30))
+    report = optimize.ratio_study(study, cfg, spec,
+                                  n=max(min(cfg.n_modes, 30), spectrum.known_j0(spec)))
     out = Path(args.out)
     _atomic_write(out / "ratio_table.csv", optimize.ratio_report_to_csv(report))
 

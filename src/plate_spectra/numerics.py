@@ -1,8 +1,11 @@
-"""Numerical kernels: bracketed root finding, Gauss-Legendre tensor quadrature
-with breakpoints, and the dense symmetric eigensolve (LAPACK ``eigh``).
+"""Numerical kernels: bracketed bisection for one bracket (``find_root``) or
+for an array of brackets at once (``find_roots``), Gauss-Legendre tensor
+quadrature with breakpoints (reference rules cached per order), and the dense
+symmetric eigensolve (LAPACK ``eigh``).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -74,6 +77,46 @@ def find_root(f: Callable[[float], float], bracket: Bracket,
     return 0.5 * (lo + hi)
 
 
+def find_roots(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
+               tol_rel: float = 1e-12) -> np.ndarray:
+    """find_root on every bracket [lo[i], hi[i]] at once.
+
+    Each bracket takes the same bisection steps and stopping rule as
+    find_root; f is called once per step, on the array of all midpoints.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    if lo.size == 0:
+        return lo
+    if not np.all(lo < hi):
+        raise ValueError("every bracket requires lo < hi")
+    flo, fhi = f(lo), f(hi)
+    if not (np.all(np.isfinite(flo)) and np.all(np.isfinite(fhi))):
+        raise NonFinite("f non-finite at bracket endpoints")
+    neg = flo < 0.0
+    same = (flo != 0.0) & (fhi != 0.0) & (neg == (fhi < 0.0))
+    if np.any(same):
+        i = int(np.argmax(same))
+        raise NoSignChange(f"f({lo[i]})={flo[i]} and f({hi[i]})={fhi[i]} have the same sign")
+
+    tol = tol_rel * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+    # an endpoint root closes its bracket (the lower one first, as in find_root)
+    hi = np.where(flo == 0.0, lo, hi)
+    lo = np.where(fhi == 0.0, hi, lo)
+    while True:
+        mid = 0.5 * (lo + hi)
+        # brackets at tolerance or at floating point resolution stay put
+        active = (hi - lo > tol) & (lo < mid) & (mid < hi)
+        if not active.any():
+            return mid
+        fmid = f(mid)
+        if not np.all(np.isfinite(fmid) | ~active):
+            raise NonFinite("non-finite f sample inside a bracket")
+        below, zero = fmid < 0.0, fmid == 0.0
+        lo = np.where(active & ((below == neg) | zero), mid, lo)
+        hi = np.where(active & ((below != neg) | zero), mid, hi)
+
+
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
@@ -115,11 +158,12 @@ class QuadratureRule:
         return list(zip(edges[:-1], edges[1:]))
 
     def nodes_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """Concatenated nodes and weights over all pieces (fixed order)."""
+        """Concatenated nodes and weights over all pieces (fixed order), as
+        new arrays on every call."""
         xs: list[np.ndarray] = []
         ws: list[np.ndarray] = []
         if self.kind == GAUSS_LEGENDRE:
-            ref_x, ref_w = np.polynomial.legendre.leggauss(self.order)
+            ref_x, ref_w = _gauss_legendre(self.order)
             for (a, b) in self.pieces():
                 xs.append(0.5 * (b - a) * ref_x + 0.5 * (a + b))
                 ws.append(0.5 * (b - a) * ref_w)
@@ -129,6 +173,15 @@ class QuadratureRule:
                 xs.append(a + h * (np.arange(self.order) + 0.5))
                 ws.append(np.full(self.order, h))
         return np.concatenate(xs), np.concatenate(ws)
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference Gauss-Legendre nodes and weights on [-1, 1], read-only."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def integrate_1d(f: Callable[[np.ndarray], np.ndarray], rule: QuadratureRule) -> float:

@@ -6,6 +6,13 @@ together with the free-edge conditions at y = +-ell. Imposing those conditions
 on the two-parameter even (resp. odd) solution family yields, per branch, a
 2x2 determinant whose zeros are the eigenvalues. Longitudinal modes are the
 y-even family, torsional modes the y-odd family.
+
+Every eigenvalue has an a-priori bracket, or a band that a fixed grid scans
+for sign changes.  The determinants, brackets and scans take arrays of modes:
+build_spectrum sets up the brackets of every candidate mode of both parities
+at once and solves them in one batched bisection (numerics.find_roots);
+find_hom_eigenvalue runs the same builders for a single mode and bisects its
+one bracket with numerics.find_root.  Both stop at the same relative width.
 """
 from __future__ import annotations
 
@@ -16,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PlateConfig
-from .numerics import Bracket, NoSignChange, QuadratureRule, find_root, integrate_1d
+from .numerics import (Bracket, NoSignChange, QuadratureRule, find_root, find_roots,
+                       integrate_1d)
 
 
 class SpectrumError(Exception):
@@ -98,40 +106,41 @@ class HomSpectrum:
 # ---------------------------------------------------------------------------
 # All determinants are scaled by the positive factor 1/(cosh(c_bar ell) *
 # cosh(c ell)) (hyperbolic parts only), which keeps them finite for any lam
-# while preserving zeros and sign changes.
+# while preserving zeros and sign changes.  s = sqrt(lam) and m may be scalars
+# or broadcastable arrays.
 
-def _pq(s: float, m: int, sigma: float) -> tuple[float, float]:
-    return s + (1.0 - sigma) * m * m, s - (1.0 - sigma) * m * m
-
-
-def _det_even_low(s: float, m: int, sigma: float, ell: float) -> float:
-    cbar = math.sqrt(s + m * m)
-    c = math.sqrt(m * m - s)
-    p, q = _pq(s, m, sigma)
-    return cbar * q * q * math.tanh(cbar * ell) - c * p * p * math.tanh(c * ell)
+def _det_even_low(s, m, sigma: float, ell: float):
+    cbar = np.sqrt(s + m * m)
+    c = np.sqrt(m * m - s)
+    a = (1.0 - sigma) * m * m
+    p, q = s + a, s - a
+    return cbar * q * q * np.tanh(cbar * ell) - c * p * p * np.tanh(c * ell)
 
 
-def _det_even_high(s: float, m: int, sigma: float, ell: float) -> float:
-    cbar = math.sqrt(s + m * m)
-    c = math.sqrt(s - m * m)
-    p, q = _pq(s, m, sigma)
-    return (cbar * q * q * math.tanh(cbar * ell) * math.cos(c * ell)
-            + c * p * p * math.sin(c * ell))
+def _det_even_high(s, m, sigma: float, ell: float):
+    cbar = np.sqrt(s + m * m)
+    c = np.sqrt(s - m * m)
+    a = (1.0 - sigma) * m * m
+    p, q = s + a, s - a
+    return (cbar * q * q * np.tanh(cbar * ell) * np.cos(c * ell)
+            + c * p * p * np.sin(c * ell))
 
 
-def _det_odd_low(s: float, m: int, sigma: float, ell: float) -> float:
-    cbar = math.sqrt(s + m * m)
-    c = math.sqrt(m * m - s)
-    p, q = _pq(s, m, sigma)
-    return cbar * q * q * math.tanh(c * ell) - c * p * p * math.tanh(cbar * ell)
+def _det_odd_low(s, m, sigma: float, ell: float):
+    cbar = np.sqrt(s + m * m)
+    c = np.sqrt(m * m - s)
+    a = (1.0 - sigma) * m * m
+    p, q = s + a, s - a
+    return cbar * q * q * np.tanh(c * ell) - c * p * p * np.tanh(cbar * ell)
 
 
-def _det_odd_high(s: float, m: int, sigma: float, ell: float) -> float:
-    cbar = math.sqrt(s + m * m)
-    c = math.sqrt(s - m * m)
-    p, q = _pq(s, m, sigma)
-    return (cbar * q * q * math.sin(c * ell)
-            - c * p * p * math.tanh(cbar * ell) * math.cos(c * ell))
+def _det_odd_high(s, m, sigma: float, ell: float):
+    cbar = np.sqrt(s + m * m)
+    c = np.sqrt(s - m * m)
+    a = (1.0 - sigma) * m * m
+    p, q = s + a, s - a
+    return (cbar * q * q * np.sin(c * ell)
+            - c * p * p * np.tanh(cbar * ell) * np.cos(c * ell))
 
 
 def characteristic_det(lam: float, m: int, branch: str, cfg: PlateConfig) -> float:
@@ -145,20 +154,19 @@ def characteristic_det(lam: float, m: int, branch: str, cfg: PlateConfig) -> flo
     m4 = float(m) ** 4
     if lam == m4:
         raise BranchMismatch(f"lam = m^4 = {m4} is a branch point")
-    s = math.sqrt(lam)
     if branch == EVEN_LOW:
         if lam > m4:
             raise BranchMismatch(f"lam={lam} > m^4={m4} on the even-low branch")
-        return _det_even_low(s, m, cfg.sigma, cfg.ell)
-    if branch == EVEN_HIGH:
+        det = _det_even_low
+    elif branch == EVEN_HIGH:
         if lam < m4:
             raise BranchMismatch(f"lam={lam} < m^4={m4} on the even-high branch")
-        return _det_even_high(s, m, cfg.sigma, cfg.ell)
-    if branch == ODD_BRANCH:
-        if lam < m4:
-            return _det_odd_low(s, m, cfg.sigma, cfg.ell)
-        return _det_odd_high(s, m, cfg.sigma, cfg.ell)
-    raise ValueError(f"unknown branch {branch!r}")
+        det = _det_even_high
+    elif branch == ODD_BRANCH:
+        det = _det_odd_low if lam < m4 else _det_odd_high
+    else:
+        raise ValueError(f"unknown branch {branch!r}")
+    return float(det(math.sqrt(lam), m, cfg.sigma, cfg.ell))
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +179,13 @@ def torsional_first_exists(m: int, cfg: PlateConfig) -> bool:
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
+    return bool(_first_exists(m, cfg))
+
+
+def _first_exists(m, cfg: PlateConfig):
+    """torsional_first_exists for a scalar or an array of m >= 1."""
     x = cfg.ell * m * math.sqrt(2.0)
-    return x / math.tanh(x) > ((2.0 - cfg.sigma) / cfg.sigma) ** 2
+    return x / np.tanh(x) > ((2.0 - cfg.sigma) / cfg.sigma) ** 2
 
 
 def check_c0(cfg: PlateConfig) -> tuple[bool, float]:
@@ -309,98 +322,128 @@ def _normalization(m: int, lam: float, parity: str, cfg: PlateConfig) -> float:
 # ---------------------------------------------------------------------------
 # eigenvalue location
 # ---------------------------------------------------------------------------
+# Each eigenvalue is lam = s^2 for a root s = sqrt(lam) of one determinant in
+# an a-priori bracket.  The bracket and scan builders take scalars or arrays
+# of mode indices: build_spectrum sets up the brackets of every mode of both
+# parities and solves them in one batched bisection (find_roots), while
+# find_hom_eigenvalue runs the same builders for one mode and solves its one
+# bracket with find_root.  Both bisections stop at relative width _TOL_REL.
 
 _SCAN_POINTS = 65
 _EDGE = 1e-9
+_TOL_REL = 1e-13
+_SCAN_BLOCK = 16
 
 
-def _bisect_s(det, s_lo: float, s_hi: float) -> float:
-    return find_root(det, Bracket(s_lo, s_hi), tol_rel=1e-13)
+def _even_bracket(m, k, cfg: PlateConfig):
+    """Bracket in s of the longitudinal eigenvalue Lambda_(m,k).
+
+    k = 1: between sqrt(1 - sigma^2) m^2 and m^2 (even-low determinant);
+    k >= 2: c ell in ((k - 3/2) pi, (k - 1) pi) (even-high determinant).
+    """
+    sigma, ell = cfg.sigma, cfg.ell
+    c_lo = (k - 1.5) * math.pi / ell
+    c_hi = (k - 1.0) * math.pi / ell
+    first = np.equal(k, 1)
+    s_lo = np.where(first, math.sqrt(1.0 - sigma * sigma) * m * m, m * m + c_lo * c_lo)
+    s_hi = np.where(first, m * m, m * m + c_hi * c_hi)
+    pad = (s_hi - s_lo) * _EDGE
+    return s_lo + pad, s_hi - pad
+
+
+def _odd_high_grid(m: np.ndarray, j: np.ndarray, cfg: PlateConfig) -> np.ndarray:
+    """Scan points in s, one row per (m, j), over the band c ell in
+    (j pi, j pi + pi/2); torsional roots above m^4 lie only in these bands,
+    and scanning them finds the occasional double root near the k = 1
+    existence threshold."""
+    ell = cfg.ell
+    cl_lo = j * math.pi
+    cl_hi = j * math.pi + 0.5 * math.pi
+    # keep the scan clear of the trivial determinant zero at c = 0: the
+    # offset must shift s = m^2 + c^2 by well over its rounding resolution
+    lo = np.maximum(np.maximum(cl_lo + (cl_hi - cl_lo) * _EDGE, 1e-7), 3e-6 * m * ell)
+    hi = cl_hi - (cl_hi - cl_lo) * _EDGE
+    cl = np.linspace(lo, hi, _SCAN_POINTS, axis=-1)
+    return (m * m)[:, None] + (cl / ell) ** 2
+
+
+def _hits(s: np.ndarray, vals: np.ndarray):
+    """Sign changes of vals along scan rows s, in row-major order, as
+    (row, lo, hi, zero): zero marks a grid point lo where vals vanishes,
+    otherwise [lo, hi] brackets a sign change."""
+    v0, v1 = vals[:, :-1], vals[:, 1:]
+    zero = v0 == 0.0
+    row, col = np.nonzero(zero | ((v0 < 0.0) != (v1 < 0.0)))
+    return row, s[row, col], s[row, col + 1], zero[row, col]
+
+
+def _high_scan(m, j, cfg: PlateConfig):
+    """_hits of the odd-high determinant on the band grids of (m, j), without
+    grid zeros at s <= m^2 (the trivial zero c = 0).  Rows are scanned in
+    blocks of _SCAN_BLOCK, so that the temporaries stay small."""
+    m, j = np.broadcast_arrays(m, j)
+    parts = []
+    for i in range(0, m.size, _SCAN_BLOCK):
+        mb = m[i:i + _SCAN_BLOCK]
+        s = _odd_high_grid(mb, j[i:i + _SCAN_BLOCK], cfg)
+        row, lo, hi, zero = _hits(s, _det_odd_high(s, mb[:, None], cfg.sigma, cfg.ell))
+        keep = ~zero | (lo > (mb * mb)[row])
+        parts.append((row[keep] + i, lo[keep], hi[keep], zero[keep]))
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def _low_scan(m, lam_m1, cfg: PlateConfig):
+    """First of the _hits of the odd-low determinant on each m's scan grid, as
+    (lo, hi, zero).  The torsional eigenvalue below m^4 lies above the
+    longitudinal eigenvalue lam_m1 = Lambda_(m,1)."""
+    m = np.atleast_1d(m)
+    s_lo, s_hi = np.sqrt(np.atleast_1d(lam_m1)), m * m
+    pad = (s_hi - s_lo) * _EDGE
+    s = np.linspace(s_lo + pad, s_hi - pad, _SCAN_POINTS, axis=-1)
+    row, lo, hi, zero = _hits(s, _det_odd_low(s, m[:, None], cfg.sigma, cfg.ell))
+    found, first = np.unique(row, return_index=True)
+    if found.size < m.size:
+        missing = m[np.setdiff1d(np.arange(m.size), found)]
+        raise RootIsolationFailure(f"no torsional root below m^4 for m={int(missing[0])}")
+    return lo[first], hi[first], zero[first]
 
 
 def _even_lam(m: int, k: int, cfg: PlateConfig) -> float:
-    sigma, ell = cfg.sigma, cfg.ell
-    if k == 1:
-        s_lo = math.sqrt(1.0 - sigma * sigma) * m * m
-        s_hi = float(m * m)
-        pad = (s_hi - s_lo) * _EDGE
-        det = lambda s: _det_even_low(s, m, sigma, ell)
-        try:
-            s = _bisect_s(det, s_lo + pad, s_hi - pad)
-        except NoSignChange as exc:
-            raise RootIsolationFailure(
-                f"no sign change for Lambda_({m},1) in (({1-sigma**2})m^4, m^4)") from exc
-        return s * s
-    c_lo = (k - 1.5) * math.pi / ell
-    c_hi = (k - 1.0) * math.pi / ell
-    s_lo = m * m + c_lo * c_lo
-    s_hi = m * m + c_hi * c_hi
-    pad = (s_hi - s_lo) * _EDGE
-    det = lambda s: _det_even_high(s, m, sigma, ell)
+    det = _det_even_low if k == 1 else _det_even_high
+    lo, hi = _even_bracket(m, k, cfg)
     try:
-        s = _bisect_s(det, s_lo + pad, s_hi - pad)
+        s = find_root(lambda s: det(s, m, cfg.sigma, cfg.ell),
+                      Bracket(float(lo), float(hi)), tol_rel=_TOL_REL)
     except NoSignChange as exc:
         raise RootIsolationFailure(f"no sign change for Lambda_({m},{k})") from exc
     return s * s
 
 
+def _hit_lam(det, lo: float, hi: float, zero: bool) -> float:
+    """Eigenvalue at one scan hit: the grid point lo, or the root of det in [lo, hi]."""
+    s = float(lo) if zero else find_root(det, Bracket(float(lo), float(hi)), tol_rel=_TOL_REL)
+    return s * s
+
+
 def _odd_low_lam(m: int, cfg: PlateConfig) -> float:
     """The torsional eigenvalue below m^4 (requires the existence inequality)."""
-    sigma, ell = cfg.sigma, cfg.ell
-    lam_m1 = _even_lam(m, 1, cfg)
-    s_lo, s_hi = math.sqrt(lam_m1), float(m * m)
-    det = lambda s: _det_odd_low(s, m, sigma, ell)
-    pad = (s_hi - s_lo) * _EDGE
-    grid = np.linspace(s_lo + pad, s_hi - pad, _SCAN_POINTS)
-    vals = [det(s) for s in grid]
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            return float(grid[i]) ** 2
-        if (vals[i] < 0.0) != (vals[i + 1] < 0.0):
-            s = _bisect_s(det, float(grid[i]), float(grid[i + 1]))
-            return s * s
-    raise RootIsolationFailure(f"no torsional root below m^4 for m={m}")
+    (lo,), (hi,), (zero,) = _low_scan(m, _even_lam(m, 1, cfg), cfg)
+    return _hit_lam(lambda s: _det_odd_low(s, m, cfg.sigma, cfg.ell), lo, hi, zero)
 
 
-def _odd_high_lams(m: int, cfg: PlateConfig, count: int | None = None,
-                   lam_cutoff: float | None = None) -> list[float]:
-    """Torsional eigenvalues above m^4, ascending.
-
-    Roots of the odd determinant live only in the bands c*ell in
-    (j pi, j pi + pi/2); each band is scanned for sign changes so that the
-    occasional double root (near the k=1 existence threshold) is not missed.
-    Stops after `count` roots or once a band lies beyond `lam_cutoff`.
-    """
-    sigma, ell = cfg.sigma, cfg.ell
-    det = lambda s: _det_odd_high(s, m, sigma, ell)
-    roots: list[float] = []
-    j = 0
-    while True:
-        cl_lo = j * math.pi
-        cl_hi = j * math.pi + 0.5 * math.pi
-        band_floor = (m * m + (cl_lo / ell) ** 2) ** 2
-        if lam_cutoff is not None and band_floor > lam_cutoff:
-            break
-        if count is not None and len(roots) >= count:
-            break
-        # keep the scan clear of the trivial determinant zero at c = 0: the
-        # offset must shift s = m^2 + c^2 by well over its rounding resolution
-        lo = max(cl_lo + (cl_hi - cl_lo) * _EDGE, 1e-7, 3e-6 * m * ell)
-        hi = cl_hi - (cl_hi - cl_lo) * _EDGE
-        grid = np.linspace(lo, hi, _SCAN_POINTS)
-        s_grid = [m * m + (cl / ell) ** 2 for cl in grid]
-        vals = [det(s) for s in s_grid]
-        for i in range(len(grid) - 1):
-            if vals[i] == 0.0:
-                if s_grid[i] > m * m:
-                    roots.append(s_grid[i] ** 2)
-            elif (vals[i] < 0.0) != (vals[i + 1] < 0.0):
-                s = _bisect_s(det, s_grid[i], s_grid[i + 1])
-                roots.append(s * s)
-        j += 1
-        if j > 100000:
-            raise RootIsolationFailure("torsional band scan did not terminate")
-    return sorted(roots)
+def _odd_high_lam(m: int, k: int, cfg: PlateConfig) -> float:
+    """The (k-1)-th torsional eigenvalue above m^4.  A band holds one root
+    except near the k = 1 existence threshold, so blocks of k - 1 bands are
+    scanned until k - 1 roots have shown up."""
+    want = k - 1
+    for j0 in range(0, 100000, k - 1):
+        _, lo, hi, zero = _high_scan(m, np.arange(j0, j0 + k - 1), cfg)
+        if lo.size >= want:
+            i = want - 1
+            return _hit_lam(lambda s: _det_odd_high(s, m, cfg.sigma, cfg.ell),
+                            lo[i], hi[i], zero[i])
+        want -= lo.size
+    raise RootIsolationFailure(f"could not isolate torsional ({m},{k})")
 
 
 def find_hom_eigenvalue(mode: Mode, cfg: PlateConfig) -> HomEigenpair:
@@ -408,18 +451,13 @@ def find_hom_eigenvalue(mode: Mode, cfg: PlateConfig) -> HomEigenpair:
     m, k = mode.m, mode.k
     if mode.parity == EVEN:
         lam = _even_lam(m, k, cfg)
+    elif k == 1:
+        if not torsional_first_exists(m, cfg):
+            raise NotAdmissible(
+                f"torsional k=1 mode does not exist for m={m} at these parameters")
+        lam = _odd_low_lam(m, cfg)
     else:
-        exists_low = torsional_first_exists(m, cfg)
-        if k == 1:
-            if not exists_low:
-                raise NotAdmissible(
-                    f"torsional k=1 mode does not exist for m={m} at these parameters")
-            lam = _odd_low_lam(m, cfg)
-        else:
-            highs = _odd_high_lams(m, cfg, count=k - 1)
-            if len(highs) < k - 1:
-                raise RootIsolationFailure(f"could not isolate torsional ({m},{k})")
-            lam = highs[k - 2]
+        lam = _odd_high_lam(m, k, cfg)
     return _make_pair(mode, lam, cfg)
 
 
@@ -467,7 +505,10 @@ def _nth_upper_cutoff(n: int, upper, i_first: int) -> float:
             raise RuntimeError("cutoff scan stuck in m")
 
 
-def _longitudinal_pairs(n: int, cfg: PlateConfig) -> list[HomEigenpair]:
+def _longitudinal_window(n: int, cfg: PlateConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(m, k) of every longitudinal mode that can be among the n lowest, in
+    m-major order: those whose bracket starts at or below the n-th smallest
+    bracket end."""
     sigma, ell = cfg.sigma, cfg.ell
     om = (math.pi / ell) ** 2
 
@@ -480,44 +521,71 @@ def _longitudinal_pairs(n: int, cfg: PlateConfig) -> list[HomEigenpair]:
         return (m * m + om * (k - 1.5) ** 2) ** 2
 
     cutoff = _nth_upper_cutoff(n, upper, 1)
-    candidates: list[Mode] = []
+    modes: list[tuple[int, int]] = []
     m = 1
     while lower(m, 1) <= cutoff:
         k = 1
         while lower(m, k) <= cutoff:
-            candidates.append(Mode(m, k, EVEN))
+            modes.append((m, k))
             k += 1
         m += 1
-    pairs = [find_hom_eigenvalue(mode, cfg) for mode in candidates]
-    pairs.sort(key=lambda p: p.lam)
-    return pairs[:n]
+    m_e, k_e = np.array(modes).T
+    return m_e, k_e
 
 
-def _torsional_pairs(n: int, cfg: PlateConfig) -> list[HomEigenpair]:
+def _torsional_window(n: int, cfg: PlateConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Torsional modes that can be among the n lowest: the m (ascending) with
+    an eigenvalue below m^4, and the (m, j) pairs of the bands c ell in
+    (j pi, j pi + pi/2) that start at or below the n-th smallest band end,
+    in m-major order."""
     sigma, ell = cfg.sigma, cfg.ell
     om = (math.pi / ell) ** 2
+    # root in band j satisfies lam < (m^2 + (pi/ell)^2 (j + 1/2)^2)^2
+    cutoff = _nth_upper_cutoff(n, lambda m, j: (m * m + om * (j + 0.5) ** 2) ** 2, 0)
+    m_top = 1
+    while (1.0 - sigma * sigma) * float(m_top) ** 4 <= cutoff:
+        m_top += 1
+    m_t = np.arange(1, m_top)
+    # bands per m from the closed form plus one, then trimmed exactly
+    count = 2 + np.floor(ell / math.pi * np.sqrt(np.maximum(
+        math.sqrt(cutoff) - m_t * m_t, 0.0))).astype(int)
+    m_b = np.repeat(m_t, count)
+    j_b = np.arange(m_b.size) - np.repeat(np.cumsum(count) - count, count)
+    keep = (m_b * m_b + (j_b * math.pi / ell) ** 2) ** 2 <= cutoff
+    return m_t[_first_exists(m_t, cfg)], m_b[keep], j_b[keep]
 
-    def upper(m: int, j: int) -> float:
-        # root in band j satisfies lam < (m^2 + (pi/ell)^2 (j + 1/2)^2)^2
-        return (m * m + om * (j + 0.5) ** 2) ** 2
 
-    cutoff = _nth_upper_cutoff(n, upper, 0)
+def _solve(groups, cfg: PlateConfig) -> list[np.ndarray]:
+    """Roots s of (det, m, lo, hi) bracket groups, by one batched bisection."""
+    edges = np.cumsum([0] + [g[1].size for g in groups])
+    parts = list(zip(groups, edges[:-1], edges[1:]))
 
-    def modes_for_m(m: int) -> list[tuple[float, Mode]]:
-        out: list[tuple[float, Mode]] = []
-        if torsional_first_exists(m, cfg):
-            out.append((_odd_low_lam(m, cfg), Mode(m, 1, ODD)))
-        for k, lam in enumerate(_odd_high_lams(m, cfg, lam_cutoff=cutoff), start=2):
-            out.append((lam, Mode(m, k, ODD)))
-        return out
+    def f(s: np.ndarray) -> np.ndarray:
+        return np.concatenate([det(s[a:b], m, cfg.sigma, cfg.ell)
+                               for (det, m, _, _), a, b in parts])
 
-    flat: list[tuple[float, Mode]] = []
-    m = 1
-    while (1.0 - sigma * sigma) * float(m) ** 4 <= cutoff:
-        flat.extend(modes_for_m(m))
-        m += 1
-    flat.sort(key=lambda t: t[0])
-    return [_make_pair(mode, lam, cfg) for lam, mode in flat[:n]]
+    try:
+        s = find_roots(f, np.concatenate([g[2] for g in groups]),
+                       np.concatenate([g[3] for g in groups]), tol_rel=_TOL_REL)
+    except NoSignChange as exc:
+        raise RootIsolationFailure(f"no sign change in an eigenvalue bracket: {exc}") from exc
+    return [s[a:b] for _, a, b in parts]
+
+
+def _hits_lam(lo: np.ndarray, zero: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Eigenvalues at scan hits: the grid point lo where zero, else the
+    bracket roots in hit order."""
+    s = lo.copy()
+    s[~zero] = roots
+    return s * s
+
+
+def _lowest(n: int, m: np.ndarray, k: np.ndarray, lam: np.ndarray, parity: str,
+            cfg: PlateConfig) -> list[HomEigenpair]:
+    """Eigenpairs of the n smallest lam; ties keep (m, k) order."""
+    order = np.lexsort((k, m, lam))[:n]
+    return [_make_pair(Mode(mi, ki, parity), li, cfg)
+            for mi, ki, li in zip(m[order].tolist(), k[order].tolist(), lam[order].tolist())]
 
 
 def build_spectrum(cfg: PlateConfig, cap: int = 200) -> HomSpectrum:
@@ -534,8 +602,32 @@ def build_spectrum(cfg: PlateConfig, cap: int = 200) -> HomSpectrum:
     if not holds:
         raise C0Violated(f"degenerate parameters: s* = {s_star} is an integer")
 
-    mu = _longitudinal_pairs(n, cfg)
-    nu = _torsional_pairs(n, cfg)
+    m_e, k_e = _longitudinal_window(n, cfg)
+    m_low, m_b, j_b = _torsional_window(n, cfg)
+    # the scan for a torsional root below m^4 starts at Lambda_(m,1)
+    first = k_e == 1
+    m1 = np.concatenate([m_e[first], m_low[m_low > m_e.max()]])
+    m2, k2 = m_e[~first], k_e[~first]
+    row, lo, hi, zero = _high_scan(m_b, j_b, cfg)
+    s1, s2, s_high = _solve([(_det_even_low, m1, *_even_bracket(m1, 1, cfg)),
+                             (_det_even_high, m2, *_even_bracket(m2, k2, cfg)),
+                             (_det_odd_high, m_b[row[~zero]], lo[~zero], hi[~zero])], cfg)
+    lam_1 = s1 * s1
+    lam_e = np.empty(m_e.size)
+    lam_e[first] = lam_1[:np.count_nonzero(first)]
+    lam_e[~first] = s2 * s2
+
+    m_o, lam_o = m_b[row], _hits_lam(lo, zero, s_high)
+    k_o = 2 + np.arange(m_o.size) - np.searchsorted(m_o, m_o)
+    if m_low.size:
+        lo, hi, zero = _low_scan(m_low, lam_1[np.searchsorted(m1, m_low)], cfg)
+        (s_low,) = _solve([(_det_odd_low, m_low[~zero], lo[~zero], hi[~zero])], cfg)
+        m_o = np.concatenate([m_low, m_o])
+        k_o = np.concatenate([np.ones(m_low.size, dtype=int), k_o])
+        lam_o = np.concatenate([_hits_lam(lo, zero, s_low), lam_o])
+
+    mu = _lowest(n, m_e, k_e, lam_e, EVEN, cfg)
+    nu = _lowest(n, m_o, k_o, lam_o, ODD, cfg)
 
     for seq, label in ((mu, "longitudinal"), (nu, "torsional")):
         for a, b in zip(seq, seq[1:]):

@@ -10,9 +10,10 @@ from pathlib import Path
 import numpy as np
 
 from plate_spectra import PlateConfig
-from plate_spectra.cli import _atomic_write
+from plate_spectra.cli import _atomic_write, _grid_csv
 from plate_spectra.optimize import rearrange_min
-from plate_spectra.weights import make_breve_p, make_uniform, sample_field, weight_to_json
+from plate_spectra.weights import (GridField, make_breve_p, make_uniform, sample_field,
+                                  weight_to_json)
 
 
 def run_cli(*args, env=None):
@@ -67,6 +68,27 @@ def test_spectrum_j0_beyond_default_truncation(tmp_path):
     proc = run_cli("spectrum", "--ell", "0.001", "--n-modes", "60", "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert json.loads((tmp_path / "spectrum_meta.json").read_text())["j0"] == 47
+
+
+def test_ratio_table_j0_beyond_default_truncation(tmp_path):
+    # j0 = 47 > 30: the study must use a truncation that reaches mu_j0
+    proc = run_cli("ratio-table", "--ell", "0.001", "--n-modes", "60", "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    rows = read_csv(tmp_path / "ratio_table.csv")
+    assert rows[0] == ["quantity", "uniform", "pbar47", "pstar", "pbreve", "pdoublebar",
+                       "ptilde"]
+
+
+def test_grid_csv_matches_per_cell_formatting():
+    values = np.array([[-1.5, 1e-300, 0.0], [-0.0, 2.5e-17, -3.25e12],
+                       [7.0, -1e-9, 123456789.0], [1.0, 0.0, -2.0]])
+    fld = GridField(values, 0.01)
+    fmt = "%.6e"
+    lines = ["x,y,value"]
+    for i in range(fld.nx):
+        for j in range(fld.ny):
+            lines.append(f"{fmt % fld.xs[i]},{fmt % fld.ys[j]},{fmt % fld.values[i, j]}")
+    assert _grid_csv(fld) == "\n".join(lines) + "\n"
 
 
 def test_reference_csv_bytes_match_golden(tmp_path):
@@ -216,10 +238,14 @@ def test_optimize_non_convergence_exit_code(tmp_path):
 
 
 def test_optimize_singular_mass_exit_code(tmp_path):
-    # a 4 x 3 grid is accepted but leaves the weighted mass matrix singular
-    proc = run_cli("optimize", "--target", "max-nu1", "--grid", "4", "3",
-                   "--out", str(tmp_path))
-    _assert_one_line_error(proc, 5, "not positive definite")
+    # grids this coarse leave the weighted mass matrix singular: a
+    # configuration error that names the grid
+    for args in (("--target", "max-nu1", "--grid", "4", "3"),
+                 ("--target", "min-mu", "--j", "2", "--grid", "4", "3"),
+                 ("--target", "max-nu1", "--grid", "16", "3")):
+        proc = run_cli("optimize", *args, "--out", str(tmp_path))
+        _assert_one_line_error(proc, 2, f"grid {args[-2]} x 3 is too coarse for n_modes=30")
+        assert "not positive definite" in proc.stderr
 
 
 def test_ratio_table_weyl_flag(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from plate_spectra.numerics import (Bracket, NonFinite, NoSignChange,
-                                    QuadratureRule, SymMatrix, find_root,
+                                    QuadratureRule, SymMatrix, find_root, find_roots,
                                     integrate_1d, integrate_2d, sym_eig)
 
 
@@ -56,6 +56,36 @@ def test_find_root_bracket_refinement_idempotent():
         r1 = find_root(f, Bracket(lo, hi))
         r2 = find_root(f, Bracket(r1 - 1e-6, r1 + 1e-6))
         assert abs(r1 - r2) <= 1e-11 * max(1.0, abs(r1))
+
+
+def test_find_roots_matches_find_root_per_bracket():
+    # the batched bisection takes find_root's steps on every bracket, so it
+    # returns the same floats, including at exact zeros and endpoint roots
+    rng = np.random.default_rng(11)
+    shift = rng.uniform(-3.0, 3.0, 40)
+    lo = shift - rng.uniform(0.1, 2.0, 40)
+    hi = shift + rng.uniform(0.1, 2.0, 40)
+    lo[:3] = [-1.0, -1.0, -2.0]  # exact roots at the first midpoint, at lo, at hi
+    hi[:3] = [1.0, 1.0, -1.0]
+    roots = np.array([0.0, -1.0, -1.0, *shift[3:]])
+    f = lambda x, r: np.sin(x - r) * (2.0 + np.cos(x))
+    got = find_roots(lambda x: f(x, roots), lo, hi, tol_rel=1e-13)
+    want = [find_root(lambda x: float(f(x, r)), Bracket(a, b), tol_rel=1e-13)
+            for r, a, b in zip(roots, lo, hi)]
+    assert got.tolist() == want
+    assert np.all(np.abs(got - roots) <= 1e-12 * np.maximum(1.0, np.abs(roots)))
+
+
+def test_find_roots_errors():
+    assert find_roots(lambda x: x, [], []).size == 0
+    with pytest.raises(NoSignChange):
+        find_roots(lambda x: x * x + 1.0, [-1.0, 0.5], [1.0, 2.0])
+    with pytest.raises(NonFinite):  # at an endpoint
+        find_roots(lambda x: np.where(x < 0.5, x - 0.3, np.nan), [0.0], [1.0])
+    with pytest.raises(NonFinite):  # at the first midpoint
+        find_roots(lambda x: np.where(x == 0.5, np.nan, x - 0.3), [0.0], [1.0])
+    with pytest.raises(ValueError):
+        find_roots(lambda x: x, [1.0], [1.0])
 
 
 def test_bracket_validation():
@@ -125,6 +155,22 @@ def test_integrate_non_finite():
     rx = QuadratureRule(0.0, 1.0)
     with pytest.raises(NonFinite), np.errstate(divide="ignore", invalid="ignore"):
         integrate_1d(lambda x: 1.0 / (x - x), rx)
+
+
+def test_nodes_weights_are_fresh_arrays():
+    # the reference rule is cached per order; callers get their own copies
+    for rule in (QuadratureRule(-1.0, 1.0, order=24), QuadratureRule(-ELL, ELL, order=24),
+                 QuadratureRule(0.0, math.pi, order=24, breakpoints=(1.0,))):
+        x, w = rule.nodes_weights()
+        x0, w0 = x.copy(), w.copy()
+        x[:] = 0.0
+        w *= -1.0
+        x2, w2 = rule.nodes_weights()
+        assert np.array_equal(x2, x0) and np.array_equal(w2, w0)
+        assert x2.flags.writeable and w2.flags.writeable
+    ref_x, ref_w = np.polynomial.legendre.leggauss(24)
+    x, w = QuadratureRule(-1.0, 1.0, order=24).nodes_weights()
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
 
 
 def test_rule_validation():

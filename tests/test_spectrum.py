@@ -244,3 +244,54 @@ def test_spectrum_with_first_torsional_branch():
     assert nu == sorted(nu)
     wider = build_spectrum(cfg.with_(n_modes=50))
     assert [p.lam for p in wider.nu[:40]] == nu
+
+
+# ---------------------------------------------------------------------------
+# batched spectrum against single-mode location
+# ---------------------------------------------------------------------------
+
+def _l1_plates():
+    rng = np.random.default_rng(314)
+    plates = [PlateConfig(n_modes=30),  # torsional k = 1 threshold at m = 2734/2735
+              PlateConfig(ell=math.pi / 2, sigma=0.45, n_modes=30)]
+    for _ in range(10):
+        plates.append(PlateConfig(ell=float(rng.uniform(math.pi / 300, math.pi / 2)),
+                                  sigma=float(rng.uniform(0.05, 0.45)), n_modes=30))
+    return plates
+
+
+def _straddles_root(pair, cfg, rel=1e-10):
+    m, k = pair.mode.m, pair.mode.k
+    branch = "odd" if pair.mode.parity == "odd" else "even-low" if k == 1 else "even-high"
+    below = characteristic_det(pair.lam * (1.0 - rel), m, branch, cfg)
+    above = characteristic_det(pair.lam * (1.0 + rel), m, branch, cfg)
+    return (below < 0.0) != (above < 0.0)
+
+
+@pytest.mark.parametrize("cfg", _l1_plates(), ids=lambda c: f"ell={c.ell:.4f},sigma={c.sigma:.3f}")
+def test_build_spectrum_matches_single_mode_location(cfg):
+    spec = build_spectrum(cfg)
+    for pair in spec.mu + spec.nu:
+        single = find_hom_eigenvalue(pair.mode, cfg)
+        assert abs(single.lam - pair.lam) <= 1e-12 * pair.lam, pair.mode
+        assert abs(single.norm_const - pair.norm_const) <= 1e-12 * pair.norm_const
+        assert _straddles_root(pair, cfg), pair.mode
+
+
+def test_l1_plates_cover_every_branch():
+    kinds = set()
+    for cfg in _l1_plates():
+        spec = build_spectrum(cfg)
+        kinds |= {(p.mode.parity, min(p.mode.k, 2)) for p in spec.mu + spec.nu}
+    assert kinds == {("even", 1), ("even", 2), ("odd", 1), ("odd", 2)}
+
+
+def test_torsional_threshold_modes_straddle_roots(ref_cfg):
+    with pytest.raises(NotAdmissible):
+        find_hom_eigenvalue(Mode(2734, 1, "odd"), ref_cfg)
+    for mode in (Mode(2735, 1, "odd"), Mode(2735, 2, "odd"), Mode(2734, 2, "odd"),
+                 Mode(2735, 1, "even")):
+        pair = find_hom_eigenvalue(mode, ref_cfg)
+        assert _straddles_root(pair, ref_cfg), mode
+    low = find_hom_eigenvalue(Mode(2735, 1, "odd"), ref_cfg).lam
+    assert find_hom_eigenvalue(Mode(2735, 1, "even"), ref_cfg).lam < low < 2735.0 ** 4
