@@ -173,9 +173,11 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         raise CliError(f"grid {grid[0]} x {grid[1]} is too coarse for n_modes="
                        f"{cfg.n_modes}: {exc}", EXIT_CONFIG) from exc
     out = Path(args.out)
-    _atomic_write(out / "trace.jsonl", optimize.trace_to_jsonl(trace))
     final = trace.final_weight
-    _atomic_write(out / "final_weight.json", weights.weight_to_json(final) + "\n")
+    final_values = weights.field_values_json(final)  # shared by both files
+    _atomic_write(out / "trace.jsonl", optimize.trace_to_jsonl(trace, final_values))
+    _atomic_write(out / "final_weight.json",
+                  weights.weight_to_json(final, final_values) + "\n")
 
     meta = {
         "target": trace.target,
@@ -183,6 +185,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         "iterations": len(trace.iterates),
         "final_eigenvalue": trace.final_value,
         "epsilon": trace.epsilon,
+        "resorted": trace.resorted,
     }
     v = final.variant
     if isinstance(v, weights.Sublevel):

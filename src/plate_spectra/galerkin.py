@@ -5,6 +5,13 @@ of the uniform plate turns the weighted weak eigenproblem into, per parity,
 D a = lam(p) C a with D = diag of unweighted eigenvalues and C the weighted
 mass matrix C_{nm} = int_Omega p z_n z_m. The symmetric form
 M = D^{-1/2} C D^{-1/2} has eigenvalues 1/lam(p).
+
+Band weights integrate in x in closed form. A sublevel weight lives on a cell
+grid, and sin(a x) sin(b x) = (cos((a-b) x) - cos((a+b) x)) / 2 reduces its x
+sums to the cosine moments sum_i cos(k x_i) p(x_i, y_j) for k = 0..2 max m: one
+matrix product, after which each y column adds an (n, n) gather. Fields on a
+grid (reconstruction, weighted norms) are one matrix product of the scaled
+sines with the y profiles.
 """
 from __future__ import annotations
 
@@ -94,8 +101,12 @@ def assemble_mass(w: Weight, spectrum: HomSpectrum, parity: str, n: int) -> SymM
     """Weighted mass matrix C_{nm} = int_Omega p z_n z_m for one parity.
 
     Band weights use closed-form x integrals with the band edges as quadrature
-    breakpoints in y; sublevel weights are integrated with the midpoint rule
-    on their own grid.
+    breakpoints in y. Sublevel weights are integrated with the midpoint rule
+    on their own grid through cosine moments:
+    sum_i sin(m_a x_i) sin(m_b x_i) w_ij = (Mom[|m_a - m_b|, j] - Mom[m_a + m_b, j]) / 2
+    with Mom = cos(k x) @ (cell area * weight) for k = 0..2 max m, so the x
+    sums cost one (K, nx) @ (nx, ny) product. The y columns are added one at a
+    time, which holds no (n, n, ny) or (n, nx * ny) array.
     """
     pairs = list((spectrum.mu if parity == EVEN else spectrum.nu)[:n])
     if len(pairs) < n:
@@ -106,13 +117,16 @@ def assemble_mass(w: Weight, spectrum: HomSpectrum, parity: str, n: int) -> SymM
 
     if isinstance(v, Sublevel):
         f = v.field
-        sines = np.array([np.sin(m * f.xs) for m in freqs])          # (n, nx)
+        m = np.array(freqs)
+        cell_w = (0.5 * f.cell_area) * v.node_values()               # (nx, ny)
+        k = np.arange(2 * int(m.max()) + 1)
+        mom = cell_w.T @ np.cos(np.outer(f.xs, k))                   # (ny, K), halved
+        diff = np.abs(m[:, None] - m[None, :])
+        tot = m[:, None] + m[None, :]
         profs = _profiles_on(pairs, f.ys)                            # (n, ny)
-        cell_w = f.cell_area * v.node_values()                       # (nx, ny)
-        # one y column at a time, so no (n, nx * ny) basis array is held
         mat = np.zeros((n, n))
         for j in range(f.ny):
-            mat += np.outer(profs[:, j], profs[:, j]) * ((sines * cell_w[:, j]) @ sines.T)
+            mat += np.outer(profs[:, j], profs[:, j]) * (mom[j, diff] - mom[j, tot])
     else:
         rule = _y_rule(pairs, cfg, sorted(set(_inner_edges(v.y_intervals, -cfg.ell, cfg.ell))))
         y, wq = rule.nodes_weights()
@@ -171,18 +185,20 @@ def solve_weighted(w: Weight, spectrum: HomSpectrum, n: int | None = None) -> Ga
 # reconstruction
 # ---------------------------------------------------------------------------
 
+def _expand_on(pairs: list[HomEigenpair], coeffs: np.ndarray, xs: np.ndarray,
+               ys: np.ndarray) -> np.ndarray:
+    """sum_n coeffs_n sin(m_n x_i) profile_n(y_j) as an (x.size, y.size) array."""
+    sines = np.array([np.sin(p.mode.m * xs) for p in pairs])
+    return (coeffs[:, None] * sines).T @ _profiles_on(pairs, ys)
+
+
 def expand_field(spectrum: HomSpectrum, parity: str, coeffs: np.ndarray,
                  grid: tuple[int, int] = (600, 31)) -> GridField:
     """Evaluate sum coeffs_n * basis_n on a cell grid for one parity."""
     pairs = list((spectrum.mu if parity == EVEN else spectrum.nu)[:coeffs.size])
     cfg = spectrum.config
-    nx, ny = grid
-    shell = GridField(np.zeros((nx, ny)), cfg.ell)
-    xs, ys = shell.xs, shell.ys
-    sines = np.array([np.sin(p.mode.m * xs) for p in pairs])
-    profs = _profiles_on(pairs, ys)
-    vals = np.einsum("n,ni,nj->ij", coeffs, sines, profs)
-    return GridField(vals, cfg.ell, parity)
+    shell = GridField(np.zeros(grid), cfg.ell)
+    return GridField(_expand_on(pairs, coeffs, shell.xs, shell.ys), cfg.ell, parity)
 
 
 def reconstruct(gs: GalerkinSpectrum, spectrum: HomSpectrum, which: tuple[str, int],
@@ -218,9 +234,7 @@ def weighted_l2_sq(pairs: list[HomEigenpair], coeffs: np.ndarray, w: Weight,
     v = w.variant
     if isinstance(v, Sublevel):
         f = v.field
-        sines = np.array([np.sin(p.mode.m * f.xs) for p in pairs])
-        profs = _profiles_on(pairs, f.ys)
-        u = np.einsum("n,ni,nj->ij", coeffs, sines, profs)
+        u = _expand_on(pairs, coeffs, f.xs, f.ys)
         return float(np.sum(v.node_values() * u * u) * f.cell_area)
 
     freqs = [p.mode.m for p in pairs]
@@ -228,9 +242,7 @@ def weighted_l2_sq(pairs: list[HomEigenpair], coeffs: np.ndarray, w: Weight,
     ry = _y_rule(pairs, cfg, sorted(set(_inner_edges(v.y_intervals, -cfg.ell, cfg.ell))))
     x, wx = rx.nodes_weights()
     y, wy = ry.nodes_weights()
-    sines = np.array([np.sin(p.mode.m * x) for p in pairs])
-    profs = _profiles_on(pairs, y)
-    u = np.einsum("n,ni,nj->ij", coeffs, sines, profs)
+    u = _expand_on(pairs, coeffs, x, y)
     pv = eval_weight(w, x[:, None], y[None, :])
     return float(wx @ (pv * u * u) @ wy)
 

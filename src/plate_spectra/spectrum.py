@@ -16,6 +16,7 @@ one bracket with numerics.find_root.  Both stop at the same relative width.
 """
 from __future__ import annotations
 
+import heapq
 import math
 import warnings
 from bisect import bisect_left
@@ -482,21 +483,20 @@ def _make_pair(mode: Mode, lam: float, cfg: PlateConfig) -> HomEigenpair:
 
 def _nth_upper_cutoff(n: int, upper, i_first: int) -> float:
     """n-th smallest value of upper(m, i), which increases in both m and i."""
-    vals: list[float] = []
+    low: list[float] = []  # the n smallest values so far, negated: a max-heap
     m = 1
     while True:
-        if len(vals) >= n:
-            vals.sort()
-            if vals[n - 1] <= upper(m, i_first):
-                return vals[n - 1]
+        if len(low) == n and -low[0] <= upper(m, i_first):
+            return -low[0]
         i = i_first
         while True:
             u = upper(m, i)
-            vals.append(u)
-            if len(vals) >= n:
-                nth = sorted(vals)[n - 1]
-                if u > nth:
-                    break
+            if len(low) < n:
+                heapq.heappush(low, -u)
+            elif u < -low[0]:
+                heapq.heapreplace(low, -u)
+            if len(low) == n and u > -low[0]:
+                break
             i += 1
             if i - i_first > 10 ** 6:
                 raise RuntimeError("cutoff scan stuck in i")

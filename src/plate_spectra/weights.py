@@ -466,7 +466,9 @@ _BAND_FORMATS = {
 _BAND_NAMES = {cls: name for name, (cls, _) in _BAND_FORMATS.items()}
 
 
-def weight_to_dict(w: Weight) -> dict:
+def weight_to_dict(w: Weight, values: bool = True) -> dict:
+    """The JSON object of a weight. With values=False a sublevel field's
+    "values" is None, a slot for fill_values to put encoded text in."""
     v = w.variant
     base = {"alpha": w.alpha, "beta": w.beta}
     if isinstance(v, Bands):
@@ -485,7 +487,8 @@ def weight_to_dict(w: Weight) -> dict:
                            "degenerate": v.degenerate,
                            "field": {"nx": f.nx, "ny": f.ny, "ell": f.ell,
                                      "parity": f.parity,
-                                     "values": f.values.ravel().tolist()}}}
+                                     "values": f.values.ravel().tolist() if values
+                                     else None}}}
 
 
 def weight_from_dict(data: dict) -> Weight:
@@ -511,8 +514,36 @@ def weight_from_dict(data: dict) -> Weight:
     return Weight(v, alpha, beta)
 
 
-def weight_to_json(w: Weight) -> str:
-    return json.dumps(weight_to_dict(w), indent=2)
+def field_values_json(w: Weight) -> str | None:
+    """A sublevel field's values as json.dumps writes the list ("[v0, v1, ...]",
+    by the C encoder); None for a band weight."""
+    v = w.variant
+    return json.dumps(v.field.values.ravel().tolist()) if isinstance(v, Sublevel) else None
+
+
+def fill_values(text: str, values_json: str, indent: str | None = None) -> str:
+    """Put values_json into the "values": null slot of JSON text.
+
+    With indent (the indentation of the slot's line) the list is laid out as
+    json.dumps(..., indent=2) lays it out there.
+    """
+    if indent is not None and values_json != "[]":
+        pad = "\n" + indent + "  "
+        values_json = "[" + pad + values_json[1:-1].replace(", ", "," + pad) + "\n" + indent + "]"
+    return text.replace('"values": null', '"values": ' + values_json, 1)
+
+
+def weight_to_json(w: Weight, values_json: str | None = None) -> str:
+    """json.dumps(weight_to_dict(w), indent=2), byte for byte.
+
+    The indented encoder is pure Python, so a sublevel field's values are
+    encoded by the C encoder instead (values_json, from field_values_json, or
+    here) and indented by string replacement.
+    """
+    text = json.dumps(weight_to_dict(w, values=False), indent=2)
+    if not isinstance(w.variant, Sublevel):
+        return text
+    return fill_values(text, values_json or field_values_json(w), indent=" " * 6)
 
 
 def weight_from_json(text: str) -> Weight:

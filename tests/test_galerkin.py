@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_band_weight
+from conftest import random_band_weight, random_grid_weight
 from plate_spectra import PlateConfig
 from plate_spectra.galerkin import (_x_matrix, assemble_mass, expand_field, h2_energy,
                                     merged_eigenvalues, reconstruct, solve_parity,
@@ -63,6 +63,33 @@ def test_sublevel_assembly_vs_brute_force(ref_cfg, ref_spectrum):
     z = [eval_eigenfunction(p, x, y) for p in ref_spectrum.mu[:n]]
     brute = np.array([[np.sum(pv * zi * zj) * f.cell_area for zj in z] for zi in z])
     assert np.abs(c.a - brute).max() <= 1e-12 * np.abs(brute).max()
+
+
+@pytest.mark.parametrize("ell", [math.pi / 2, math.pi / 150])
+def test_sublevel_cosine_moments_vs_cell_sum_n100(ell):
+    # at n = 100 the wide plate's basis repeats frequencies (k >= 2 modes) and
+    # the narrow plate's reaches m = 100; the top mode's diagonal entry needs
+    # the top moment 2 max m
+    cfg = PlateConfig(ell=ell, n_modes=100)
+    spec = build_spectrum(cfg)
+    n = 100
+    pairs = spec.mu[:n]
+    freqs = [p.mode.m for p in pairs]
+    if ell > 1.0:
+        assert len(set(freqs)) < n and any(p.mode.k >= 2 for p in pairs)
+    else:
+        assert max(freqs) == n
+    w = random_grid_weight(np.random.default_rng(3), cfg, shape=(160, 31))
+    f = w.variant.field
+    assert f.nx >= max(freqs)
+    c = assemble_mass(w, spec, "even", n).a
+    x, y = f.xs[:, None], f.ys[None, :]
+    z = np.array([eval_eigenfunction(p, x, y).ravel() for p in pairs])
+    brute = (z * (f.cell_area * eval_weight(w, x, y).ravel())) @ z.T
+    assert np.abs(c - brute).max() <= 1e-12 * np.abs(brute).max()
+    top = int(np.argmax(freqs))
+    assert abs(c[top, top] - brute[top, top]) <= 1e-12 * abs(brute[top, top])
+    assert np.array_equal(c, c.T)
 
 
 @pytest.mark.parametrize("intervals", [[(0.0, 0.3), (1.0, math.pi)], None])
@@ -170,12 +197,32 @@ def test_rayleigh_quotient_of_reconstruction(ref_cfg, ref_spectrum):
         assert abs(quotient - gs.mu_p[idx]) <= 1e-4 * gs.mu_p[idx]
 
 
+def test_sublevel_weighted_norm_is_mass_form(ref_cfg, ref_spectrum):
+    # the grid expansion and the cosine-moment assembly are two routes to the
+    # same midpoint sum a^T C a
+    rng = np.random.default_rng(21)
+    w = random_grid_weight(rng, ref_cfg, shape=(300, 31))
+    pairs = list(ref_spectrum.mu[:30])
+    c = assemble_mass(w, ref_spectrum, "even", 30).a
+    for _ in range(3):
+        a = rng.normal(size=30)
+        val = weighted_l2_sq(pairs, a, w, ref_cfg)
+        assert abs(val - a @ c @ a) <= 1e-12 * abs(a @ c @ a)
+
+
 def test_expand_field_grid(ref_cfg, ref_spectrum):
     coeffs = np.zeros(5)
     coeffs[2] = 1.0
     fld = expand_field(ref_spectrum, "even", coeffs, (80, 31))
     direct = eval_eigenfunction(ref_spectrum.mu[2], fld.xs[:, None], fld.ys[None, :])
     assert np.abs(fld.values - direct).max() < 1e-12
+    # every mode at once, against a per-cell sum of the eigenfunctions
+    for parity, pairs in (("even", ref_spectrum.mu[:30]), ("odd", ref_spectrum.nu[:30])):
+        coeffs = np.random.default_rng(8).normal(size=30)
+        fld = expand_field(ref_spectrum, parity, coeffs, (240, 31))
+        x, y = fld.xs[:, None], fld.ys[None, :]
+        direct = sum(a * eval_eigenfunction(p, x, y) for a, p in zip(coeffs, pairs))
+        assert np.abs(fld.values - direct).max() <= 1e-12 * np.abs(direct).max()
 
 
 # ---------------------------------------------------------------------------

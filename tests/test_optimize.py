@@ -211,6 +211,29 @@ def test_trace_jsonl_roundtrip(ref_cfg, ref_spectrum):
     assert validate(w, ref_cfg).passed
 
 
+def test_trace_jsonl_bytes_match_encoder(ref_cfg, ref_spectrum):
+    from plate_spectra.optimize import OptimizationTrace
+    from plate_spectra.weights import Weight, field_values_json, weight_to_dict
+    rng = np.random.default_rng(4)
+    fields = []
+    for _ in range(3):
+        vals = rng.normal(scale=1e3, size=(30, 5))
+        vals[rng.integers(30), rng.integers(5)] = -0.0
+        vals[rng.integers(30), rng.integers(5)] = 5e-324
+        vals[rng.integers(30), rng.integers(5)] = 1e308
+        vals[rng.integers(30), rng.integers(5)] = 4.0
+        fields.append(GridField(vals, ref_cfg.ell))
+    iterates = [(make_uniform(ref_cfg), 9.6e3)] + [
+        (Weight(Sublevel(f, 0.0, ref_cfg.beta, ref_cfg.alpha, 0.5), ref_cfg.alpha,
+                ref_cfg.beta), 9e3 - i) for i, f in enumerate(fields)]
+    tr = OptimizationTrace("min_mu_10", tuple(iterates), "converged", 1e-4)
+    expected = [json.dumps({"iteration": i, "eigenvalue": v, "weight": weight_to_dict(w)})
+                for i, (w, v) in enumerate(tr.iterates)]
+    assert trace_to_jsonl(tr).split("\n") == expected + [""]
+    final_values = field_values_json(tr.final_weight)
+    assert trace_to_jsonl(tr, final_values).split("\n") == expected + [""]
+
+
 def test_ratio_csv_layout(ref_cfg, ref_spectrum):
     report = ratio_study([("uniform", make_uniform(ref_cfg)),
                           ("pbar10", make_pbar_j(10, ref_cfg))], ref_cfg, ref_spectrum)

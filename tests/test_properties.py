@@ -1,0 +1,75 @@
+"""Property tests (Hypothesis) for invariants the paper proves, on grid weights."""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from plate_spectra import PlateConfig, build_spectrum
+from plate_spectra.galerkin import solve_weighted
+from plate_spectra.weights import GridField, Sublevel, Weight, sublevel_split, validate
+
+CFG = PlateConfig(n_modes=100)
+
+
+@pytest.fixture(scope="module")
+def spectrum100():
+    return build_spectrum(CFG)
+
+
+def _y_even_sublevel(rng, shape) -> Weight:
+    """Random admissible bang-bang weight on a grid, y-even to the last bit."""
+    vals = rng.random(shape)
+    vals = vals + vals[:, ::-1]
+    frac = float(rng.uniform(0.05, 0.95)) * (1.0 - CFG.alpha) / (CFG.beta - CFG.alpha)
+    inside = CFG.beta
+    outside = (1.0 - inside * frac) / (1.0 - frac)
+    fld = GridField(vals, CFG.ell, "even")
+    t, theta, degenerate = sublevel_split(fld, frac * CFG.area, inside, outside)
+    return Weight(Sublevel(fld, t, inside, outside, theta, degenerate), CFG.alpha, CFG.beta)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 100),
+       extra_nx=st.integers(0, 200), half_ny=st.integers(1, 15))
+def test_stability_bounds_random_sublevel(spectrum100, seed, n, extra_nx, half_ny):
+    # lambda_n(1)/beta <= lambda_n(p) <= lambda_n(1)/alpha for alpha <= p <= beta.
+    # lambda_n(1) is the constant weight on the same grid: the midpoint rule
+    # is then the same on both sides, so the bounds hold to rounding.
+    freqs = [p.mode.m for p in spectrum100.mu[:n]] + [p.mode.m for p in spectrum100.nu[:n]]
+    shape = (max(freqs) + 4 + extra_nx, 2 * half_ny + 1)
+    w = _y_even_sublevel(np.random.default_rng(seed), shape)
+    assert validate(w, CFG).passed
+    one = Weight(Sublevel(GridField(np.zeros(shape), CFG.ell), 0.0, 1.0, 1.0),
+                 CFG.alpha, CFG.beta)
+    gp = solve_weighted(w, spectrum100, n)
+    g1 = solve_weighted(one, spectrum100, n)
+    for lam_p, lam_1 in ((gp.mu_p, g1.mu_p), (gp.nu_p, g1.nu_p)):
+        assert np.all(lam_p >= lam_1 / CFG.beta * (1 - 1e-10))
+        assert np.all(lam_p <= lam_1 / CFG.alpha * (1 + 1e-10))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), nx=st.integers(1, 40), half_ny=st.integers(0, 7),
+       levels=st.integers(1, 6), frac=st.floats(0.001, 0.999),
+       inside=st.floats(1.0, 4.0), outside=st.floats(0.1, 1.0))
+def test_sublevel_split_exact_grid_mass(data, nx, half_ny, levels, frac, inside, outside):
+    # few levels force ties at the threshold, which the tie fraction splits
+    ny = 2 * half_ny + 1
+    vals = data.draw(arrays(np.float64, (nx, ny),
+                            elements=st.integers(0, levels).map(float)))
+    fld = GridField(vals, CFG.ell)
+    target = frac * CFG.area
+    t, theta, degenerate = sublevel_split(fld, target, inside, outside)
+    assert 0.0 <= theta <= 1.0
+    assert degenerate == (vals.min() == vals.max())
+    nv = Sublevel(fld, t, inside, outside, theta, degenerate).node_values()
+    if inside != outside:
+        measure = float(np.sum((nv - outside) / (inside - outside))) * fld.cell_area
+        assert measure == pytest.approx(target, rel=1e-9, abs=1e-9 * fld.cell_area)
+    mass = float(np.sum(nv)) * fld.cell_area
+    expected = inside * target + outside * (CFG.area - target)
+    assert mass == pytest.approx(expected, rel=1e-9)
+    assert math.isfinite(t)

@@ -337,6 +337,30 @@ def test_json_golden_bytes(ref_cfg):
         assert weight_to_json(back) == text
 
 
+def _awkward_sublevel(rng, ell, nx, ny):
+    # random values with the float reprs that differ most between encoders'
+    # code paths: subnormal, huge, signed zero and integral values
+    vals = rng.normal(scale=10.0 ** rng.integers(-300, 300), size=(nx, ny))
+    special = [5e-324, -5e-324, 1e308, -1e308, -0.0, 0.0, 3.0, -7.0, 1e16, 2.0 ** 70]
+    idx = rng.choice(nx * ny, size=min(nx * ny, len(special)), replace=False)
+    vals.ravel()[idx] = special[:idx.size]
+    fld = GridField(vals, ell)
+    return Weight(Sublevel(fld, float(np.median(vals)), 1.5, 0.5,
+                           float(rng.uniform()), bool(rng.integers(2))), 0.5, 1.5)
+
+
+def test_json_bytes_match_indented_encoder(ref_cfg):
+    rng = np.random.default_rng(12)
+    for nx, ny in ((1, 1), (2, 3), (7, 5), (40, 9)):
+        w = _awkward_sublevel(rng, ref_cfg.ell, nx, ny)
+        expected = json.dumps(W.weight_to_dict(w), indent=2)
+        assert weight_to_json(w) == expected
+        assert weight_to_json(w, W.field_values_json(w)) == expected
+    for w in (make_uniform(ref_cfg), make_tilde_p(ref_cfg)):
+        assert W.field_values_json(w) is None
+        assert weight_to_json(w) == json.dumps(W.weight_to_dict(w), indent=2)
+
+
 def test_json_malformed():
     with pytest.raises(WeightError):
         weight_from_json("{not json")
