@@ -215,27 +215,11 @@ def cmd_ratio_table(args: argparse.Namespace) -> int:
     _atomic_write(out / "ratio_table.csv", optimize.ratio_report_to_csv(report))
 
     # deviations against the benchmark columns (reference configuration only)
-    lines = ["quantity," + ",".join(r.label for r in report.rows)]
-    quantities = [f"mu_{i + 1}" for i in range(12)] + ["nu_1", "nu_2", "R"]
-    for qi, q in enumerate(quantities):
-        cells = []
-        for row in report.rows:
-            ref = reference.RATIO_TABLE.get(row.label)
-            if ref is None:
-                cells.append("")
-                continue
-            ref_mu, ref_nu, ref_r = ref
-            if qi < 12:
-                val, ref_val = row.mu[qi], ref_mu[qi]
-            elif q == "nu_1":
-                val, ref_val = row.nu1, ref_nu[0]
-            elif q == "nu_2":
-                val, ref_val = row.nu2, ref_nu[1]
-            else:
-                val, ref_val = row.ratio, ref_r
-            cells.append(_fmt(abs(val - ref_val) / abs(ref_val)))
-        lines.append(f"{q}," + ",".join(cells))
-    _atomic_write(out / "ratio_table_deviation.csv", "\n".join(lines) + "\n")
+    refs = {label: (*mu, *nu, r) for label, (mu, nu, r) in reference.RATIO_TABLE.items()}
+    deviations = [[abs(v - r) / abs(r) for v, r in zip(row.values(), refs[row.label])]
+                  if row.label in refs else None for row in report.rows]
+    _atomic_write(out / "ratio_table_deviation.csv",
+                  optimize.ratio_csv([r.label for r in report.rows], deviations, FLOAT_FMT))
     written = ["ratio_table.csv", "ratio_table_deviation.csv"]
 
     if args.weyl:

@@ -1,6 +1,6 @@
-"""Density optimization: rearrangement steps, iterative eigenvalue descent,
-the torsional fixed-point heuristic, the closed-form upper bound on
-longitudinal eigenvalues, and the ratio study."""
+"""Density optimization: rearrangement steps, one rearrangement loop with two
+targets (descent on mu_j and the torsional fixed point), the closed-form upper
+bound on longitudinal eigenvalues, and the ratio study."""
 from __future__ import annotations
 
 import json
@@ -26,18 +26,22 @@ CONVERGED = "converged"
 MAX_ITERS = "max_iters"
 DEGENERATE = "degenerate"
 
-# Fraction of the newest eigenfunction density entering the thresholded field.
-# The undamped map (fresh u^2 each step) flips large parts of the domain per
-# iteration and can hang up short of the optimum from rough starting weights.
-DEFAULT_RELAXATION = 0.5
+# Share of the newest u^2 in the field the descent on mu_j thresholds. The
+# undamped map flips large parts of the domain per iteration and can hang up
+# short of the optimum from rough starting weights.
+RELAXATION = 0.5
+# Rounds without a new best value after which the descent on mu_j stops.
+PATIENCE = 8
+# Consecutive torsional dense sets count as settled below this share of |Omega|.
+AREA_TOL = 0.01
 
 
 @dataclass(frozen=True, eq=False)
 class OptimizationTrace:
     """Accepted iterates of a density optimization run.
 
-    For descent targets the eigenvalue sequence is non-increasing; an iterate
-    that would increase it terminates the run at the best weight seen.
+    The descent on mu_j records only new best values, so its sequence is
+    non-increasing; the torsional fixed point records every round.
     """
 
     target: str
@@ -101,6 +105,7 @@ def rearrangement_value(w: Weight, fld: GridField) -> float:
 
 
 def _same_sublevel(a: Weight, b: Weight) -> bool:
+    """Same dense set, threshold and tie fraction (symmetric in a and b)."""
     va, vb = a.variant, b.variant
     if not (isinstance(va, Sublevel) and isinstance(vb, Sublevel)):
         return False
@@ -110,52 +115,30 @@ def _same_sublevel(a: Weight, b: Weight) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# iterative minimization of mu_j
+# the rearrangement loop and its two targets
 # ---------------------------------------------------------------------------
 
-def minimize_mu_j(j: int, cfg: PlateConfig, epsilon: float = 1e-4,
-                  max_iters: int = 100, initial: Weight | None = None,
-                  spectrum: HomSpectrum | None = None,
-                  grid: tuple[int, int] = (2400, 31),
-                  relaxation: float = DEFAULT_RELAXATION,
-                  patience: int = 8) -> OptimizationTrace:
-    """Alternating descent on the j-th longitudinal eigenvalue.
+def _search(target: str, cfg: PlateConfig, spectrum: HomSpectrum, parity: str,
+            n: int, j: int, w: Weight, grid: tuple[int, int], rearrange,
+            relaxation: float, epsilon: float, max_iters: int, record,
+            settled) -> OptimizationTrace:
+    """Bang-bang rearrangement iteration shared by the density searches.
 
-    Each round solves the weighted problem, reconstructs the j-th longitudinal
-    eigenfunction, and re-aligns the dense phase with the superlevel set of a
-    relaxed running average of its square. The trace records the improving
-    iterates (non-increasing by construction); the loop keeps going through
-    transient up-steps and stops once a new best improves by less than
-    epsilon, the weight repeats, or no improvement arrives within `patience`
-    rounds.
-
-    The working grid is finer than the general sublevel default: the iteration
-    can lock onto self-consistent band systems whose edges sit a cell or two
-    off the optimum, and the residual spread scales with the cell width.
+    Each round solves the weighted problem of one parity, follows the j-th
+    eigenvector by weighted overlap, and rearranges against a relaxed running
+    average of the eigenfunction's square. record(iterates, w, value) decides
+    which values become iterates and returns a stop reason or None;
+    settled(w, w_next) says when two consecutive dense sets count as equal.
     """
-    if j < 1:
-        raise ValueError(f"j must be >= 1, got {j}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    if not 0.0 < relaxation <= 1.0:
-        raise ValueError(f"relaxation must be in (0, 1], got {relaxation}")
-    if spectrum is None:
-        spectrum = build_spectrum(cfg)
-    n = min(spectrum.config.n_modes, len(spectrum.mu))
-    if j > n:
-        raise ValueError(f"j={j} exceeds the truncation {n}")
-
-    w = initial if initial is not None else make_uniform(cfg)
     iterates: list[tuple[Weight, float]] = []
-    stop = MAX_ITERS
     resorted = False
     prev_vec: np.ndarray | None = None
     g_field: np.ndarray | None = None
-    best_value = math.inf
-    rounds_since_best = 0
 
     for _ in range(max_iters):
-        lam, coeffs, mass = solve_parity(w, spectrum, EVEN, n)
+        lam, coeffs, mass = solve_parity(w, spectrum, parity, n)
         idx = j - 1
         if prev_vec is not None and j > 1:
             overlaps = np.abs(prev_vec @ mass.a @ coeffs)
@@ -167,43 +150,68 @@ def minimize_mu_j(j: int, cfg: PlateConfig, epsilon: float = 1e-4,
                 # tracked mode slid into the lower block: follow it
                 idx = closest
                 resorted = True
-        value = float(lam[idx])
-
-        if value < best_value * (1.0 - 1e-12):
-            improvement = (best_value - value) / value if iterates else math.inf
-            iterates.append((w, value))
-            best_value = value
-            rounds_since_best = 0
-            if improvement < epsilon:
-                stop = CONVERGED
-                break
-        else:
-            rounds_since_best += 1
-            if rounds_since_best >= patience:
-                stop = CONVERGED
-                break
+        stop = record(iterates, w, float(lam[idx]))
+        if stop:
+            break
 
         prev_vec = coeffs[:, idx]
-        u = expand_field(spectrum, EVEN, coeffs[:, idx], grid)
+        u = expand_field(spectrum, parity, prev_vec, grid)
         u_sq = u.values ** 2
         g_field = u_sq if g_field is None else (
             (1.0 - relaxation) * g_field + relaxation * u_sq)
-        w_next = rearrange_max(GridField(g_field, cfg.ell, "even"), cfg)
-        if w_next.variant.degenerate:
-            stop = DEGENERATE
-            break
-        if _same_sublevel(w_next, w):
-            stop = CONVERGED
+        w_next = rearrange(GridField(g_field, cfg.ell, "even"), cfg)
+        stop = (DEGENERATE if w_next.variant.degenerate
+                else CONVERGED if settled(w, w_next) else None)
+        if stop:
             break
         w = w_next
+    else:
+        stop = MAX_ITERS
 
-    return OptimizationTrace(target=f"min_mu_{j}", iterates=tuple(iterates),
+    return OptimizationTrace(target=target, iterates=tuple(iterates),
                              stop_reason=stop, epsilon=epsilon, resorted=resorted)
 
 
-# ---------------------------------------------------------------------------
-# torsional fixed point
-# ---------------------------------------------------------------------------
+def minimize_mu_j(j: int, cfg: PlateConfig, epsilon: float = 1e-4,
+                  max_iters: int = 100, initial: Weight | None = None,
+                  spectrum: HomSpectrum | None = None,
+                  grid: tuple[int, int] = (2400, 31)) -> OptimizationTrace:
+    """Alternating descent on the j-th longitudinal eigenvalue.
+
+    Each round re-aligns the dense phase with the superlevel set of a relaxed
+    running average (RELAXATION) of the j-th longitudinal eigenfunction
+    squared. The trace records the improving iterates (non-increasing by
+    construction); the loop keeps going through transient up-steps and stops
+    once a new best improves by less than epsilon, the weight repeats, or no
+    improvement arrives within PATIENCE rounds.
+
+    The working grid is finer than the general sublevel default: the iteration
+    can lock onto self-consistent band systems whose edges sit a cell or two
+    off the optimum, and the residual spread scales with the cell width.
+    """
+    if j < 1:
+        raise ValueError(f"j must be >= 1, got {j}")
+    if spectrum is None:
+        spectrum = build_spectrum(cfg)
+    n = min(spectrum.config.n_modes, len(spectrum.mu))
+    if j > n:
+        raise ValueError(f"j={j} exceeds the truncation {n}")
+    best, rounds_since_best = math.inf, 0
+
+    def record(iterates, w, value):
+        nonlocal best, rounds_since_best
+        if value < best * (1.0 - 1e-12):
+            improvement = (best - value) / value
+            iterates.append((w, value))
+            best, rounds_since_best = value, 0
+            return CONVERGED if improvement < epsilon else None
+        rounds_since_best += 1
+        return CONVERGED if rounds_since_best >= PATIENCE else None
+
+    return _search(f"min_mu_{j}", cfg, spectrum, EVEN, n, j,
+                   initial if initial is not None else make_uniform(cfg), grid,
+                   rearrange_max, RELAXATION, epsilon, max_iters, record, _same_sublevel)
+
 
 def make_pstar(cfg: PlateConfig, spectrum: HomSpectrum | None = None,
                grid: tuple[int, int] = (600, 31)) -> Weight:
@@ -229,38 +237,26 @@ def symmetric_difference_area(a: Weight, b: Weight) -> float:
 
 def maximize_nu1_fixed_point(cfg: PlateConfig, max_iters: int = 100,
                              spectrum: HomSpectrum | None = None,
-                             grid: tuple[int, int] = (600, 31),
-                             area_tol: float = 0.01) -> OptimizationTrace:
+                             grid: tuple[int, int] = (600, 31)) -> OptimizationTrace:
     """Fixed-point iteration for the first torsional eigenvalue.
 
     Starts from the trial weight built on the uniform plate's first torsional
     eigenfunction; each round re-thresholds the current first torsional
-    eigenfunction squared. Stops when consecutive dense-phase sets differ by
-    less than area_tol * |Omega|.
+    eigenfunction squared and records its eigenvalue. Stops when consecutive
+    dense-phase sets differ by less than AREA_TOL * |Omega|.
     """
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     if spectrum is None:
         spectrum = build_spectrum(cfg)
     n = min(spectrum.config.n_modes, len(spectrum.nu))
-    w = make_pstar(cfg, spectrum, grid)
-    iterates: list[tuple[Weight, float]] = []
-    stop = MAX_ITERS
-    for _ in range(max_iters):
-        nu, coeffs, _ = solve_parity(w, spectrum, ODD, n)
-        iterates.append((w, float(nu[0])))
-        u = expand_field(spectrum, ODD, coeffs[:, 0], grid)
-        fld = GridField(u.values ** 2, cfg.ell, "even")
-        w_next = rearrange_min(fld, cfg)
-        if w_next.variant.degenerate:
-            stop = DEGENERATE
-            break
-        if symmetric_difference_area(w, w_next) < area_tol * cfg.area:
-            stop = CONVERGED
-            break
-        w = w_next
-    return OptimizationTrace(target="max_nu1", iterates=tuple(iterates),
-                             stop_reason=stop, epsilon=area_tol)
+
+    def record(iterates, w, value):
+        iterates.append((w, value))
+
+    def settled(w, w_next):
+        return symmetric_difference_area(w, w_next) < AREA_TOL * cfg.area
+
+    return _search("max_nu1", cfg, spectrum, ODD, n, 1, make_pstar(cfg, spectrum, grid),
+                   grid, rearrange_min, 1.0, AREA_TOL, max_iters, record, settled)
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +339,10 @@ def mu_upper_bound_forms(w: Weight, j: int, cfg: PlateConfig,
 # ratio study
 # ---------------------------------------------------------------------------
 
+# Row order of the ratio table (ratio_table.csv and its deviation file).
+RATIO_QUANTITIES = tuple(f"mu_{i}" for i in range(1, 13)) + ("nu_1", "nu_2", "R")
+
+
 @dataclass(frozen=True)
 class RatioRow:
     label: str
@@ -350,6 +350,10 @@ class RatioRow:
     nu1: float
     nu2: float
     ratio: float           # nu1 / mu_{j0}
+
+    def values(self) -> tuple[float, ...]:
+        """The row's numbers in RATIO_QUANTITIES order."""
+        return (*self.mu, self.nu1, self.nu2, self.ratio)
 
 
 @dataclass(frozen=True)
@@ -419,13 +423,15 @@ def trace_to_jsonl(trace: OptimizationTrace, final_values: str | None = None) ->
     return "\n".join(lines) + "\n"
 
 
+def ratio_csv(labels: list[str], columns: list, fmt: str = "%.6e") -> str:
+    """One row per RATIO_QUANTITIES entry, one column per label. A column holds
+    numbers in that order; a None column is left empty."""
+    lines = ["quantity," + ",".join(labels)]
+    for i, q in enumerate(RATIO_QUANTITIES):
+        lines.append(q + "," + ",".join("" if c is None else fmt % c[i] for c in columns))
+    return "\n".join(lines) + "\n"
+
+
 def ratio_report_to_csv(report: RatioReport, fmt: str = "%.6e") -> str:
     """Rows mu_1..mu_12, nu_1, nu_2, R; one column per weight."""
-    labels = [r.label for r in report.rows]
-    lines = ["quantity," + ",".join(labels)]
-    for i in range(12):
-        lines.append(f"mu_{i+1}," + ",".join(fmt % r.mu[i] for r in report.rows))
-    lines.append("nu_1," + ",".join(fmt % r.nu1 for r in report.rows))
-    lines.append("nu_2," + ",".join(fmt % r.nu2 for r in report.rows))
-    lines.append("R," + ",".join(fmt % r.ratio for r in report.rows))
-    return "\n".join(lines) + "\n"
+    return ratio_csv([r.label for r in report.rows], [r.values() for r in report.rows], fmt)

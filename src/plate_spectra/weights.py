@@ -503,6 +503,9 @@ def weight_from_dict(data: dict) -> Weight:
                                 for key, _ in fields if key in p})
         elif variant == "sublevel":
             f = p["field"]
+            for key in ("nx", "ny"):
+                if type(f[key]) is not int or f[key] < 1:
+                    raise WeightError(f"field {key} must be a positive integer, got {f[key]!r}")
             vals = np.asarray(f["values"], dtype=float).reshape(f["nx"], f["ny"])
             v = Sublevel(GridField(vals, float(f["ell"]), f.get("parity")),
                          float(p["threshold"]), float(p["inside"]), float(p["outside"]),

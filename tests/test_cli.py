@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from plate_spectra import PlateConfig
 from plate_spectra.cli import _atomic_write, _grid_csv
@@ -94,10 +95,12 @@ def test_grid_csv_matches_per_cell_formatting():
 def test_reference_csv_bytes_match_golden(tmp_path):
     # the golden files pin the reference-configuration output across code changes
     here = Path(__file__).parent
-    for cmd, name in (("spectrum", "table1.csv"), ("ratio-table", "ratio_table.csv")):
+    for cmd, names in (("spectrum", ["table1.csv"]),
+                       ("ratio-table", ["ratio_table.csv", "ratio_table_deviation.csv"])):
         proc = run_cli(cmd, "--out", str(tmp_path))
         assert proc.returncode == 0, proc.stderr
-        assert (tmp_path / name).read_bytes() == (here / f"golden_{name}").read_bytes()
+        for name in names:
+            assert (tmp_path / name).read_bytes() == (here / f"golden_{name}").read_bytes()
 
 
 def test_eigs_uniform_echo(tmp_path):
@@ -154,6 +157,21 @@ def _assert_one_line_error(proc, code, needle):
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
     assert needle in proc.stderr
+
+
+@pytest.mark.parametrize("nx, ny", [(-4, 3), (-1, 3), (0, 3), (4, -1), (4.0, 3)])
+def test_eigs_rejects_bad_grid_size(tmp_path, nx, ny):
+    # 12 values of a uniform-mass field: only positive integer sizes may reshape them
+    wfile = tmp_path / "sub.json"
+    wfile.write_text(json.dumps({
+        "variant": "sublevel", "alpha": 0.5, "beta": 1.5,
+        "parameters": {"threshold": 0.0, "inside": 1.0, "outside": 1.0,
+                       "field": {"nx": nx, "ny": ny, "ell": math.pi / 150,
+                                 "values": [0.0] * 12}}}))
+    proc = run_cli("eigs", "--weight", str(wfile), "--out", str(tmp_path))
+    bad = "ny" if ny < 1 else "nx"
+    _assert_one_line_error(proc, 3, f"field {bad} must be a positive integer")
+    assert not (tmp_path / "eigenvalues.csv").exists()
 
 
 def test_eigs_rejects_band_weight_for_another_plate(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_band_weight, random_grid_weight
+from plate_spectra import PlateConfig, build_spectrum
 from plate_spectra.galerkin import solve_parity
 from plate_spectra.optimize import (OptimizeError, default_study_weights, make_pstar,
                                     maximize_nu1_fixed_point, minimize_mu_j,
@@ -112,6 +113,44 @@ def test_minimize_multistart_agreement(ref_cfg, ref_spectrum):
     assert spread < 1e-3
 
 
+def _count_rounds(monkeypatch):
+    """Patch the solver the search loop calls; each call is one round."""
+    from plate_spectra import optimize
+    rounds = []
+    solve = optimize.solve_parity
+
+    def counted(*args, **kwargs):
+        rounds.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "solve_parity", counted)
+    return rounds
+
+
+def test_minimize_follows_mode_that_slides_down(ref_cfg, ref_spectrum, monkeypatch):
+    # a seeded x-band start whose tracked mode is re-identified by overlap;
+    # the counts and values are pinned from the two hand-written loops the
+    # shared search replaced
+    rng = np.random.default_rng(7)
+    start = [random_band_weight(rng, ref_cfg) for _ in range(17)][-1]
+    assert type(start.variant).__name__ == "XBands"
+    rounds = _count_rounds(monkeypatch)
+    # stops on epsilon: every round brings a new best
+    tr = minimize_mu_j(10, ref_cfg, spectrum=ref_spectrum, initial=start, grid=(600, 31))
+    assert (tr.stop_reason, tr.resorted, len(tr.iterates), len(rounds)) == (
+        "converged", True, 18, 18)
+    assert tr.final_value == pytest.approx(4779.066316738252, rel=1e-9)
+    # stops on patience: 8 rounds without a new best after the last iterate
+    rounds.clear()
+    tr = minimize_mu_j(12, ref_cfg, spectrum=ref_spectrum, initial=start, grid=(600, 31))
+    assert (tr.stop_reason, tr.resorted, len(tr.iterates), len(rounds)) == (
+        "converged", True, 17, 27)
+    assert tr.final_value == pytest.approx(10678.285891992504, rel=1e-9)
+    vals = tr.eigenvalues
+    assert (vals[-2] - vals[-1]) / vals[-1] > tr.epsilon
+    assert all(b < a for a, b in zip(vals, vals[1:]))
+
+
 def test_minimize_validates_arguments(ref_cfg, ref_spectrum):
     with pytest.raises(ValueError):
         minimize_mu_j(0, ref_cfg, spectrum=ref_spectrum)
@@ -130,6 +169,19 @@ def test_fixed_point_trial_weight_value(ref_cfg, ref_spectrum):
     assert abs(tr.eigenvalues[0] - 1.98e4) / 1.98e4 < 0.02
     nu1_uniform = ref_spectrum.nu[0].lam
     assert min(tr.eigenvalues) >= nu1_uniform
+
+
+def test_fixed_point_records_every_round(monkeypatch):
+    cfg = PlateConfig(alpha=0.1, beta=3.0)
+    spec = build_spectrum(cfg)
+    rounds = _count_rounds(monkeypatch)
+    tr = maximize_nu1_fixed_point(cfg, spectrum=spec, grid=(300, 15))
+    assert (tr.stop_reason, len(tr.iterates), len(rounds)) == ("converged", 4, 4)
+    assert tr.epsilon == 0.01
+    assert tr.final_value == pytest.approx(84883.47608454083, rel=1e-9)
+    rounds.clear()
+    tr = maximize_nu1_fixed_point(cfg, max_iters=2, spectrum=spec, grid=(300, 15))
+    assert (tr.stop_reason, len(tr.iterates), len(rounds)) == ("max_iters", 2, 2)
 
 
 def test_fixed_point_first_update_is_close(ref_cfg, ref_spectrum):
