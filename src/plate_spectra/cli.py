@@ -15,6 +15,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from . import galerkin, numerics, optimize, reference, spectrum, weights
 from .config import PlateConfig
 
@@ -53,11 +55,26 @@ def _fmt(x: float) -> str:
     return FLOAT_FMT % x
 
 
-def _grid_csv(field: weights.GridField) -> str:
+def _grid_csv(field: weights.GridField, mask=None) -> str:
+    """x,y,value lines on the field's grid, x outermost. With a boolean mask of
+    the grid's shape, the value column is its 0/1 indicator, written from the
+    two formatted values instead of the field's values."""
+    lines = ["x,y,value"]
+    if mask is not None:
+        if mask.shape != field.values.shape:
+            raise ValueError(f"mask shape {mask.shape} differs from the grid's "
+                             f"{field.values.shape}")
+        # the tail "<y>,<value>" of every line, by cell: (nx, ny) strings
+        ys = [_fmt(y) + "," for y in field.ys]
+        tails = np.where(mask, np.array([y + _fmt(1.0) for y in ys], dtype=object),
+                         np.array([y + _fmt(0.0) for y in ys], dtype=object))
+        for x, column in zip(field.xs, tails.tolist()):
+            head = _fmt(x) + ","
+            lines.append(head + ("\n" + head).join(column))
+        return "\n".join(lines) + "\n"
     # one template holds the ny lines of an x column: "%s,<y>,%.6e" each
     row = "\n".join(f"%s,{_fmt(y)},{FLOAT_FMT}" for y in field.ys)
     cells: list = [None] * (2 * field.ny)
-    lines = ["x,y,value"]
     for x, values in zip(field.xs, field.values.tolist()):
         cells[0::2] = [_fmt(x)] * field.ny
         cells[1::2] = values
@@ -192,8 +209,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         meta["threshold"] = v.threshold
         meta["tie_fraction"] = v.tie_fraction
         _atomic_write(out / "field.csv", _grid_csv(v.field))
-        indicator = weights.GridField(v.inside_mask().astype(float), v.field.ell)
-        _atomic_write(out / "sset.csv", _grid_csv(indicator))
+        _atomic_write(out / "sset.csv", _grid_csv(v.field, mask=v.inside_mask()))
     if args.sin4_compare and args.target == "min-mu" and args.j >= 2:
         meta["sin4_threshold"] = weights.pj_sin4_threshold(args.j, cfg)
         meta["sin4_threshold_exact"] = weights.sin4_level_exact(cfg)

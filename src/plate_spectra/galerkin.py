@@ -10,8 +10,13 @@ Band weights integrate in x in closed form. A sublevel weight lives on a cell
 grid, and sin(a x) sin(b x) = (cos((a-b) x) - cos((a+b) x)) / 2 reduces its x
 sums to the cosine moments sum_i cos(k x_i) p(x_i, y_j) for k = 0..2 max m: one
 matrix product, after which each y column adds an (n, n) gather. Fields on a
-grid (reconstruction, weighted norms) are one matrix product of the scaled
-sines with the y profiles.
+grid are one matrix product of the scaled sines with the y profiles.
+
+A density search solves one parity on one cell grid in every round, so the
+grid data of its basis is fixed for the whole search: a GridBasis holds the
+cell centres, the x sines, the y profiles, the cosine table and the index
+arrays of the moment gather. assemble_mass, solve_parity and expand_field take
+one through basis=; without it they build what they need for the one call.
 """
 from __future__ import annotations
 
@@ -22,9 +27,8 @@ import numpy as np
 
 from .config import PlateConfig
 from .numerics import QuadratureRule, SymMatrix, sym_eig
-from .spectrum import EVEN, ODD, HomEigenpair, HomSpectrum, profile_derivatives, profile_values
-from .weights import (GridField, Sublevel, Weight, _in_intervals, eval_weight,
-                      sqrt_mass_integral)
+from .spectrum import EVEN, ODD, HomEigenpair, HomSpectrum, profile_values
+from .weights import GridField, Sublevel, Weight, _in_intervals, sqrt_mass_integral
 
 
 class GalerkinError(Exception):
@@ -97,37 +101,108 @@ def _inner_edges(intervals, lo: float, hi: float) -> list[float]:
     return [t for a, b in intervals for t in (a, b) if lo < t < hi]
 
 
-def assemble_mass(w: Weight, spectrum: HomSpectrum, parity: str, n: int) -> SymMatrix:
-    """Weighted mass matrix C_{nm} = int_Omega p z_n z_m for one parity.
+# ---------------------------------------------------------------------------
+# grid basis
+# ---------------------------------------------------------------------------
 
-    Band weights use closed-form x integrals with the band edges as quadrature
-    breakpoints in y. Sublevel weights are integrated with the midpoint rule
-    on their own grid through cosine moments:
-    sum_i sin(m_a x_i) sin(m_b x_i) w_ij = (Mom[|m_a - m_b|, j] - Mom[m_a + m_b, j]) / 2
-    with Mom = cos(k x) @ (cell area * weight) for k = 0..2 max m, so the x
-    sums cost one (K, nx) @ (nx, ny) product. The y columns are added one at a
-    time, which holds no (n, n, ny) or (n, nx * ny) array.
-    """
+def _sines_on(pairs: list[HomEigenpair], x: np.ndarray) -> np.ndarray:
+    return np.array([np.sin(p.mode.m * x) for p in pairs])
+
+
+def _moment_tables(pairs: list[HomEigenpair], xs: np.ndarray):
+    """Frequencies m, the cosine table cos(k x_i) for k = 0..2 max m, and the
+    index arrays |m_a - m_b| and m_a + m_b of the moment gather."""
+    m = np.array([p.mode.m for p in pairs])
+    k = np.arange(2 * int(m.max()) + 1)
+    return (m, np.cos(np.outer(xs, k)),
+            np.abs(m[:, None] - m[None, :]), m[:, None] + m[None, :])
+
+
+def _pairs(spectrum: HomSpectrum, parity: str, n: int) -> list[HomEigenpair]:
     pairs = list((spectrum.mu if parity == EVEN else spectrum.nu)[:n])
     if len(pairs) < n:
         raise ValueError(f"spectrum holds {len(pairs)} {parity} modes, need {n}")
+    return pairs
+
+
+@dataclass(frozen=True, eq=False)
+class GridBasis:
+    """Grid data of the first n modes of one parity on one cell grid.
+
+    A density search builds it once and passes it to every solve and
+    expansion on its grid. Each array is built by the same expression as the
+    per-call path, so results with and without a basis are bitwise equal.
+    """
+
+    spectrum: HomSpectrum
+    parity: str
+    n: int
+    ell: float
+    xs: np.ndarray         # (nx,) cell centres
+    ys: np.ndarray         # (ny,)
+    m: np.ndarray          # (n,) x frequencies
+    sines: np.ndarray      # (n, nx) sin(m x_i)
+    profiles: np.ndarray   # (n, ny) y profiles at the cell centres
+    cos_table: np.ndarray  # (nx, 2 max m + 1) cos(k x_i)
+    diff: np.ndarray       # (n, n) |m_a - m_b|
+    tot: np.ndarray        # (n, n) m_a + m_b
+
+    @classmethod
+    def build(cls, spectrum: HomSpectrum, parity: str, n: int,
+              grid: tuple[int, int]) -> GridBasis:
+        pairs = _pairs(spectrum, parity, n)
+        ell = spectrum.config.ell
+        shell = GridField(np.zeros(grid), ell)
+        xs, ys = shell.xs, shell.ys
+        m, cos_table, diff, tot = _moment_tables(pairs, xs)
+        return cls(spectrum, parity, n, ell, xs, ys, m, _sines_on(pairs, xs),
+                   _profiles_on(pairs, ys), cos_table, diff, tot)
+
+    def check(self, spectrum: HomSpectrum, parity: str, n: int, nx: int, ny: int,
+              ell: float) -> None:
+        """Raise ValueError unless the basis was built for this call."""
+        if spectrum is not self.spectrum:
+            raise ValueError("grid basis was built from another spectrum")
+        want = (parity, n, nx, ny, ell)
+        have = (self.parity, self.n, self.xs.size, self.ys.size, self.ell)
+        if want != have:
+            raise ValueError(f"grid basis (parity, n, nx, ny, ell) = {have} "
+                             f"does not match the call's {want}")
+
+
+def assemble_mass(w: Weight, spectrum: HomSpectrum, parity: str, n: int,
+                  basis: GridBasis | None = None) -> SymMatrix:
+    """Weighted mass matrix C_{nm} = int_Omega p z_n z_m for one parity.
+
+    Band weights use closed-form x integrals with the band edges as quadrature
+    breakpoints in y; they ignore basis. Sublevel weights are integrated with
+    the midpoint rule on their own grid through cosine moments:
+    sum_i sin(m_a x_i) sin(m_b x_i) w_ij = (Mom[|m_a - m_b|, j] - Mom[m_a + m_b, j]) / 2
+    with Mom = cos(k x) @ (cell area * weight) for k = 0..2 max m, so the x
+    sums cost one (K, nx) @ (nx, ny) product. The y columns are added one at a
+    time, which holds no (n, n, ny) or (n, nx * ny) array. The cosine table,
+    the y profiles and the gather indices come from basis, a GridBasis of
+    this parity, n and grid (ValueError if it is another), or are built here.
+    """
+    pairs = _pairs(spectrum, parity, n)
     cfg = spectrum.config
-    freqs = [p.mode.m for p in pairs]
     v = w.variant
 
     if isinstance(v, Sublevel):
         f = v.field
-        m = np.array(freqs)
+        if basis is None:
+            _, cos_table, diff, tot = _moment_tables(pairs, f.xs)
+            profs = _profiles_on(pairs, f.ys)                        # (n, ny)
+        else:
+            basis.check(spectrum, parity, n, f.nx, f.ny, f.ell)
+            cos_table, diff, tot, profs = basis.cos_table, basis.diff, basis.tot, basis.profiles
         cell_w = (0.5 * f.cell_area) * v.node_values()               # (nx, ny)
-        k = np.arange(2 * int(m.max()) + 1)
-        mom = cell_w.T @ np.cos(np.outer(f.xs, k))                   # (ny, K), halved
-        diff = np.abs(m[:, None] - m[None, :])
-        tot = m[:, None] + m[None, :]
-        profs = _profiles_on(pairs, f.ys)                            # (n, ny)
+        mom = cell_w.T @ cos_table                                   # (ny, K), halved
         mat = np.zeros((n, n))
         for j in range(f.ny):
             mat += np.outer(profs[:, j], profs[:, j]) * (mom[j, diff] - mom[j, tot])
     else:
+        freqs = [p.mode.m for p in pairs]
         rule = _y_rule(pairs, cfg, sorted(set(_inner_edges(v.y_intervals, -cfg.ell, cfg.ell))))
         y, wq = rule.nodes_weights()
         profs = _profiles_on(pairs, y)
@@ -149,9 +224,10 @@ def assemble_mass(w: Weight, spectrum: HomSpectrum, parity: str, n: int) -> SymM
 # solve
 # ---------------------------------------------------------------------------
 
-def solve_parity(w: Weight, spectrum: HomSpectrum, parity: str, n: int):
+def solve_parity(w: Weight, spectrum: HomSpectrum, parity: str, n: int,
+                 basis: GridBasis | None = None):
     """Eigenvalues, coefficient columns and the weighted mass matrix C for one
-    parity.
+    parity. basis is passed on to assemble_mass.
 
     The transformed symmetric problem M b = (1/lam) b with
     M = D^{-1/2} C D^{-1/2} is solved by LAPACK's symmetric eigensolver
@@ -160,7 +236,7 @@ def solve_parity(w: Weight, spectrum: HomSpectrum, parity: str, n: int):
     """
     pairs = (spectrum.mu if parity == EVEN else spectrum.nu)[:n]
     d = np.array([p.lam for p in pairs])
-    c = assemble_mass(w, spectrum, parity, n)
+    c = assemble_mass(w, spectrum, parity, n, basis=basis)
     d_isqrt = 1.0 / np.sqrt(d)
     m = SymMatrix(d_isqrt[:, None] * c.a * d_isqrt[None, :])
     evals, vecs = sym_eig(m)
@@ -185,20 +261,23 @@ def solve_weighted(w: Weight, spectrum: HomSpectrum, n: int | None = None) -> Ga
 # reconstruction
 # ---------------------------------------------------------------------------
 
-def _expand_on(pairs: list[HomEigenpair], coeffs: np.ndarray, xs: np.ndarray,
-               ys: np.ndarray) -> np.ndarray:
-    """sum_n coeffs_n sin(m_n x_i) profile_n(y_j) as an (x.size, y.size) array."""
-    sines = np.array([np.sin(p.mode.m * xs) for p in pairs])
-    return (coeffs[:, None] * sines).T @ _profiles_on(pairs, ys)
-
-
 def expand_field(spectrum: HomSpectrum, parity: str, coeffs: np.ndarray,
-                 grid: tuple[int, int] = (600, 31)) -> GridField:
-    """Evaluate sum coeffs_n * basis_n on a cell grid for one parity."""
-    pairs = list((spectrum.mu if parity == EVEN else spectrum.nu)[:coeffs.size])
+                 grid: tuple[int, int] = (600, 31),
+                 basis: GridBasis | None = None) -> GridField:
+    """Evaluate sum coeffs_n * basis_n on a cell grid for one parity.
+
+    The sines and y profiles come from basis, a GridBasis of this parity,
+    coeffs.size and grid (ValueError if it is another), or are built here.
+    """
     cfg = spectrum.config
-    shell = GridField(np.zeros(grid), cfg.ell)
-    return GridField(_expand_on(pairs, coeffs, shell.xs, shell.ys), cfg.ell, parity)
+    if basis is None:
+        pairs = _pairs(spectrum, parity, coeffs.size)
+        shell = GridField(np.zeros(grid), cfg.ell)
+        sines, profs = _sines_on(pairs, shell.xs), _profiles_on(pairs, shell.ys)
+    else:
+        basis.check(spectrum, parity, coeffs.size, grid[0], grid[1], cfg.ell)
+        sines, profs = basis.sines, basis.profiles
+    return GridField((coeffs[:, None] * sines).T @ profs, cfg.ell, parity)
 
 
 def reconstruct(gs: GalerkinSpectrum, spectrum: HomSpectrum, which: tuple[str, int],
@@ -213,63 +292,6 @@ def reconstruct(gs: GalerkinSpectrum, spectrum: HomSpectrum, which: tuple[str, i
         raise ValueError(f"index {index} outside 1..{gs.truncation}")
     coeffs = (gs.a_coeffs if parity == EVEN else gs.b_coeffs)[:, index - 1]
     return expand_field(spectrum, parity, coeffs, grid)
-
-
-# ---------------------------------------------------------------------------
-# quadrature checks (independent of the assembly path)
-# ---------------------------------------------------------------------------
-
-def _x_rule_for(freqs: list[int], x_breakpoints=()) -> QuadratureRule:
-    # panels small enough that GL24 resolves the fastest sin(m x) products
-    fmax = 2 * max(freqs)
-    pieces = max(4, int(math.ceil(fmax / 12.0)))
-    inner = set(np.linspace(0.0, math.pi, pieces + 1)[1:-1])
-    inner.update(t for t in x_breakpoints if 0.0 < t < math.pi)
-    return QuadratureRule(0.0, math.pi, order=24, breakpoints=tuple(sorted(inner)))
-
-
-def weighted_l2_sq(pairs: list[HomEigenpair], coeffs: np.ndarray, w: Weight,
-                   cfg: PlateConfig) -> float:
-    """|| sqrt(p) u ||_2^2 for u = sum coeffs_n z_n, by direct quadrature."""
-    v = w.variant
-    if isinstance(v, Sublevel):
-        f = v.field
-        u = _expand_on(pairs, coeffs, f.xs, f.ys)
-        return float(np.sum(v.node_values() * u * u) * f.cell_area)
-
-    freqs = [p.mode.m for p in pairs]
-    rx = _x_rule_for(freqs, _inner_edges(v.x_intervals, 0.0, math.pi))
-    ry = _y_rule(pairs, cfg, sorted(set(_inner_edges(v.y_intervals, -cfg.ell, cfg.ell))))
-    x, wx = rx.nodes_weights()
-    y, wy = ry.nodes_weights()
-    u = _expand_on(pairs, coeffs, x, y)
-    pv = eval_weight(w, x[:, None], y[None, :])
-    return float(wx @ (pv * u * u) @ wy)
-
-
-def h2_energy(pairs: list[HomEigenpair], coeffs: np.ndarray, cfg: PlateConfig) -> float:
-    """|| u ||_{H}^2 for u = sum coeffs_n z_n: the plate quadratic form
-    int [ (Lap u)^2 + 2(1-sigma)(u_xy^2 - u_xx u_yy) ], by quadrature."""
-    freqs = [p.mode.m for p in pairs]
-    rx = _x_rule_for(freqs)
-    ry = _y_rule(pairs, cfg, ())
-    x, wx = rx.nodes_weights()
-    y, wy = ry.nodes_weights()
-    sin_m = np.array([np.sin(p.mode.m * x) for p in pairs])
-    cos_m = np.array([np.cos(p.mode.m * x) for p in pairs])
-    f0 = np.empty((len(pairs), y.size))
-    f1 = np.empty_like(f0)
-    f2 = np.empty_like(f0)
-    for i, p in enumerate(pairs):
-        f0[i], f1[i], f2[i] = profile_derivatives(p, y)
-    m2 = np.array([float(p.mode.m) ** 2 for p in pairs])
-    m1 = np.sqrt(m2)
-    u_xx = np.einsum("n,ni,nj->ij", -coeffs * m2, sin_m, f0)
-    u_yy = np.einsum("n,ni,nj->ij", coeffs, sin_m, f2)
-    u_xy = np.einsum("n,ni,nj->ij", coeffs * m1, cos_m, f1)
-    lap = u_xx + u_yy
-    integrand = lap ** 2 + 2.0 * (1.0 - cfg.sigma) * (u_xy ** 2 - u_xx * u_yy)
-    return float(wx @ integrand @ wy)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Numerical kernels: bracketed bisection for one bracket (``find_root``) or
-for an array of brackets at once (``find_roots``), Gauss-Legendre tensor
+for an array of brackets at once (``find_roots``), Gauss-Legendre
 quadrature with breakpoints (reference rules cached per order), and the dense
 symmetric eigensolve (LAPACK ``eigh``).
 """
@@ -191,19 +191,6 @@ def integrate_1d(f: Callable[[np.ndarray], np.ndarray], rule: QuadratureRule) ->
     if not np.all(np.isfinite(vals)):
         raise NonFinite("non-finite integrand sample in integrate_1d")
     return float(w @ vals)
-
-
-def integrate_2d(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                 rule_x: QuadratureRule, rule_y: QuadratureRule) -> float:
-    """Tensor-product integral of f(x, y). f must broadcast over ndarrays."""
-    x, wx = rule_x.nodes_weights()
-    y, wy = rule_y.nodes_weights()
-    vals = np.asarray(f(x[:, None], y[None, :]), dtype=float)
-    if vals.shape != (x.size, y.size):
-        vals = np.broadcast_to(vals, (x.size, y.size))
-    if not np.all(np.isfinite(vals)):
-        raise NonFinite("non-finite integrand sample in integrate_2d")
-    return float(wx @ vals @ wy)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import PlateConfig
-from .galerkin import expand_field, solve_parity, solve_weighted
+from .galerkin import GridBasis, expand_field, solve_parity, solve_weighted
 from .spectrum import EVEN, ODD, HomSpectrum, build_spectrum, eval_eigenfunction, known_j0
 from .weights import (GridField, Sublevel, Weight, field_values_json, fill_values,
                       make_breve_p, make_doublebar_p, make_pbar_j, make_tilde_p,
@@ -97,13 +97,6 @@ def rearrange_max(fld: GridField, cfg: PlateConfig) -> Weight:
                   cfg.alpha, cfg.beta)
 
 
-def rearrangement_value(w: Weight, fld: GridField) -> float:
-    """J(p) = int p u^2 in the field's grid measure (p sampled at cell centers)."""
-    from .weights import eval_weight
-    pv = eval_weight(w, fld.xs[:, None], fld.ys[None, :])
-    return float(np.sum(pv * fld.values) * fld.cell_area)
-
-
 def _same_sublevel(a: Weight, b: Weight) -> bool:
     """Same dense set, threshold and tie fraction (symmetric in a and b)."""
     va, vb = a.variant, b.variant
@@ -126,19 +119,26 @@ def _search(target: str, cfg: PlateConfig, spectrum: HomSpectrum, parity: str,
 
     Each round solves the weighted problem of one parity, follows the j-th
     eigenvector by weighted overlap, and rearranges against a relaxed running
-    average of the eigenfunction's square. record(iterates, w, value) decides
-    which values become iterates and returns a stop reason or None;
-    settled(w, w_next) says when two consecutive dense sets count as equal.
+    average of the eigenfunction's square. record(iterates, w, value) gets the
+    weight's own j-th eigenvalue, decides which values become iterates and
+    returns a stop reason or None; settled(w, w_next) says when two
+    consecutive dense sets count as equal. The grid basis is built once: every
+    expansion and every solve of a weight on the search grid uses it.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    basis = GridBasis.build(spectrum, parity, n, grid)
     iterates: list[tuple[Weight, float]] = []
     resorted = False
     prev_vec: np.ndarray | None = None
     g_field: np.ndarray | None = None
 
     for _ in range(max_iters):
-        lam, coeffs, mass = solve_parity(w, spectrum, parity, n)
+        v = w.variant
+        on_grid = isinstance(v, Sublevel) and (v.field.nx, v.field.ny, v.field.ell) == (
+            basis.xs.size, basis.ys.size, basis.ell)
+        lam, coeffs, mass = solve_parity(w, spectrum, parity, n,
+                                         basis=basis if on_grid else None)
         idx = j - 1
         if prev_vec is not None and j > 1:
             overlaps = np.abs(prev_vec @ mass.a @ coeffs)
@@ -150,12 +150,12 @@ def _search(target: str, cfg: PlateConfig, spectrum: HomSpectrum, parity: str,
                 # tracked mode slid into the lower block: follow it
                 idx = closest
                 resorted = True
-        stop = record(iterates, w, float(lam[idx]))
+        stop = record(iterates, w, float(lam[j - 1]))
         if stop:
             break
 
         prev_vec = coeffs[:, idx]
-        u = expand_field(spectrum, parity, prev_vec, grid)
+        u = expand_field(spectrum, parity, prev_vec, grid, basis=basis)
         u_sq = u.values ** 2
         g_field = u_sq if g_field is None else (
             (1.0 - relaxation) * g_field + relaxation * u_sq)
@@ -314,25 +314,6 @@ def mu_upper_bound(w: Weight, j: int, cfg: PlateConfig) -> float:
     if min(norms) <= 0.0:
         raise OptimizeError("degenerate weighted trial norm")
     return max(float(j) ** 3 * cfg.area / v for v in norms)
-
-
-def mu_upper_bound_forms(w: Weight, j: int, cfg: PlateConfig,
-                         periodic: bool = False) -> tuple[float, float | None]:
-    """(general bound, periodic-form bound or None).
-
-    For pi/j-periodic weights the two expressions agree: the total trial norm
-    splits evenly over the period cells.
-    """
-    general = mu_upper_bound(w, j, cfg)
-    if not periodic:
-        return general, None
-    total = _weighted_sin4_cell(w, j, 0.0, math.pi, cfg)
-    per = float(j) ** 4 * cfg.area / total
-    if abs(per - general) > 1e-10 * max(abs(per), abs(general)):
-        raise OptimizeError(
-            f"periodic-form bound {per!r} disagrees with the general bound "
-            f"{general!r}; weight is not pi/{j}-periodic")
-    return general, per
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,118 @@
+"""Reference computations the tests check the package against.
+
+Each one takes an independent route (Gauss-Legendre quadrature in x and y, a
+direct cell sum, or a second form of a closed-form bound), so nothing in the
+package calls them.
+"""
+from __future__ import annotations
+
+import math
+from typing import Callable
+
+import numpy as np
+
+from plate_spectra.config import PlateConfig
+from plate_spectra.galerkin import _inner_edges, _y_rule
+from plate_spectra.numerics import NonFinite, QuadratureRule
+from plate_spectra.optimize import OptimizeError, _weighted_sin4_cell, mu_upper_bound
+from plate_spectra.spectrum import HomEigenpair, profile_derivatives, profile_values
+from plate_spectra.weights import GridField, Sublevel, Weight, eval_weight
+
+
+def integrate_2d(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                 rule_x: QuadratureRule, rule_y: QuadratureRule) -> float:
+    """Tensor-product integral of f(x, y). f must broadcast over ndarrays."""
+    x, wx = rule_x.nodes_weights()
+    y, wy = rule_y.nodes_weights()
+    vals = np.asarray(f(x[:, None], y[None, :]), dtype=float)
+    if vals.shape != (x.size, y.size):
+        vals = np.broadcast_to(vals, (x.size, y.size))
+    if not np.all(np.isfinite(vals)):
+        raise NonFinite("non-finite integrand sample in integrate_2d")
+    return float(wx @ vals @ wy)
+
+
+def _x_rule_for(freqs: list[int], x_breakpoints=()) -> QuadratureRule:
+    # panels small enough that GL24 resolves the fastest sin(m x) products
+    fmax = 2 * max(freqs)
+    pieces = max(4, int(math.ceil(fmax / 12.0)))
+    inner = set(np.linspace(0.0, math.pi, pieces + 1)[1:-1])
+    inner.update(t for t in x_breakpoints if 0.0 < t < math.pi)
+    return QuadratureRule(0.0, math.pi, order=24, breakpoints=tuple(sorted(inner)))
+
+
+def _expand(pairs: list[HomEigenpair], coeffs: np.ndarray, x: np.ndarray,
+            y: np.ndarray) -> np.ndarray:
+    """sum_n coeffs_n sin(m_n x_i) profile_n(y_j) as an (x.size, y.size) array."""
+    sines = np.array([np.sin(p.mode.m * x) for p in pairs])
+    profiles = np.array([profile_values(p, y) for p in pairs])
+    return (coeffs[:, None] * sines).T @ profiles
+
+
+def weighted_l2_sq(pairs: list[HomEigenpair], coeffs: np.ndarray, w: Weight,
+                   cfg: PlateConfig) -> float:
+    """|| sqrt(p) u ||_2^2 for u = sum coeffs_n z_n, by direct quadrature."""
+    v = w.variant
+    if isinstance(v, Sublevel):
+        f = v.field
+        u = _expand(pairs, coeffs, f.xs, f.ys)
+        return float(np.sum(v.node_values() * u * u) * f.cell_area)
+
+    freqs = [p.mode.m for p in pairs]
+    rx = _x_rule_for(freqs, _inner_edges(v.x_intervals, 0.0, math.pi))
+    ry = _y_rule(pairs, cfg, sorted(set(_inner_edges(v.y_intervals, -cfg.ell, cfg.ell))))
+    x, wx = rx.nodes_weights()
+    y, wy = ry.nodes_weights()
+    u = _expand(pairs, coeffs, x, y)
+    pv = eval_weight(w, x[:, None], y[None, :])
+    return float(wx @ (pv * u * u) @ wy)
+
+
+def h2_energy(pairs: list[HomEigenpair], coeffs: np.ndarray, cfg: PlateConfig) -> float:
+    """|| u ||_{H}^2 for u = sum coeffs_n z_n: the plate quadratic form
+    int [ (Lap u)^2 + 2(1-sigma)(u_xy^2 - u_xx u_yy) ], by quadrature."""
+    freqs = [p.mode.m for p in pairs]
+    rx = _x_rule_for(freqs)
+    ry = _y_rule(pairs, cfg, ())
+    x, wx = rx.nodes_weights()
+    y, wy = ry.nodes_weights()
+    sin_m = np.array([np.sin(p.mode.m * x) for p in pairs])
+    cos_m = np.array([np.cos(p.mode.m * x) for p in pairs])
+    f0 = np.empty((len(pairs), y.size))
+    f1 = np.empty_like(f0)
+    f2 = np.empty_like(f0)
+    for i, p in enumerate(pairs):
+        f0[i], f1[i], f2[i] = profile_derivatives(p, y)
+    m2 = np.array([float(p.mode.m) ** 2 for p in pairs])
+    m1 = np.sqrt(m2)
+    u_xx = np.einsum("n,ni,nj->ij", -coeffs * m2, sin_m, f0)
+    u_yy = np.einsum("n,ni,nj->ij", coeffs, sin_m, f2)
+    u_xy = np.einsum("n,ni,nj->ij", coeffs * m1, cos_m, f1)
+    lap = u_xx + u_yy
+    integrand = lap ** 2 + 2.0 * (1.0 - cfg.sigma) * (u_xy ** 2 - u_xx * u_yy)
+    return float(wx @ integrand @ wy)
+
+
+def rearrangement_value(w: Weight, fld: GridField) -> float:
+    """J(p) = int p u^2 in the field's grid measure (p sampled at cell centers)."""
+    pv = eval_weight(w, fld.xs[:, None], fld.ys[None, :])
+    return float(np.sum(pv * fld.values) * fld.cell_area)
+
+
+def mu_upper_bound_forms(w: Weight, j: int, cfg: PlateConfig,
+                         periodic: bool = False) -> tuple[float, float | None]:
+    """(general bound, periodic-form bound or None).
+
+    For pi/j-periodic weights the two expressions agree: the total trial norm
+    splits evenly over the period cells.
+    """
+    general = mu_upper_bound(w, j, cfg)
+    if not periodic:
+        return general, None
+    total = _weighted_sin4_cell(w, j, 0.0, math.pi, cfg)
+    per = float(j) ** 4 * cfg.area / total
+    if abs(per - general) > 1e-10 * max(abs(per), abs(general)):
+        raise OptimizeError(
+            f"periodic-form bound {per!r} disagrees with the general bound "
+            f"{general!r}; weight is not pi/{j}-periodic")
+    return general, per

@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 
 from conftest import random_band_weight, random_grid_weight
+from oracles import rearrangement_value
 from plate_spectra import PlateConfig
 from plate_spectra.galerkin import merged_eigenvalues, solve_weighted, weyl_diagnostic
 from plate_spectra.optimize import (default_study_weights, minimize_mu_j,
                                     mu_upper_bound, ratio_study, rearrange_max,
-                                    rearrange_min, rearrangement_value)
+                                    rearrange_min)
 from plate_spectra.spectrum import (Mode, NotAdmissible, build_spectrum, check_c0,
                                     find_hom_eigenvalue, torsional_first_exists)
 from plate_spectra.weights import (GridField, make_uniform, pj_sin4_threshold,

@@ -92,6 +92,17 @@ def test_grid_csv_matches_per_cell_formatting():
     assert _grid_csv(fld) == "\n".join(lines) + "\n"
 
 
+@pytest.mark.parametrize("shape", [(4, 3), (37, 9), (600, 31)])
+def test_grid_csv_mask_matches_indicator_field(shape):
+    rng = np.random.default_rng(shape[0])
+    fld = GridField(rng.normal(size=shape), 0.01)
+    for mask in (rng.random(shape) < 0.4, rng.random(shape) < 0.9,
+                 np.ones(shape, dtype=bool), np.zeros(shape, dtype=bool)):
+        assert _grid_csv(fld, mask=mask) == _grid_csv(GridField(mask.astype(float), fld.ell))
+    with pytest.raises(ValueError, match="mask shape"):
+        _grid_csv(fld, mask=np.ones((shape[0], shape[1] + 2), dtype=bool))
+
+
 def test_reference_csv_bytes_match_golden(tmp_path):
     # the golden files pin the reference-configuration output across code changes
     here = Path(__file__).parent

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,13 +6,14 @@ import pytest
 
 from conftest import random_band_weight, random_grid_weight
 from plate_spectra import PlateConfig
-from plate_spectra.galerkin import (_x_matrix, assemble_mass, expand_field, h2_energy,
+from oracles import h2_energy, integrate_2d, weighted_l2_sq
+from plate_spectra.galerkin import (GridBasis, _x_matrix, assemble_mass, expand_field,
                                     merged_eigenvalues, reconstruct, solve_parity,
-                                    solve_weighted, weighted_l2_sq, weyl_diagnostic)
-from plate_spectra.numerics import QuadratureRule, integrate_2d
+                                    solve_weighted, weyl_diagnostic)
+from plate_spectra.numerics import QuadratureRule
 from plate_spectra.optimize import make_pstar
 from plate_spectra.spectrum import build_spectrum, eval_eigenfunction
-from plate_spectra.weights import (Weight, XBands, eval_weight, make_breve_p,
+from plate_spectra.weights import (GridField, Weight, XBands, eval_weight, make_breve_p,
                                    make_pbar_j, make_uniform, sqrt_mass_integral)
 
 
@@ -223,6 +225,66 @@ def test_expand_field_grid(ref_cfg, ref_spectrum):
         x, y = fld.xs[:, None], fld.ys[None, :]
         direct = sum(a * eval_eigenfunction(p, x, y) for a, p in zip(coeffs, pairs))
         assert np.abs(fld.values - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
+# ---------------------------------------------------------------------------
+# grid basis
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def spectrum_n100():
+    return build_spectrum(PlateConfig(n_modes=100))
+
+
+@pytest.mark.parametrize("grid", [(600, 31), (2400, 31)])
+@pytest.mark.parametrize("n", [12, 30, 100])
+def test_grid_basis_results_bitwise_equal(spectrum_n100, n, grid):
+    spec = spectrum_n100
+    rng = np.random.default_rng(n + grid[0])
+    w = random_grid_weight(rng, spec.config, shape=grid)
+    for parity in ("even", "odd"):
+        basis = GridBasis.build(spec, parity, n, grid)
+        assert np.array_equal(assemble_mass(w, spec, parity, n, basis=basis).a,
+                              assemble_mass(w, spec, parity, n).a)
+        for got, want in zip(solve_parity(w, spec, parity, n, basis=basis),
+                             solve_parity(w, spec, parity, n)):
+            assert np.array_equal(getattr(got, "a", got), getattr(want, "a", want))
+        coeffs = rng.normal(size=n)
+        assert np.array_equal(expand_field(spec, parity, coeffs, grid, basis=basis).values,
+                              expand_field(spec, parity, coeffs, grid).values)
+
+
+def test_grid_basis_mismatch_raises(ref_cfg, ref_spectrum):
+    grid, n = (120, 15), 12
+    w = random_grid_weight(np.random.default_rng(4), ref_cfg, shape=grid)
+    other_plate = build_spectrum(PlateConfig(sigma=0.3, n_modes=n))  # same ell
+    for basis in (GridBasis.build(ref_spectrum, "odd", n, grid),
+                  GridBasis.build(ref_spectrum, "even", n - 1, grid),
+                  GridBasis.build(ref_spectrum, "even", n, (240, 15)),
+                  GridBasis.build(ref_spectrum, "even", n, (120, 31)),
+                  GridBasis.build(other_plate, "even", n, grid)):
+        with pytest.raises(ValueError, match="grid basis"):
+            assemble_mass(w, ref_spectrum, "even", n, basis=basis)
+        with pytest.raises(ValueError, match="grid basis"):
+            solve_parity(w, ref_spectrum, "even", n, basis=basis)
+        with pytest.raises(ValueError, match="grid basis"):
+            expand_field(ref_spectrum, "even", np.ones(n), grid, basis=basis)
+    # a field declared on a plate one part in 1e12 wider: same spectrum, other ell
+    v = w.variant
+    shifted = Weight(dataclasses.replace(
+        v, field=GridField(v.field.values, v.field.ell * (1 + 1e-12), v.field.parity)),
+        w.alpha, w.beta)
+    assemble_mass(shifted, ref_spectrum, "even", n)
+    with pytest.raises(ValueError, match="ell"):
+        assemble_mass(shifted, ref_spectrum, "even", n,
+                      basis=GridBasis.build(ref_spectrum, "even", n, grid))
+
+
+def test_band_weight_ignores_grid_basis(ref_cfg, ref_spectrum):
+    basis = GridBasis.build(ref_spectrum, "odd", 5, (60, 3))  # fits no call below
+    for w in (make_uniform(ref_cfg), make_pbar_j(10, ref_cfg), make_breve_p(ref_cfg)):
+        assert np.array_equal(assemble_mass(w, ref_spectrum, "even", 20, basis=basis).a,
+                              assemble_mass(w, ref_spectrum, "even", 20).a)
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import random_band_weight, random_grid_weight
+from oracles import mu_upper_bound_forms, rearrangement_value
 from plate_spectra import PlateConfig, build_spectrum
 from plate_spectra.galerkin import solve_parity
 from plate_spectra.optimize import (OptimizeError, default_study_weights, make_pstar,
                                     maximize_nu1_fixed_point, minimize_mu_j,
-                                    mu_upper_bound, mu_upper_bound_forms,
-                                    ratio_report_to_csv, ratio_study, rearrange_max,
-                                    rearrange_min, rearrangement_value,
+                                    mu_upper_bound, ratio_report_to_csv, ratio_study,
+                                    rearrange_max, rearrange_min,
                                     symmetric_difference_area, trace_to_jsonl)
 from plate_spectra.weights import (GridField, Sublevel, eval_weight, make_doublebar_p,
                                    make_pbar_j, make_uniform,
@@ -128,27 +128,80 @@ def _count_rounds(monkeypatch):
 
 
 def test_minimize_follows_mode_that_slides_down(ref_cfg, ref_spectrum, monkeypatch):
-    # a seeded x-band start whose tracked mode is re-identified by overlap;
-    # the counts and values are pinned from the two hand-written loops the
-    # shared search replaced
+    # a seeded x-band start whose tracked mode is re-identified by overlap: the
+    # search steers by the tracked eigenvector but records each weight's own
+    # mu_j, not the eigenvalue of the mode it follows
     rng = np.random.default_rng(7)
     start = [random_band_weight(rng, ref_cfg) for _ in range(17)][-1]
     assert type(start.variant).__name__ == "XBands"
     rounds = _count_rounds(monkeypatch)
-    # stops on epsilon: every round brings a new best
-    tr = minimize_mu_j(10, ref_cfg, spectrum=ref_spectrum, initial=start, grid=(600, 31))
-    assert (tr.stop_reason, tr.resorted, len(tr.iterates), len(rounds)) == (
-        "converged", True, 18, 18)
-    assert tr.final_value == pytest.approx(4779.066316738252, rel=1e-9)
-    # stops on patience: 8 rounds without a new best after the last iterate
-    rounds.clear()
-    tr = minimize_mu_j(12, ref_cfg, spectrum=ref_spectrum, initial=start, grid=(600, 31))
-    assert (tr.stop_reason, tr.resorted, len(tr.iterates), len(rounds)) == (
-        "converged", True, 17, 27)
-    assert tr.final_value == pytest.approx(10678.285891992504, rel=1e-9)
-    vals = tr.eigenvalues
-    assert (vals[-2] - vals[-1]) / vals[-1] > tr.epsilon
-    assert all(b < a for a, b in zip(vals, vals[1:]))
+    for j in (10, 12):
+        rounds.clear()
+        tr = minimize_mu_j(j, ref_cfg, spectrum=ref_spectrum, initial=start, grid=(600, 31))
+        # two new bests in the first two rounds, then PATIENCE = 8 rounds without one
+        assert (tr.stop_reason, tr.resorted, len(tr.iterates), len(rounds)) == (
+            "converged", True, 2, 10)
+        assert tr.final_value == solve_parity(tr.final_weight, ref_spectrum, "even", 30)[0][j - 1]
+        for w, value in tr.iterates:
+            assert value == solve_parity(w, ref_spectrum, "even", 30)[0][j - 1]
+        vals = tr.eigenvalues
+        assert all(b < a for a, b in zip(vals, vals[1:]))
+
+
+def test_one_grid_basis_per_search(ref_cfg, ref_spectrum, monkeypatch):
+    from plate_spectra import optimize
+    from plate_spectra.galerkin import GridBasis
+    built, solved, expanded = [], [], []
+    build, solve, expand = GridBasis.build, optimize.solve_parity, optimize.expand_field
+
+    def counted_build(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    def counted_solve(*args, basis=None, **kwargs):
+        solved.append(basis)
+        return solve(*args, basis=basis, **kwargs)
+
+    def counted_expand(*args, basis=None, **kwargs):
+        expanded.append(basis)
+        return expand(*args, basis=basis, **kwargs)
+
+    monkeypatch.setattr(GridBasis, "build", counted_build)
+    monkeypatch.setattr(optimize, "solve_parity", counted_solve)
+    monkeypatch.setattr(optimize, "expand_field", counted_expand)
+    cfg = PlateConfig(alpha=0.1, beta=3.0)  # a fixed point that takes 4 rounds
+    for search, parity, grid in (
+            (lambda: minimize_mu_j(3, ref_cfg, spectrum=ref_spectrum, grid=(600, 31)),
+             "even", (600, 31)),
+            (lambda: maximize_nu1_fixed_point(cfg, grid=(300, 15)), "odd", (300, 15))):
+        built.clear(), solved.clear(), expanded.clear()
+        search()
+        assert len(built) == 1 and len(solved) > 2
+        basis = built[0]
+        assert (basis.parity, basis.xs.size, basis.ys.size) == (parity, *grid)
+        # the band start (uniform; pstar lives on the grid) is solved without it
+        assert solved[1:] == [basis] * (len(solved) - 1)
+        assert solved[0] is (None if parity == "even" else basis)
+        assert expanded == [basis] * len(expanded)
+
+
+def test_minimize_from_start_on_another_grid(ref_cfg, ref_spectrum, monkeypatch):
+    # the start is solved on its own 600x31 grid, every later round on the
+    # 2400x31 basis; the result matches the path that builds everything per call
+    from plate_spectra import optimize
+    start = random_grid_weight(np.random.default_rng(5), ref_cfg, shape=(600, 31))
+    tr = minimize_mu_j(4, ref_cfg, spectrum=ref_spectrum, initial=start, grid=(2400, 31))
+    assert tr.iterates[0][0] is start
+    assert tr.final_value == pytest.approx(186.3119770143048, rel=1e-9)
+    solve, expand = optimize.solve_parity, optimize.expand_field
+    monkeypatch.setattr(optimize, "solve_parity",
+                        lambda *args, basis=None, **kwargs: solve(*args, **kwargs))
+    monkeypatch.setattr(optimize, "expand_field",
+                        lambda *args, basis=None, **kwargs: expand(*args, **kwargs))
+    ref = minimize_mu_j(4, ref_cfg, spectrum=ref_spectrum, initial=start, grid=(2400, 31))
+    assert (tr.stop_reason, tr.eigenvalues) == (ref.stop_reason, ref.eigenvalues)
+    assert np.array_equal(tr.final_weight.variant.node_values(),
+                          ref.final_weight.variant.node_values())
 
 
 def test_minimize_validates_arguments(ref_cfg, ref_spectrum):

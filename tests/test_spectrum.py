@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import h2_energy, integrate_2d
 from plate_spectra import PlateConfig
-from plate_spectra.galerkin import h2_energy
-from plate_spectra.numerics import QuadratureRule, integrate_2d
+from plate_spectra.numerics import QuadratureRule
 from plate_spectra.spectrum import (C0Violated, BranchMismatch, Mode, NotAdmissible,
                                     build_spectrum, characteristic_det, check_c0,
                                     eval_eigenfunction, find_hom_eigenvalue,
