@@ -55,31 +55,90 @@ def _fmt(x: float) -> str:
     return FLOAT_FMT % x
 
 
+# Grid CSVs are built from 16-byte cells: the separator that precedes the
+# number, "-" or a NUL, two NULs and the 12 characters "d.dddddde+XX" of
+# FLOAT_FMT as three 4-character words. The NULs are dropped at the end.
+def _words(strings) -> np.ndarray:
+    return np.frombuffer("".join(strings).encode("ascii"), dtype=np.uint32)
+
+
+def _digit_words() -> tuple[np.ndarray, np.ndarray]:
+    """The words "d.dd" for 0 .. 999 and "dddd" for 0 .. 9999."""
+    pairs = (48 + np.arange(100)[:, None] // [10, 1] % 10).astype(np.uint8)  # "00" .. "99"
+    lead = np.empty((10, 100, 4), dtype=np.uint8)
+    lead[..., 0] = 48 + np.arange(10)[:, None]
+    lead[..., 1] = ord(".")
+    lead[..., 2:] = pairs
+    tail = np.empty((100, 100, 4), dtype=np.uint8)
+    tail[..., :2] = pairs[:, None]
+    tail[..., 2:] = pairs
+    return lead.view(np.uint32).ravel(), tail.view(np.uint32).ravel()
+
+
+_LEAD, _TAIL = _digit_words()
+_EXP = _words(f"e{e:+03d}" for e in range(-99, 100))                  # "e+XX"
+_POW10 = np.array([float(f"1e{6 - e}") for e in range(-99, 100)])    # 10**(6-e), rounded
+_ROWS_PER_BLOCK = 256   # x rows formatted at a time, which bounds the temporaries
+
+
+def _cells(values: np.ndarray, sep: str) -> np.ndarray:
+    """sep + FLOAT_FMT % v for every v, as NUL-padded 16-byte cells (dtype V16).
+
+    A value of magnitude in [1e-98, 1e99) with e = floor(log10|v|) is scaled
+    to y = |v| * 10**(6 - e) in [1e6, 1e7]. The scale factor and the product
+    are each correctly rounded, so y lies within 3e-9 of the exact scaled
+    value, and rint(y) holds the seven digits FLOAT_FMT prints (the exact
+    binary value correctly rounded) unless y is within 1e-7 of a .5 tie.
+    Near-ties, subnormals, 3-digit exponents and non-finite values are
+    formatted one by one with FLOAT_FMT.
+    """
+    v = np.asarray(values, dtype=float)
+    a = np.abs(v)
+    fast = (a >= 1e-98) & (a < 1e99)
+    e = np.floor(np.log10(np.where(fast, a, 1.0))).astype(np.intp)
+    y = np.where(fast, a, 0.0) * _POW10[e + 99]
+    r = np.rint(y)
+    # where log10 rounds across a power of ten, r falls outside [1e6, 1e7]
+    ok = fast & (np.abs(y - r) < 0.5 - 1e-7) & (r >= 1e6) & (r <= 1e7)
+    carry = r == 1e7                               # 9.9999996 prints as 1.000000e+01
+    digits = np.where(ok, r - 9e6 * carry, 0.0).astype(np.intp)
+    e = np.where(ok, e + carry, 0)                 # +-0 prints as digits 0, e+00
+    out = np.empty(v.shape + (4,), dtype=np.uint32)
+    out[..., 0] = np.where(np.signbit(v), *_words([sep + "-\0\0", sep + "\0\0\0"]))
+    out[..., 1] = _LEAD[digits // 10000]
+    out[..., 2] = _TAIL[digits % 10000]
+    out[..., 3] = _EXP[e + 99]
+    cells = out.view("V16")[..., 0]
+    slow = ~ok & (v != 0)
+    if slow.any():
+        cells[slow] = np.array([(sep + FLOAT_FMT % x).encode("ascii") for x in v[slow]],
+                               dtype="S16").view("V16")
+    return cells
+
+
 def _grid_csv(field: weights.GridField, mask=None) -> str:
-    """x,y,value lines on the field's grid, x outermost. With a boolean mask of
-    the grid's shape, the value column is its 0/1 indicator, written from the
-    two formatted values instead of the field's values."""
-    lines = ["x,y,value"]
+    """x,y,value lines on the field's grid, x outermost, every number as
+    FLOAT_FMT. With a boolean mask of the grid's shape, the value column is its
+    0/1 indicator instead of the field's values."""
     if mask is not None:
         if mask.shape != field.values.shape:
             raise ValueError(f"mask shape {mask.shape} differs from the grid's "
                              f"{field.values.shape}")
-        # the tail "<y>,<value>" of every line, by cell: (nx, ny) strings
-        ys = [_fmt(y) + "," for y in field.ys]
-        tails = np.where(mask, np.array([y + _fmt(1.0) for y in ys], dtype=object),
-                         np.array([y + _fmt(0.0) for y in ys], dtype=object))
-        for x, column in zip(field.xs, tails.tolist()):
-            head = _fmt(x) + ","
-            lines.append(head + ("\n" + head).join(column))
-        return "\n".join(lines) + "\n"
-    # one template holds the ny lines of an x column: "%s,<y>,%.6e" each
-    row = "\n".join(f"%s,{_fmt(y)},{FLOAT_FMT}" for y in field.ys)
-    cells: list = [None] * (2 * field.ny)
-    for x, values in zip(field.xs, field.values.tolist()):
-        cells[0::2] = [_fmt(x)] * field.ny
-        cells[1::2] = values
-        lines.append(row % tuple(cells))
-    return "\n".join(lines) + "\n"
+        zero, one = _cells(np.array([0.0, 1.0]), ",")
+    xs = _cells(field.xs, "\n")
+    ys = _cells(field.ys, ",")
+    # each line starts with its newline: "x,y,value" "\nx,y,v" ... "\n"
+    parts = ["x,y,value"]
+    for i in range(0, field.nx, _ROWS_PER_BLOCK):
+        rows = slice(i, i + _ROWS_PER_BLOCK)
+        block = np.empty((len(xs[rows]), field.ny, 3), dtype="V16")
+        block[..., 0] = xs[rows, None]
+        block[..., 1] = ys
+        block[..., 2] = (np.where(mask[rows], one, zero) if mask is not None
+                         else _cells(field.values[rows], ","))
+        parts.append(block.tobytes().translate(None, b"\0").decode("ascii"))
+    parts.append("\n")
+    return "".join(parts)
 
 
 def _config_from(args: argparse.Namespace) -> PlateConfig:

@@ -71,6 +71,8 @@ def _check_rearrange_field(fld: GridField) -> None:
     v = fld.values
     if float(v.min()) < -1e-12 * max(1.0, float(np.max(np.abs(v)))):
         raise ValueError("rearrangement field must be nonnegative")
+    if fld.parity == "even":   # GridField checked it on construction, to the same tolerance
+        return
     resid = float(np.max(np.abs(v - v[:, ::-1])))
     if resid > 1e-10 * max(1.0, float(np.max(np.abs(v)))):
         raise ValueError(f"rearrangement field must be y-even (residual {resid:.3e})")

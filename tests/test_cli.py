@@ -9,6 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from plate_spectra import PlateConfig
 from plate_spectra.cli import _atomic_write, _grid_csv
@@ -80,16 +83,50 @@ def test_ratio_table_j0_beyond_default_truncation(tmp_path):
                        "ptilde"]
 
 
+def per_cell_csv(fld: GridField, values) -> str:
+    """The x,y,value layout formatted one cell at a time."""
+    lines = ["x,y,value"]
+    for i in range(fld.nx):
+        for j in range(fld.ny):
+            lines.append(f"{fld.xs[i]:.6e},{fld.ys[j]:.6e},{values[i, j]:.6e}")
+    return "\n".join(lines) + "\n"
+
+
 def test_grid_csv_matches_per_cell_formatting():
     values = np.array([[-1.5, 1e-300, 0.0], [-0.0, 2.5e-17, -3.25e12],
                        [7.0, -1e-9, 123456789.0], [1.0, 0.0, -2.0]])
     fld = GridField(values, 0.01)
-    fmt = "%.6e"
-    lines = ["x,y,value"]
-    for i in range(fld.nx):
-        for j in range(fld.ny):
-            lines.append(f"{fmt % fld.xs[i]},{fmt % fld.ys[j]},{fmt % fld.values[i, j]}")
-    assert _grid_csv(fld) == "\n".join(lines) + "\n"
+    assert _grid_csv(fld) == per_cell_csv(fld, values)
+
+
+def _grid(values, ny):
+    return np.asarray(values, dtype=float).reshape(-1, ny)
+
+
+# values within 1e-7 of a rounding tie in the 7th digit: exact .5 ties and
+# their neighbours, which the digit kernel hands to the per-value fallback
+_TIES = np.array([(k + 0.5) * 10.0 ** (e - 6) for k in (1000000, 1234567, 9999999)
+                  for e in (-98, -17, 0, 22, 98)])
+_TIES = np.concatenate([_TIES, np.nextafter(_TIES, 0.0), np.nextafter(_TIES, np.inf)])
+_POWERS = 10.0 ** np.arange(-323, 309)
+
+
+@settings(deadline=None)
+@given(values=arrays(np.float64, st.tuples(st.integers(1, 8),
+                                           st.integers(0, 5).map(lambda k: 2 * k + 1)),
+                     elements=st.floats(allow_nan=False, allow_infinity=False)),
+       ell=st.floats(1e-4, 2.0))
+@example(values=_grid(_TIES, 3), ell=0.01)
+@example(values=_grid([0.0, -0.0, 0.0, -0.0, -0.0, 0.0], 3), ell=0.01)
+@example(values=_grid([5e-324, -5e-324, 2.225073858507201e-308, -1e-310, 1e-320,
+                       2.2250738585072014e-308], 3), ell=0.01)
+@example(values=_grid([1e100, -1.7976931348623157e308, 1e-100, 9.9999996e99,
+                       -9.99999949e98, 1e-99, 9.9999996e98, 1.0000000e-98, 1e99], 3),
+         ell=0.01)
+@example(values=_grid(np.concatenate([_POWERS, -_POWERS]), 79), ell=math.pi / 150)
+def test_grid_csv_matches_per_cell_formatting_property(values, ell):
+    fld = GridField(values, ell)
+    assert _grid_csv(fld) == per_cell_csv(fld, values)
 
 
 @pytest.mark.parametrize("shape", [(4, 3), (37, 9), (600, 31)])
@@ -98,9 +135,27 @@ def test_grid_csv_mask_matches_indicator_field(shape):
     fld = GridField(rng.normal(size=shape), 0.01)
     for mask in (rng.random(shape) < 0.4, rng.random(shape) < 0.9,
                  np.ones(shape, dtype=bool), np.zeros(shape, dtype=bool)):
-        assert _grid_csv(fld, mask=mask) == _grid_csv(GridField(mask.astype(float), fld.ell))
+        assert _grid_csv(fld, mask=mask) == per_cell_csv(fld, mask.astype(float))
     with pytest.raises(ValueError, match="mask shape"):
         _grid_csv(fld, mask=np.ones((shape[0], shape[1] + 2), dtype=bool))
+
+
+@pytest.mark.parametrize("target", [["max-nu1"], ["min-mu", "--j", "3"]])
+def test_optimize_grid_csvs_match_final_weight(tmp_path, target):
+    # expected bytes come from this run's own final weight, not from stored
+    # outputs, so the test holds whatever digits the BLAS in use produces
+    proc = run_cli("optimize", "--target", *target, "--grid", "60", "31",
+                   "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    spec = json.loads((tmp_path / "final_weight.json").read_text())["parameters"]
+    f = spec["field"]
+    values = np.array(f["values"]).reshape(f["nx"], f["ny"])
+    assert (f["nx"], f["ny"]) == (60, 31)
+    fld = GridField(values, f["ell"])
+    assert (tmp_path / "field.csv").read_text() == per_cell_csv(fld, values)
+    inside = (values <= spec["threshold"]).astype(float)
+    assert 0 < inside.sum() < inside.size
+    assert (tmp_path / "sset.csv").read_text() == per_cell_csv(fld, inside)
 
 
 def test_reference_csv_bytes_match_golden(tmp_path):

@@ -32,6 +32,18 @@ def test_rearrange_constant_field_degenerate(ref_cfg):
         assert validate(w, ref_cfg).passed
 
 
+@pytest.mark.parametrize("rearr", [rearrange_min, rearrange_max])
+def test_rearrange_rejects_negative_or_uneven_field(ref_cfg, rearr):
+    vals = np.random.default_rng(5).random((40, 7))
+    even = vals + vals[:, ::-1]
+    assert validate(rearr(GridField(even, ref_cfg.ell), ref_cfg), ref_cfg).passed
+    for parity in (None, "even"):
+        with pytest.raises(ValueError, match="nonnegative"):
+            rearr(GridField(even - 0.5 * even.max(), ref_cfg.ell, parity), ref_cfg)
+    with pytest.raises(ValueError, match="y-even"):
+        rearr(GridField(vals, ref_cfg.ell), ref_cfg)
+
+
 def test_rearrange_orientation(ref_cfg):
     fld = sample_field(lambda x, y: np.sin(x) ** 2 + 0.0 * y, ref_cfg, 301, 11,
                        parity="even")
