@@ -204,7 +204,12 @@ def cmd_eigs(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
     w = _load_weight(args.weight, cfg)
     spec = spectrum.build_spectrum(cfg)
-    gs = galerkin.solve_weighted(w, spec)
+    try:
+        gs = galerkin.solve_weighted(w, spec)
+    except galerkin.SingularMass as exc:
+        # admissible, but sampled too coarsely to resolve the basis
+        raise CliError(f"weight file {args.weight} cannot be solved at n_modes="
+                       f"{cfg.n_modes}: {exc}", EXIT_WEIGHT) from exc
     out = Path(args.out)
     lines = ["index,parity,value"]
     for i, v in enumerate(gs.mu_p, 1):

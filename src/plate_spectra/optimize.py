@@ -193,6 +193,8 @@ def minimize_mu_j(j: int, cfg: PlateConfig, epsilon: float = 1e-4,
     """
     if j < 1:
         raise ValueError(f"j must be >= 1, got {j}")
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     if spectrum is None:
         spectrum = build_spectrum(cfg)
     n = min(spectrum.config.n_modes, len(spectrum.mu))
@@ -403,7 +405,8 @@ def trace_to_jsonl(trace: OptimizationTrace, final_values: str | None = None) ->
             values = final_values if i == last else None
             line = fill_values(line, values or field_values_json(w))
         lines.append(line)
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def ratio_csv(labels: list[str], columns: list, fmt: str = "%.6e") -> str:

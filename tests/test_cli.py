@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from plate_spectra import PlateConfig
-from plate_spectra.cli import _atomic_write, _grid_csv
+from plate_spectra.cli import _atomic_write, _grid_csv, main
 from plate_spectra.optimize import rearrange_min
 from plate_spectra.weights import (GridField, make_breve_p, make_uniform, sample_field,
                                   weight_to_json)
@@ -240,6 +242,67 @@ def test_eigs_rejects_bad_grid_size(tmp_path, nx, ny):
     assert not (tmp_path / "eigenvalues.csv").exists()
 
 
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=3),
+                         st.floats(allow_nan=True, allow_infinity=True))
+_JSON = st.recursive(_JSON_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=6)
+_NUMBERS = st.one_of(st.sampled_from([0.5, 1.0, 1.5, 0.0, -1.0, math.pi / 150]),
+                     st.floats(allow_nan=True, allow_infinity=True), st.integers())
+_INTERVALS = st.one_of(st.lists(st.lists(_NUMBERS, min_size=2, max_size=2), max_size=3), _JSON)
+_FIELD = st.fixed_dictionaries(
+    {"nx": st.one_of(st.integers(-1, 3), _JSON), "ny": st.one_of(st.integers(-1, 3), _JSON),
+     "ell": _NUMBERS, "values": st.one_of(st.lists(_NUMBERS, max_size=9), _JSON)},
+    optional={"parity": st.sampled_from(["even", "odd", None, "sideways"])})
+_KEYS = {"uniform": ("value",), "x_bands": ("intervals", "inside", "outside"),
+         "y_bands": ("intervals", "inside", "outside", "ell"),
+         "cross": ("x_intervals", "y_intervals", "inside", "outside", "ell"),
+         "sublevel": ("threshold", "inside", "outside", "field")}
+_VALUES = {"intervals": _INTERVALS, "x_intervals": _INTERVALS, "y_intervals": _INTERVALS,
+           "field": st.one_of(_FIELD, _JSON)}
+
+
+def _parameters(variant):
+    keys = _KEYS.get(variant, ())
+    return st.fixed_dictionaries(
+        {k: _VALUES.get(k, _NUMBERS) for k in keys},
+        optional={"tie_fraction": _NUMBERS, "degenerate": _JSON, "extra": _JSON})
+
+
+# mostly well-formed documents of each variant with odd values, plus any JSON
+_WEIGHT_DOCS = st.one_of(_JSON, st.sampled_from([*_KEYS, "moebius"]).flatmap(
+    lambda variant: st.fixed_dictionaries(
+        {"variant": st.just(variant), "alpha": _NUMBERS, "beta": _NUMBERS,
+         "parameters": st.one_of(_parameters(variant), _JSON)})))
+
+
+def _sublevel_doc(nx, ny, values):
+    return {"variant": "sublevel", "alpha": 0.5, "beta": 1.5,
+            "parameters": {"threshold": 0.0, "inside": 1.0, "outside": 1.0,
+                           "field": {"nx": nx, "ny": ny, "ell": math.pi / 150,
+                                     "values": values}}}
+
+
+@settings(max_examples=80, deadline=None)
+@given(doc=_WEIGHT_DOCS)
+@example(doc={"variant": "uniform", "alpha": 0.5, "beta": 1.5,
+              "parameters": {"value": 1.0}})
+@example(doc=_sublevel_doc(1, 1, [0.0]))
+@example(doc=_sublevel_doc(1, 1, [10 ** 400]))
+@example(doc={"variant": "uniform", "alpha": 10 ** 400, "beta": 1.5,
+              "parameters": {"value": 1.0}})
+def test_eigs_weight_file_fuzz(tmp_path_factory, doc):
+    # whatever the weight file holds, eigs either solves it or rejects it as a
+    # weight error: exit 0 or 3, never an uncaught exception or another code
+    out = tmp_path_factory.mktemp("fuzz")
+    wfile = out / "w.json"
+    wfile.write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["eigs", "--weight", str(wfile), "--n-modes", "4", "--out", str(out)])
+    assert code in (0, 3), err.getvalue()
+    assert (code == 0) == (out / "eigenvalues.csv").exists()
+
+
 def test_eigs_rejects_band_weight_for_another_plate(tmp_path):
     # mass-exact for ell = 1, but on the default plate the band covers everything
     wfile = tmp_path / "wide.json"
@@ -355,6 +418,15 @@ def test_optimize_j_out_of_range(tmp_path):
     proc = run_cli("optimize", "--target", "min-mu", "--j", "99",
                    "--n-modes", "12", "--out", str(tmp_path))
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-1"])
+def test_optimize_rejects_bad_epsilon(tmp_path, epsilon):
+    # a NaN epsilon used to run to "converged" and write NaN into the meta JSON
+    proc = run_cli("optimize", "--target", "min-mu", "--epsilon", epsilon,
+                   "--grid", "60", "31", "--out", str(tmp_path))
+    _assert_one_line_error(proc, 2, "epsilon must be finite")
+    assert not (tmp_path / "optimize_meta.json").exists()
 
 
 def test_rejects_even_grid(tmp_path):

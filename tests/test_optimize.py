@@ -221,6 +221,9 @@ def test_minimize_validates_arguments(ref_cfg, ref_spectrum):
         minimize_mu_j(0, ref_cfg, spectrum=ref_spectrum)
     with pytest.raises(ValueError):
         minimize_mu_j(99, ref_cfg, spectrum=ref_spectrum)
+    for epsilon in (math.nan, math.inf, -math.inf, -1.0, -1e-300):
+        with pytest.raises(ValueError, match="epsilon"):
+            minimize_mu_j(1, ref_cfg, spectrum=ref_spectrum, epsilon=epsilon)
 
 
 # ---------------------------------------------------------------------------
