@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import PlateConfig
 from .numerics import QuadratureRule, SymMatrix, sym_eig
-from .spectrum import EVEN, ODD, HomEigenpair, HomSpectrum, profile_values
+from .spectrum import EVEN, ODD, HomEigenpair, HomSpectrum, profile_raw
 from .weights import GridField, Sublevel, Weight, _in_intervals, sqrt_mass_integral
 
 
@@ -93,7 +93,11 @@ def _y_rule(pairs: list[HomEigenpair], cfg: PlateConfig, breakpoints) -> Quadrat
 
 
 def _profiles_on(pairs: list[HomEigenpair], y: np.ndarray) -> np.ndarray:
-    return np.array([profile_values(p, y) for p in pairs])
+    """(len(pairs), y.size) table of the normalized y profiles of modes of one
+    parity, from one profile_raw call."""
+    first = pairs[0]
+    m, lam, norm = np.array([(p.mode.m, p.lam, p.norm_const) for p in pairs]).T[:, :, None]
+    return profile_raw(m, lam, first.mode.parity, first.sigma, first.ell, y) / norm
 
 
 def _inner_edges(intervals, lo: float, hi: float) -> list[float]:

@@ -184,15 +184,6 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def integrate_1d(f: Callable[[np.ndarray], np.ndarray], rule: QuadratureRule) -> float:
-    """Integrate f over the rule's interval. f must accept ndarray input."""
-    x, w = rule.nodes_weights()
-    vals = np.asarray(f(x), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise NonFinite("non-finite integrand sample in integrate_1d")
-    return float(w @ vals)
-
-
 # ---------------------------------------------------------------------------
 # dense symmetric eigensolver
 # ---------------------------------------------------------------------------

@@ -13,6 +13,13 @@ build_spectrum sets up the brackets of every candidate mode of both parities
 at once and solves them in one batched bisection (numerics.find_roots);
 find_hom_eigenvalue runs the same builders for a single mode and bisects its
 one bracket with numerics.find_root.  Both stop at the same relative width.
+
+Eigenfunction profiles come from one array kernel, profile_raw, whose m, lam
+and y broadcast: it evaluates many modes of one parity at many points, each
+element on its own mode's branch.  The L2 scales of all modes of a parity
+come from one quadrature pass: every mode keeps its own Gauss-Legendre order,
+the nodes of all modes go through one kernel call, and the weighted squares
+are summed per mode.
 """
 from __future__ import annotations
 
@@ -24,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PlateConfig
-from .numerics import (Bracket, NoSignChange, QuadratureRule, find_root, find_roots,
-                       integrate_1d)
+from .numerics import (Bracket, NoSignChange, NonFinite, QuadratureRule, find_root,
+                       find_roots)
 
 
 class SpectrumError(Exception):
@@ -206,17 +213,19 @@ def check_c0(cfg: PlateConfig) -> tuple[bool, float]:
 # ---------------------------------------------------------------------------
 # profile evaluation (stable ratio forms)
 # ---------------------------------------------------------------------------
+# _cosh_ratio and _sinh_ratio take the wavenumber a as a scalar or as an array
+# that broadcasts against y, so one profile_raw call serves many modes.
 
-def _cosh_ratio(y: np.ndarray, a: float, ell: float) -> np.ndarray:
+def _cosh_ratio(y: np.ndarray, a, ell: float) -> np.ndarray:
     """cosh(a y)/cosh(a ell) without overflow for large a*ell."""
     ay = np.abs(y)
-    return np.exp((ay - ell) * a) * (1.0 + np.exp(-2.0 * a * ay)) / (1.0 + math.exp(-2.0 * a * ell))
+    return np.exp((ay - ell) * a) * (1.0 + np.exp(-2.0 * a * ay)) / (1.0 + np.exp(-2.0 * a * ell))
 
 
-def _sinh_ratio(y: np.ndarray, a: float, ell: float) -> np.ndarray:
+def _sinh_ratio(y: np.ndarray, a, ell: float) -> np.ndarray:
     """sinh(a y)/sinh(a ell), stable for both tiny and large a*ell."""
     ay = np.abs(y)
-    den = -math.expm1(-2.0 * a * ell)
+    den = -np.expm1(-2.0 * a * ell)
     return np.sign(y) * np.exp((ay - ell) * a) * (-np.expm1(-2.0 * a * ay)) / den
 
 
@@ -234,36 +243,44 @@ def _cosh_over_sinh(y: np.ndarray, a: float, ell: float) -> np.ndarray:
     return np.exp((ay - ell) * a) * (1.0 + np.exp(-2.0 * a * ay)) / den
 
 
-def _profile_terms(m: int, lam: float, sigma: float):
-    """Amplitudes and wavenumbers (q_amp, p_amp, c_bar, c, high) for a mode."""
-    s = math.sqrt(lam)
+def _profile_terms(m, lam, sigma: float):
+    """Amplitudes and wavenumbers (q_amp, p_amp, c_bar, c, high) of modes
+    (m, lam), given as scalars or broadcastable arrays."""
+    m = np.asarray(m, dtype=float)
+    s = np.sqrt(lam)
     p_amp = s + (1.0 - sigma) * m * m
     q_amp = s - (1.0 - sigma) * m * m
-    c_bar = math.sqrt(s + m * m)
-    c = math.sqrt(abs(s - m * m))
-    return q_amp, p_amp, c_bar, c, lam > float(m) ** 4
+    c_bar = np.sqrt(s + m * m)
+    c = np.sqrt(np.abs(s - m * m))
+    return q_amp, p_amp, c_bar, c, lam > (m * m) ** 2
 
 
-def profile_raw(m: int, lam: float, parity: str, sigma: float, ell: float,
-                y: np.ndarray) -> np.ndarray:
-    """Un-normalized y-profile of the eigenfunction profile(y) * sin(m x)."""
+def profile_raw(m, lam, parity: str, sigma: float, ell: float, y) -> np.ndarray:
+    """Un-normalized y-profiles of the eigenfunctions profile(y) * sin(m x).
+
+    m, lam and y broadcast against each other, so one call evaluates many
+    modes of one parity at many points. Each element takes the branch of its
+    own mode, cos (even) or sin (odd) above m^4 and the cosh or sinh ratio
+    below, and each branch is evaluated only on its own elements.
+    """
     q_amp, p_amp, c_bar, c, high = _profile_terms(m, lam, sigma)
     y = np.asarray(y, dtype=float)
-    if parity == EVEN:
-        lead = q_amp * _cosh_ratio(y, c_bar, ell)
-        if high:
-            return lead + p_amp * np.cos(c * y) / math.cos(c * ell)
-        return lead + p_amp * _cosh_ratio(y, c, ell)
-    lead = q_amp * _sinh_ratio(y, c_bar, ell)
-    if high:
-        return lead + p_amp * np.sin(c * y) / math.sin(c * ell)
-    return lead + p_amp * _sinh_ratio(y, c, ell)
+    shape = np.broadcast_shapes(high.shape, y.shape)
+    q_amp, p_amp, c_bar, c, high, y = (np.broadcast_to(v, shape).ravel()
+                                       for v in (q_amp, p_amp, c_bar, c, high, y))
+    ratio, trig = (_cosh_ratio, np.cos) if parity == EVEN else (_sinh_ratio, np.sin)
+    out = q_amp * ratio(y, c_bar, ell)
+    low = ~high
+    out[low] += p_amp[low] * ratio(y[low], c[low], ell)
+    c, y = c[high], y[high]
+    out[high] += p_amp[high] * trig(c * y) / trig(c * ell)
+    return out.reshape(shape)[()]
 
 
 def profile_values(pair: HomEigenpair, y) -> np.ndarray:
     """Normalized y-profile at the given y values (array or scalar)."""
     raw = profile_raw(pair.mode.m, pair.lam, pair.mode.parity,
-                      pair.sigma, pair.ell, np.asarray(y, dtype=float))
+                      pair.sigma, pair.ell, y)
     return raw / pair.norm_const
 
 
@@ -303,21 +320,35 @@ def eval_eigenfunction(pair: HomEigenpair, x, y):
     return profile_values(pair, y) * np.sin(pair.mode.m * np.asarray(x, dtype=float))
 
 
-def _norm_quadrature_order(c: float, ell: float) -> int:
+def _norm_quadrature_order(c, ell: float):
     # resolve the oscillatory cos/sin factor: about one GL point per half cycle
     # of c*y over (-ell, ell), plus safety margin
-    return min(200, max(24, int(math.ceil(2.0 * c * ell)) + 16))
+    return np.minimum(200, np.maximum(24, np.ceil(2.0 * c * ell).astype(int) + 16))
 
 
-def _normalization(m: int, lam: float, parity: str, cfg: PlateConfig) -> float:
-    """Profile scale so that || profile(y) sin(mx) ||_L2(Omega) = 1."""
+def _norm_consts(m: np.ndarray, lam: np.ndarray, parity: str, cfg: PlateConfig) -> np.ndarray:
+    """Profile scales so that every || profile(y) sin(m x) ||_L2(Omega) = 1,
+    for the modes (m[i], lam[i]) of one parity.
+
+    Each mode has its own Gauss-Legendre order. The rule of each distinct
+    order is built once, the nodes of all modes go through one profile_raw
+    call, and the weighted squares are summed per mode.
+    """
     _, _, _, c, high = _profile_terms(m, lam, cfg.sigma)
-    order = _norm_quadrature_order(c if high else 0.0, cfg.ell)
-    rule = QuadratureRule(-cfg.ell, cfg.ell, order=order)
-    val = integrate_1d(
-        lambda y: profile_raw(m, lam, parity, cfg.sigma, cfg.ell, y) ** 2, rule)
+    order = _norm_quadrature_order(np.where(high, c, 0.0), cfg.ell)
+    orders, rule_of = np.unique(order, return_inverse=True)
+    nodes, weights = (np.concatenate(v) for v in zip(*(
+        QuadratureRule(-cfg.ell, cfg.ell, order=int(o)).nodes_weights() for o in orders)))
+    first_node = np.cumsum(orders) - orders  # where each rule starts in nodes
+    start = np.cumsum(order) - order         # where each mode starts in the flat arrays
+    # flat slot start[i] + j holds node j of mode i's rule
+    idx = np.repeat(first_node[rule_of] - start, order) + np.arange(order.sum())
+    sq = profile_raw(np.repeat(m, order), np.repeat(lam, order), parity,
+                     cfg.sigma, cfg.ell, nodes[idx]) ** 2
+    if not np.all(np.isfinite(sq)):
+        raise NonFinite("non-finite profile sample in the normalization quadrature")
     # x-factor contributes int_0^pi sin^2(mx) dx = pi/2
-    return math.sqrt(val * (math.pi / 2.0))
+    return np.sqrt(np.add.reduceat(weights[idx] * sq, start) * (math.pi / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -459,22 +490,19 @@ def find_hom_eigenvalue(mode: Mode, cfg: PlateConfig) -> HomEigenpair:
         lam = _odd_low_lam(m, cfg)
     else:
         lam = _odd_high_lam(m, k, cfg)
-    return _make_pair(mode, lam, cfg)
+    (pair,) = _make_pairs(np.array([m]), np.array([k]), np.array([lam]), mode.parity, cfg)
+    return pair
 
 
-def _make_pair(mode: Mode, lam: float, cfg: PlateConfig) -> HomEigenpair:
-    """Eigenpair record for a located eigenvalue: wavenumbers and L2 scale."""
-    m = mode.m
-    s = math.sqrt(lam)
-    return HomEigenpair(
-        mode=mode,
-        lam=lam,
-        c=math.sqrt(abs(s - m * m)),
-        c_bar=math.sqrt(s + m * m),
-        norm_const=_normalization(m, lam, mode.parity, cfg),
-        sigma=cfg.sigma,
-        ell=cfg.ell,
-    )
+def _make_pairs(m: np.ndarray, k: np.ndarray, lam: np.ndarray, parity: str,
+                cfg: PlateConfig) -> list[HomEigenpair]:
+    """Eigenpair records of located eigenvalues of one parity: wavenumbers and
+    L2 scales."""
+    _, _, c_bar, c, _ = _profile_terms(m, lam, cfg.sigma)
+    norm = _norm_consts(m, lam, parity, cfg)
+    return [HomEigenpair(Mode(mi, ki, parity), li, ci, cbi, ni, cfg.sigma, cfg.ell)
+            for mi, ki, li, ci, cbi, ni in zip(m.tolist(), k.tolist(), lam.tolist(),
+                                               c.tolist(), c_bar.tolist(), norm.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -584,8 +612,7 @@ def _lowest(n: int, m: np.ndarray, k: np.ndarray, lam: np.ndarray, parity: str,
             cfg: PlateConfig) -> list[HomEigenpair]:
     """Eigenpairs of the n smallest lam; ties keep (m, k) order."""
     order = np.lexsort((k, m, lam))[:n]
-    return [_make_pair(Mode(mi, ki, parity), li, cfg)
-            for mi, ki, li in zip(m[order].tolist(), k[order].tolist(), lam[order].tolist())]
+    return _make_pairs(m[order], k[order], lam[order], parity, cfg)
 
 
 def build_spectrum(cfg: PlateConfig, cap: int = 200) -> HomSpectrum:

@@ -55,6 +55,8 @@ class GridField:
     parity: str | None = None  # "even" | "odd" | None
 
     def __post_init__(self) -> None:
+        if self.parity not in (None, "even", "odd"):
+            raise ValueError(f"parity must be 'even', 'odd' or None, got {self.parity!r}")
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2:
             raise ValueError(f"values must be 2D, got shape {v.shape}")

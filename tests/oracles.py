@@ -1,8 +1,8 @@
 """Reference computations the tests check the package against.
 
-Each one takes an independent route (Gauss-Legendre quadrature in x and y, a
-direct cell sum, or a second form of a closed-form bound), so nothing in the
-package calls them.
+Each one takes an independent route (Gauss-Legendre quadrature in x and y, one
+quadrature per mode, a direct cell sum, or a second form of a closed-form
+bound), so nothing in the package calls them.
 """
 from __future__ import annotations
 
@@ -15,8 +15,30 @@ from plate_spectra.config import PlateConfig
 from plate_spectra.galerkin import _inner_edges, _y_rule
 from plate_spectra.numerics import NonFinite, QuadratureRule
 from plate_spectra.optimize import OptimizeError, _weighted_sin4_cell, mu_upper_bound
-from plate_spectra.spectrum import HomEigenpair, profile_derivatives, profile_values
+from plate_spectra.spectrum import (HomEigenpair, _norm_quadrature_order, _profile_terms,
+                                    profile_derivatives, profile_raw, profile_values)
 from plate_spectra.weights import GridField, Sublevel, Weight, eval_weight
+
+
+def integrate_1d(f: Callable[[np.ndarray], np.ndarray], rule: QuadratureRule) -> float:
+    """Integrate f over the rule's interval. f must accept ndarray input."""
+    x, w = rule.nodes_weights()
+    vals = np.asarray(f(x), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise NonFinite("non-finite integrand sample in integrate_1d")
+    return float(w @ vals)
+
+
+def normalization(m: int, lam: float, parity: str, cfg: PlateConfig) -> float:
+    """Profile scale so that || profile(y) sin(mx) ||_L2(Omega) = 1, from one
+    Gauss-Legendre quadrature of this mode alone, at the package's order."""
+    _, _, _, c, high = _profile_terms(m, lam, cfg.sigma)
+    order = int(_norm_quadrature_order(c if high else 0.0, cfg.ell))
+    rule = QuadratureRule(-cfg.ell, cfg.ell, order=order)
+    val = integrate_1d(
+        lambda y: profile_raw(m, lam, parity, cfg.sigma, cfg.ell, y) ** 2, rule)
+    # x-factor contributes int_0^pi sin^2(mx) dx = pi/2
+    return math.sqrt(val * (math.pi / 2.0))
 
 
 def integrate_2d(f: Callable[[np.ndarray, np.ndarray], np.ndarray],

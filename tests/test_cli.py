@@ -282,6 +282,19 @@ def _sublevel_doc(nx, ny, values):
                                      "values": values}}}
 
 
+@pytest.mark.parametrize("parity", ["sideways", 7])
+def test_eigs_rejects_unknown_field_parity(tmp_path, parity):
+    # an admissible uniform-mass field whose declared parity is neither even
+    # nor odd is a malformed spec
+    doc = _sublevel_doc(40, 5, [0.0] * 200)
+    doc["parameters"]["field"]["parity"] = parity
+    wfile = tmp_path / "w.json"
+    wfile.write_text(json.dumps(doc))
+    proc = run_cli("eigs", "--weight", str(wfile), "--out", str(tmp_path))
+    _assert_one_line_error(proc, 3, "parity must be")
+    assert not (tmp_path / "eigenvalues.csv").exists()
+
+
 @settings(max_examples=80, deadline=None)
 @given(doc=_WEIGHT_DOCS)
 @example(doc={"variant": "uniform", "alpha": 0.5, "beta": 1.5,

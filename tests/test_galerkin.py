@@ -7,18 +7,36 @@ import pytest
 from conftest import random_band_weight, random_grid_weight
 from plate_spectra import PlateConfig
 from oracles import h2_energy, integrate_2d, weighted_l2_sq
-from plate_spectra.galerkin import (GridBasis, _x_matrix, assemble_mass, expand_field,
-                                    merged_eigenvalues, reconstruct, solve_parity,
-                                    solve_weighted, weyl_diagnostic)
+from plate_spectra.galerkin import (GridBasis, _profiles_on, _x_matrix, assemble_mass,
+                                    expand_field, merged_eigenvalues, reconstruct,
+                                    solve_parity, solve_weighted, weyl_diagnostic)
 from plate_spectra.numerics import QuadratureRule
 from plate_spectra.optimize import make_pstar
-from plate_spectra.spectrum import build_spectrum, eval_eigenfunction
+from plate_spectra.spectrum import build_spectrum, eval_eigenfunction, profile_values
 from plate_spectra.weights import (GridField, Weight, XBands, eval_weight, make_breve_p,
                                    make_pbar_j, make_uniform, sqrt_mass_integral)
 
 
 def sig3(x: float) -> str:
     return f"{x:.2e}"
+
+
+# ---------------------------------------------------------------------------
+# profile tables
+# ---------------------------------------------------------------------------
+
+def test_profile_table_rows_match_profile_values():
+    # the wide plate has, in each parity, modes below m^4 (k = 1) and above it
+    cfg = PlateConfig(ell=math.pi / 2, sigma=0.45, n_modes=40)
+    spec = build_spectrum(cfg)
+    ys = np.concatenate([[-cfg.ell, 0.0, cfg.ell], np.linspace(-cfg.ell, cfg.ell, 30)])
+    for pairs in (spec.mu, spec.nu):
+        assert {(p.mode.k == 1, p.high_branch) for p in pairs} == {(True, False), (False, True)}
+        table = _profiles_on(list(pairs), ys)
+        assert table.shape == (len(pairs), ys.size)
+        for row, pair in zip(table, pairs):
+            direct = profile_values(pair, ys)
+            assert np.all(np.abs(row - direct) <= 1e-14 * np.abs(direct)), pair.mode
 
 
 # ---------------------------------------------------------------------------

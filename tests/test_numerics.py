@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from oracles import integrate_2d
+from oracles import integrate_1d, integrate_2d
 from plate_spectra.numerics import (Bracket, NonFinite, NoSignChange,
                                     QuadratureRule, SymMatrix, find_root, find_roots,
-                                    integrate_1d, sym_eig)
+                                    sym_eig)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from oracles import h2_energy, integrate_2d
+from oracles import h2_energy, integrate_2d, normalization
 from plate_spectra import PlateConfig
-from plate_spectra.numerics import QuadratureRule
+from plate_spectra import spectrum
+from plate_spectra.numerics import NonFinite, QuadratureRule
 from plate_spectra.spectrum import (C0Violated, BranchMismatch, Mode, NotAdmissible,
-                                    build_spectrum, characteristic_det, check_c0,
-                                    eval_eigenfunction, find_hom_eigenvalue,
-                                    profile_values, torsional_first_exists)
+                                    _norm_quadrature_order, build_spectrum,
+                                    characteristic_det, check_c0, eval_eigenfunction,
+                                    find_hom_eigenvalue, profile_values,
+                                    torsional_first_exists)
 
 REF_MU = ["9.60e-01", "1.54e+01", "7.78e+01", "2.46e+02", "6.00e+02", "1.24e+03",
           "2.31e+03", "3.93e+03", "6.30e+03", "9.61e+03", "1.41e+04", "1.99e+04"]
@@ -221,6 +223,29 @@ def test_profile_values_match_eval(ref_spectrum):
                        rtol=0, atol=1e-14)
 
 
+# eval_eigenfunction(pair, 0.7, y) at y = 0, 0.3 ell, ell, -ell on the wide plate,
+# as the per-mode profile evaluation gave them, for the first mode of each kind
+_SCALAR_EVALS = {
+    Mode(1, 1, "even"): (0.2669531250566632, 0.2721709594199762,
+                         0.3413038880980737, 0.3413038880980737),
+    Mode(1, 2, "even"): (-0.37655071737324614, -0.2604957157379193,
+                         0.5538378237242352, 0.5538378237242352),
+    Mode(6, 1, "odd"): (-0.0, -0.18606280201681435, -0.8401934752883117, 0.8401934752883117),
+    Mode(1, 2, "odd"): (0.0, 0.15007490275679775, 0.5118091349379766, -0.5118091349379766),
+}
+
+
+def test_scalar_eval_eigenfunction_unchanged():
+    cfg = PlateConfig(ell=math.pi / 2, sigma=0.45, n_modes=40)
+    spec = build_spectrum(cfg)
+    pairs = {p.mode: p for p in spec.mu + spec.nu}
+    for mode, expected in _SCALAR_EVALS.items():
+        for y, want in zip((0.0, 0.3 * cfg.ell, cfg.ell, -cfg.ell), expected):
+            got = eval_eigenfunction(pairs[mode], 0.7, y)
+            assert isinstance(got, np.float64), type(got)
+            assert abs(got - want) <= 1e-14 * abs(want), (mode, y, got, want)
+
+
 def test_wavenumber_identity_high_branch(ref_spectrum):
     # c_bar^2 - c^2 = 2 m^2 above the branch point
     for pair in list(ref_spectrum.nu[:5]) + [p for p in ref_spectrum.mu if p.mode.k >= 2][:2]:
@@ -276,6 +301,46 @@ def test_build_spectrum_matches_single_mode_location(cfg):
         assert abs(single.lam - pair.lam) <= 1e-12 * pair.lam, pair.mode
         assert abs(single.norm_const - pair.norm_const) <= 1e-12 * pair.norm_const
         assert _straddles_root(pair, cfg), pair.mode
+
+
+def _norm_plates():
+    return _l1_plates() + [PlateConfig(ell=math.pi / 2, sigma=0.45, n_modes=250),
+                           PlateConfig(ell=math.pi / 2, n_modes=250)]  # criterion 9
+
+
+@pytest.mark.parametrize("cfg", _norm_plates(),
+                         ids=lambda c: f"ell={c.ell:.4f},sigma={c.sigma:.3f},n={c.n_modes}")
+def test_norm_consts_match_per_mode_quadrature(cfg):
+    spec = build_spectrum(cfg, cap=250)
+    for pair in spec.mu + spec.nu:
+        want = normalization(pair.mode.m, pair.lam, pair.mode.parity, cfg)
+        assert abs(pair.norm_const - want) <= 1e-14 * want, pair.mode
+
+
+@pytest.mark.parametrize("mode", [Mode(1, 40, "even"), Mode(3, 36, "odd"), Mode(1, 31, "even")])
+def test_norm_const_at_the_top_quadrature_order(mode):
+    # the spectra above stop at order 94 (criterion 9's plate); modes this high
+    # in k reach the cap of 200 nodes
+    cfg = PlateConfig(ell=math.pi / 2, n_modes=2)
+    pair = find_hom_eigenvalue(mode, cfg)
+    assert int(_norm_quadrature_order(pair.c, cfg.ell)) == 200
+    want = normalization(mode.m, pair.lam, mode.parity, cfg)
+    assert abs(pair.norm_const - want) <= 1e-14 * want
+
+
+def test_non_finite_profile_sample_raises(monkeypatch, ref_cfg):
+    real = spectrum.profile_raw
+
+    def poisoned(*args):
+        out = np.array(real(*args))
+        out.flat[-1] = np.inf
+        return out
+
+    monkeypatch.setattr(spectrum, "profile_raw", poisoned)
+    with pytest.raises(NonFinite):
+        build_spectrum(ref_cfg.with_(n_modes=5))
+    with pytest.raises(NonFinite):
+        find_hom_eigenvalue(Mode(2, 3, "odd"), ref_cfg)
 
 
 def test_l1_plates_cover_every_branch():

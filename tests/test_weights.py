@@ -249,6 +249,13 @@ def test_grid_field_parity_check(ref_cfg):
         GridField(vals, ref_cfg.ell, parity="even")
 
 
+@pytest.mark.parametrize("parity", ["sideways", 7, "Even"])
+def test_grid_field_rejects_unknown_parity(parity):
+    # only "even", "odd" and None are parities; anything else used to pass as odd
+    with pytest.raises(ValueError, match="parity must be"):
+        GridField(np.zeros((40, 5)), 0.02, parity)
+
+
 def test_threshold_sin4(ref_cfg):
     fld = sample_field(lambda x, y: np.sin(5 * x) ** 4 + 0.0 * y, ref_cfg,
                        nx=20001, ny=3, parity="even")
