@@ -6,17 +6,25 @@ D a = lam(p) C a with D = diag of unweighted eigenvalues and C the weighted
 mass matrix C_{nm} = int_Omega p z_n z_m. The symmetric form
 M = D^{-1/2} C D^{-1/2} has eigenvalues 1/lam(p).
 
-Band weights integrate in x in closed form. A sublevel weight lives on a cell
-grid, and sin(a x) sin(b x) = (cos((a-b) x) - cos((a+b) x)) / 2 reduces its x
-sums to the cosine moments sum_i cos(k x_i) p(x_i, y_j) for k = 0..2 max m: one
-matrix product, after which each y column adds an (n, n) gather. Fields on a
-grid are one matrix product of the scaled sines with the y profiles.
+Both weight families meet sin(a x) sin(b x) = (cos((a-b) x) - cos((a+b) x)) / 2
+(angle addition), which turns every x integral or x sum of a pair of modes
+into two cosine moments, at |m_a - m_b| and m_a + m_b, for k = 0..2 max m.
+
+Band weights integrate in x in closed form: per frequency k, one sine at each
+interval end, summed over the intervals, then two (n, n) gathers. A sublevel
+weight lives on a cell grid; its moments sum_i cos(k x_i) p(x_i, y_j) are one
+matrix product, and the y columns then go into one contraction over the upper
+triangle's two moment gathers, blocked so that no temporary exceeds about
+0.25 MB. The cell centres are x_i = (2i + 1) pi / (2 nx), so cos(k x_i) and
+sin(m x_i) are entries of one exact-angle table of cos(pi r / (2 nx)),
+r < 4 nx, accurate to an ulp or two however large k x_i is. Fields on a grid
+are one matrix product of the scaled sines with the y profiles.
 
 A density search solves one parity on one cell grid in every round, so the
 grid data of its basis is fixed for the whole search: a GridBasis holds the
-cell centres, the x sines, the y profiles, the cosine table and the index
-arrays of the moment gather. assemble_mass, solve_parity and expand_field take
-one through basis=; without it they build what they need for the one call.
+cell centres, the x sines, the y profiles, the cosine table and the gather of
+the upper triangle. assemble_mass, solve_parity and expand_field take one
+through basis=; without it they build what they need for the one call.
 """
 from __future__ import annotations
 
@@ -65,20 +73,23 @@ class GalerkinSpectrum:
 
 def _x_matrix(freqs: list[int], intervals) -> np.ndarray:
     """Matrix of int sin(m_n x) sin(m_m x) over the union of intervals,
-    or over all of (0, pi) when intervals is None (then exactly (pi/2) delta)."""
-    f = np.asarray(freqs, dtype=float)
-    same = f[:, None] == f[None, :]
+    or over all of (0, pi) when intervals is None (then exactly (pi/2) delta).
+
+    By sin(a x) sin(b x) = (cos((a-b) x) - cos((a+b) x)) / 2 the entry is
+    half[|m_n - m_m|] - half[m_n + m_m] with half[k] = (1/2) int cos(k x):
+    one sine per frequency k = 1..2 max m and interval end, summed over the
+    intervals before the two (n, n) gathers.
+    """
+    f = np.asarray(freqs, dtype=np.intp)
     if intervals is None:
-        return np.where(same, math.pi / 2.0, 0.0)
-    diff = f[:, None] - f[None, :]
-    tot = f[:, None] + f[None, :]
-    diff_or_1 = np.where(same, 1.0, diff)  # the diagonal formula serves equal frequencies
-    out = np.zeros(same.shape)
-    for a, b in intervals:
-        sum_part = (np.sin(tot * b) - np.sin(tot * a)) / (2.0 * tot)
-        off = (np.sin(diff * b) - np.sin(diff * a)) / (2.0 * diff_or_1) - sum_part
-        out += np.where(same, 0.5 * (b - a) - sum_part, off)
-    return out
+        return np.where(f[:, None] == f[None, :], math.pi / 2.0, 0.0)
+    ends = np.array(intervals, dtype=float)                      # (intervals, 2)
+    k = np.arange(1, 2 * int(f.max()) + 1, dtype=float)
+    sines = np.sin(np.multiply.outer(k, ends))                   # (K - 1, intervals, 2)
+    half = np.empty(k.size + 1)
+    half[0] = 0.5 * float(np.sum(ends[:, 1] - ends[:, 0]))
+    half[1:] = np.sum(sines[:, :, 1] - sines[:, :, 0], axis=1) / (2.0 * k)
+    return half[np.abs(f[:, None] - f[None, :])] - half[f[:, None] + f[None, :]]
 
 
 # ---------------------------------------------------------------------------
@@ -106,20 +117,65 @@ def _inner_edges(intervals, lo: float, hi: float) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# grid basis
+# cell-centre trig tables and the moment contraction
 # ---------------------------------------------------------------------------
 
-def _sines_on(pairs: list[HomEigenpair], x: np.ndarray) -> np.ndarray:
-    return np.array([np.sin(p.mode.m * x) for p in pairs])
+def _cell_trig(nx: int, freqs: np.ndarray, shift: int = 0) -> np.ndarray:
+    """(nx, freqs.size) table of cos(pi (f (2i + 1) + shift) / (2 nx)); shift 0
+    gives cos(f x_i) and shift 3 nx gives sin(f x_i) at the cell centres
+    x_i = (2i + 1) pi / (2 nx).
+
+    Every entry is one of the 4 nx values cos(pi r / (2 nx)), r < 4 nx, read at
+    (f (2i + 1) + shift) mod 4 nx. Those come from cos and sin of angles no
+    larger than pi/4 and the quadrant symmetries, so each entry is within an
+    ulp or two of the exact value however large f x_i is.
+    """
+    step = math.pi / (2 * nx)
+    lo = nx // 2 + 1
+    quarter = np.concatenate([np.cos(step * np.arange(lo)),
+                              np.sin(step * np.arange(nx - lo, -1, -1))])
+    half = np.concatenate([quarter[:nx], -quarter[nx:0:-1]])     # r < 2 nx
+    period = np.concatenate([half, -half])                       # r < 4 nx
+    # the largest index before the modulo, (2 nx - 1)(4 nx - 1) + 3 nx, is below 8 nx^2
+    dtype = np.int32 if 8 * nx * nx < 2 ** 31 else np.int64
+    idx = np.multiply.outer(np.arange(1, 2 * nx, 2, dtype=dtype),
+                            np.asarray(freqs).astype(dtype) % (4 * nx))
+    idx += shift
+    idx %= 4 * nx
+    return period[idx]
 
 
-def _moment_tables(pairs: list[HomEigenpair], xs: np.ndarray):
-    """Frequencies m, the cosine table cos(k x_i) for k = 0..2 max m, and the
-    index arrays |m_a - m_b| and m_a + m_b of the moment gather."""
+def _mass_tables(pairs: list[HomEigenpair], nx: int):
+    """The cosine table cos(k x_i), k = 0..2 max m, and the gather of the upper
+    triangle: its row and column indices a, b and the moment indices
+    |m_a - m_b| and m_a + m_b."""
     m = np.array([p.mode.m for p in pairs])
-    k = np.arange(2 * int(m.max()) + 1)
-    return (m, np.cos(np.outer(xs, k)),
-            np.abs(m[:, None] - m[None, :]), m[:, None] + m[None, :])
+    rows, cols = np.triu_indices(m.size)
+    cos_table = _cell_trig(nx, np.arange(2 * int(m.max()) + 1))
+    return cos_table, (rows, cols, np.abs(m[rows] - m[cols]), m[rows] + m[cols])
+
+
+# bytes of each (entries, ny) temporary of _contract
+_BLOCK_BYTES = 1 << 18
+
+
+def _contract(mom: np.ndarray, profs: np.ndarray, gather) -> np.ndarray:
+    """Upper triangle of C_ab = sum_j profs[a, j] profs[b, j]
+    (mom[|m_a - m_b|, j] - mom[m_a + m_b, j]), in the order of np.triu_indices.
+
+    mom is (K, ny) and profs (n, ny), so every gather copies whole rows of y
+    values. The triangle's entries go in blocks that keep each temporary
+    within _BLOCK_BYTES."""
+    rows, cols, diff, tot = gather
+    acc = np.empty(rows.size)
+    step = max(1, _BLOCK_BYTES // (8 * mom.shape[1]))
+    for u in range(0, rows.size, step):
+        blk = slice(u, u + step)
+        term = mom.take(diff[blk], axis=0)
+        term -= mom.take(tot[blk], axis=0)
+        term *= profs.take(rows[blk], axis=0)
+        acc[blk] = np.einsum("uj,uj->u", term, profs.take(cols[blk], axis=0))
+    return acc
 
 
 def _pairs(spectrum: HomSpectrum, parity: str, n: int) -> list[HomEigenpair]:
@@ -129,13 +185,20 @@ def _pairs(spectrum: HomSpectrum, parity: str, n: int) -> list[HomEigenpair]:
     return pairs
 
 
+def _sines_on(pairs: list[HomEigenpair], nx: int) -> np.ndarray:
+    """(n, nx) table of sin(m x_i) at the cell centres."""
+    return _cell_trig(nx, np.array([p.mode.m for p in pairs]), 3 * nx).T
+
+
 @dataclass(frozen=True, eq=False)
 class GridBasis:
     """Grid data of the first n modes of one parity on one cell grid.
 
     A density search builds it once and passes it to every solve and
-    expansion on its grid. Each array is built by the same expression as the
-    per-call path, so results with and without a basis are bitwise equal.
+    expansion on its grid. The sines and the cosine table are read from one
+    exact-angle table of cos(pi r / (2 nx)) (see _cell_trig). Each array is
+    built by the same expression as the per-call path, so results with and
+    without a basis are bitwise equal.
     """
 
     spectrum: HomSpectrum
@@ -144,23 +207,20 @@ class GridBasis:
     ell: float
     xs: np.ndarray         # (nx,) cell centres
     ys: np.ndarray         # (ny,)
-    m: np.ndarray          # (n,) x frequencies
     sines: np.ndarray      # (n, nx) sin(m x_i)
     profiles: np.ndarray   # (n, ny) y profiles at the cell centres
     cos_table: np.ndarray  # (nx, 2 max m + 1) cos(k x_i)
-    diff: np.ndarray       # (n, n) |m_a - m_b|
-    tot: np.ndarray        # (n, n) m_a + m_b
+    gather: tuple[np.ndarray, ...]  # upper triangle: rows a, cols b, |m_a - m_b|, m_a + m_b
 
     @classmethod
     def build(cls, spectrum: HomSpectrum, parity: str, n: int,
               grid: tuple[int, int]) -> GridBasis:
         pairs = _pairs(spectrum, parity, n)
-        ell = spectrum.config.ell
-        shell = GridField(np.zeros(grid), ell)
-        xs, ys = shell.xs, shell.ys
-        m, cos_table, diff, tot = _moment_tables(pairs, xs)
-        return cls(spectrum, parity, n, ell, xs, ys, m, _sines_on(pairs, xs),
-                   _profiles_on(pairs, ys), cos_table, diff, tot)
+        shell = GridField(np.zeros(grid), spectrum.config.ell)
+        cos_table, gather = _mass_tables(pairs, shell.nx)
+        return cls(spectrum, parity, n, shell.ell, shell.xs, shell.ys,
+                   _sines_on(pairs, shell.nx), _profiles_on(pairs, shell.ys),
+                   cos_table, gather)
 
     def check(self, spectrum: HomSpectrum, parity: str, n: int, nx: int, ny: int,
               ell: float) -> None:
@@ -178,46 +238,55 @@ def assemble_mass(w: Weight, spectrum: HomSpectrum, parity: str, n: int,
                   basis: GridBasis | None = None) -> SymMatrix:
     """Weighted mass matrix C_{nm} = int_Omega p z_n z_m for one parity.
 
-    Band weights use closed-form x integrals with the band edges as quadrature
-    breakpoints in y; they ignore basis. Sublevel weights are integrated with
-    the midpoint rule on their own grid through cosine moments:
+    Band weights: each term coeff * chi_X(x) * chi_Y(y) of the density is an
+    x matrix times a y matrix. The x matrix is closed form (_x_matrix); the
+    y matrix is a quadrature with the band edges as breakpoints. Each
+    distinct interval set is integrated once per call. Band weights ignore
+    basis.
+
+    Sublevel weights are integrated with the midpoint rule on their own grid
+    through cosine moments:
     sum_i sin(m_a x_i) sin(m_b x_i) w_ij = (Mom[|m_a - m_b|, j] - Mom[m_a + m_b, j]) / 2
     with Mom = cos(k x) @ (cell area * weight) for k = 0..2 max m, so the x
-    sums cost one (K, nx) @ (nx, ny) product. The y columns are added one at a
-    time, which holds no (n, n, ny) or (n, nx * ny) array. The cosine table,
-    the y profiles and the gather indices come from basis, a GridBasis of
-    this parity, n and grid (ValueError if it is another), or are built here.
+    sums cost one (K, nx) @ (nx, ny) product. The y columns are then one
+    contraction over the upper triangle's moment gathers (_contract), in
+    blocks of its entries, so no temporary exceeds about 0.25 MB
+    (_BLOCK_BYTES) and none is (n, n, ny); SymMatrix mirrors the triangle.
+    The cosine table, the y profiles and the gather come from basis, a
+    GridBasis of this parity, n and grid (ValueError if it is another), or
+    are built here.
     """
     pairs = _pairs(spectrum, parity, n)
     cfg = spectrum.config
     v = w.variant
+    mat = np.zeros((n, n))
 
     if isinstance(v, Sublevel):
         f = v.field
         if basis is None:
-            _, cos_table, diff, tot = _moment_tables(pairs, f.xs)
+            cos_table, gather = _mass_tables(pairs, f.nx)
             profs = _profiles_on(pairs, f.ys)                        # (n, ny)
         else:
             basis.check(spectrum, parity, n, f.nx, f.ny, f.ell)
-            cos_table, diff, tot, profs = basis.cos_table, basis.diff, basis.tot, basis.profiles
+            cos_table, gather, profs = basis.cos_table, basis.gather, basis.profiles
         cell_w = (0.5 * f.cell_area) * v.node_values()               # (nx, ny)
-        mom = cell_w.T @ cos_table                                   # (ny, K), halved
-        mat = np.zeros((n, n))
-        for j in range(f.ny):
-            mat += np.outer(profs[:, j], profs[:, j]) * (mom[j, diff] - mom[j, tot])
+        mom = cos_table.T @ cell_w                                   # (K, ny), halved
+        mat[gather[0], gather[1]] = _contract(mom, profs, gather)
     else:
         freqs = [p.mode.m for p in pairs]
         rule = _y_rule(pairs, cfg, sorted(set(_inner_edges(v.y_intervals, -cfg.ell, cfg.ell))))
         y, wq = rule.nodes_weights()
         profs = _profiles_on(pairs, y)
-        mat = np.zeros((n, n))
+        x_mats, y_mats = {}, {}
         for coeff, x_iv, y_iv in v.terms():
             if coeff == 0.0:
                 continue
-            xm = _x_matrix(freqs, x_iv)
-            yw = wq if y_iv is None else wq * _in_intervals(y, y_iv)
-            ym = (profs * yw) @ profs.T
-            mat = mat + coeff * (xm * ym)
+            if x_iv not in x_mats:
+                x_mats[x_iv] = _x_matrix(freqs, x_iv)
+            if y_iv not in y_mats:
+                yw = wq if y_iv is None else wq * _in_intervals(y, y_iv)
+                y_mats[y_iv] = (profs * yw) @ profs.T
+            mat = mat + coeff * (x_mats[x_iv] * y_mats[y_iv])
 
     if not np.all(np.isfinite(mat)):
         raise QuadratureFailure("non-finite mass matrix entries")
@@ -277,7 +346,7 @@ def expand_field(spectrum: HomSpectrum, parity: str, coeffs: np.ndarray,
     if basis is None:
         pairs = _pairs(spectrum, parity, coeffs.size)
         shell = GridField(np.zeros(grid), cfg.ell)
-        sines, profs = _sines_on(pairs, shell.xs), _profiles_on(pairs, shell.ys)
+        sines, profs = _sines_on(pairs, shell.nx), _profiles_on(pairs, shell.ys)
     else:
         basis.check(spectrum, parity, coeffs.size, grid[0], grid[1], cfg.ell)
         sines, profs = basis.sines, basis.profiles

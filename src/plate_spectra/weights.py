@@ -66,12 +66,7 @@ class GridField:
             raise ValueError("non-finite field samples")
         object.__setattr__(self, "values", v)
         if self.parity is not None:
-            flipped = v[:, ::-1]
-            target = flipped if self.parity == "even" else -flipped
-            resid = float(np.max(np.abs(v - target)))
-            if resid > 1e-10 * max(1.0, float(np.max(np.abs(v)))):
-                raise ValueError(f"declared {self.parity} parity violated "
-                                 f"(residual {resid:.3e})")
+            _check_parity(v, self.parity)
 
     @property
     def nx(self) -> int:
@@ -92,6 +87,23 @@ class GridField:
     @property
     def cell_area(self) -> float:
         return (math.pi / self.nx) * (2.0 * self.ell / self.ny)
+
+
+def _parity_residual(v: np.ndarray, parity: str) -> float:
+    """max |v[:, j] - v[:, ny - 1 - j]| (even) or |v[:, j] + v[:, ny - 1 - j]|
+    (odd). Only the columns j <= ny // 2 are compared: the rest mirror them,
+    and the middle column is its own mirror image."""
+    h = v.shape[1] // 2 + 1
+    left, right = v[:, :h], v[:, :-h - 1:-1]
+    d = left - right if parity == "even" else left + right
+    return float(np.abs(d, out=d).max())
+
+
+def _check_parity(v: np.ndarray, parity: str) -> None:
+    """Raise ValueError unless v has the parity in y to 1e-10 relative."""
+    resid = _parity_residual(v, parity)
+    if resid > 1e-10 * max(1.0, float(v.max()), -float(v.min())):
+        raise ValueError(f"declared {parity} parity violated (residual {resid:.3e})")
 
 
 def sample_field(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -299,7 +311,7 @@ def validate(w: Weight, cfg: PlateConfig) -> MembershipReport:
         nv = v.node_values()
         values = [float(nv.min()), float(nv.max())]
         declared = v.field.ell
-        sym = float(np.max(np.abs(nv - nv[:, ::-1])))
+        sym = _parity_residual(nv, "even")
     lo, hi = min(values), max(values)
     bounds = max(0.0, w.alpha - lo, cfg.alpha - lo, hi - w.beta, hi - cfg.beta)
     geometry_ok = declared is None or abs(declared - cfg.ell) <= 1e-9 * cfg.ell

@@ -1,8 +1,9 @@
 """Reference computations the tests check the package against.
 
 Each one takes an independent route (Gauss-Legendre quadrature in x and y, one
-quadrature per mode, a direct cell sum, or a second form of a closed-form
-bound), so nothing in the package calls them.
+quadrature per mode, a direct cell sum, a per-entry or per-column form of an
+assembly, or a second form of a closed-form bound), so nothing in the package
+calls them.
 """
 from __future__ import annotations
 
@@ -12,12 +13,13 @@ from typing import Callable
 import numpy as np
 
 from plate_spectra.config import PlateConfig
-from plate_spectra.galerkin import _inner_edges, _y_rule
+from plate_spectra.galerkin import _inner_edges, _pairs, _profiles_on, _y_rule
 from plate_spectra.numerics import NonFinite, QuadratureRule
 from plate_spectra.optimize import OptimizeError, _weighted_sin4_cell, mu_upper_bound
-from plate_spectra.spectrum import (HomEigenpair, _norm_quadrature_order, _profile_terms,
-                                    profile_derivatives, profile_raw, profile_values)
-from plate_spectra.weights import GridField, Sublevel, Weight, eval_weight
+from plate_spectra.spectrum import (HomEigenpair, HomSpectrum, _norm_quadrature_order,
+                                    _profile_terms, profile_derivatives, profile_raw,
+                                    profile_values)
+from plate_spectra.weights import GridField, Sublevel, Weight, _in_intervals, eval_weight
 
 
 def integrate_1d(f: Callable[[np.ndarray], np.ndarray], rule: QuadratureRule) -> float:
@@ -138,3 +140,63 @@ def mu_upper_bound_forms(w: Weight, j: int, cfg: PlateConfig,
             f"periodic-form bound {per!r} disagrees with the general bound "
             f"{general!r}; weight is not pi/{j}-periodic")
     return general, per
+
+
+def x_matrix_per_entry(freqs: list[int], intervals) -> np.ndarray:
+    """int sin(m_n x) sin(m_m x) over the union of intervals (all of (0, pi)
+    when None), with four sines per entry and interval."""
+    f = np.asarray(freqs, dtype=float)
+    same = f[:, None] == f[None, :]
+    if intervals is None:
+        return np.where(same, math.pi / 2.0, 0.0)
+    diff = f[:, None] - f[None, :]
+    tot = f[:, None] + f[None, :]
+    diff_or_1 = np.where(same, 1.0, diff)  # the diagonal formula serves equal frequencies
+    out = np.zeros(same.shape)
+    for a, b in intervals:
+        sum_part = (np.sin(tot * b) - np.sin(tot * a)) / (2.0 * tot)
+        off = (np.sin(diff * b) - np.sin(diff * a)) / (2.0 * diff_or_1) - sum_part
+        out += np.where(same, 0.5 * (b - a) - sum_part, off)
+    return out
+
+
+def mass_matrix_by_columns(w: Weight, spectrum: HomSpectrum, parity: str,
+                           n: int) -> np.ndarray:
+    """C = int p z_a z_b for one parity: band weights term by term with
+    per-entry x integrals, sublevel weights one y column at a time from
+    np.cos(k x_i) moments."""
+    pairs = _pairs(spectrum, parity, n)
+    cfg = spectrum.config
+    v = w.variant
+    mat = np.zeros((n, n))
+    if isinstance(v, Sublevel):
+        f = v.field
+        m = np.array([p.mode.m for p in pairs])
+        cos_table = np.cos(np.outer(f.xs, np.arange(2 * int(m.max()) + 1)))
+        diff, tot = np.abs(m[:, None] - m[None, :]), m[:, None] + m[None, :]
+        profs = _profiles_on(pairs, f.ys)
+        mom = ((0.5 * f.cell_area) * v.node_values()).T @ cos_table
+        for j in range(f.ny):
+            mat += np.outer(profs[:, j], profs[:, j]) * (mom[j, diff] - mom[j, tot])
+        return mat
+    freqs = [p.mode.m for p in pairs]
+    rule = _y_rule(pairs, cfg, sorted(set(_inner_edges(v.y_intervals, -cfg.ell, cfg.ell))))
+    y, wq = rule.nodes_weights()
+    profs = _profiles_on(pairs, y)
+    for coeff, x_iv, y_iv in v.terms():
+        yw = wq if y_iv is None else wq * _in_intervals(y, y_iv)
+        mat += coeff * (x_matrix_per_entry(freqs, x_iv) * ((profs * yw) @ profs.T))
+    return mat
+
+
+def parity_residual(v: np.ndarray, parity: str) -> float:
+    """max |v - (+-v[:, ::-1])| over the whole grid, + for even, - for odd."""
+    flipped = v[:, ::-1]
+    target = flipped if parity == "even" else -flipped
+    return float(np.max(np.abs(v - target)))
+
+
+def parity_violated(v: np.ndarray, parity: str) -> bool:
+    """The full-width form of GridField's parity check: whether the residual
+    exceeds 1e-10 max(1, max |v|)."""
+    return parity_residual(v, parity) > 1e-10 * max(1.0, float(np.max(np.abs(v))))

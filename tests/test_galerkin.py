@@ -6,14 +6,15 @@ import pytest
 
 from conftest import random_band_weight, random_grid_weight
 from plate_spectra import PlateConfig
-from oracles import h2_energy, integrate_2d, weighted_l2_sq
-from plate_spectra.galerkin import (GridBasis, _profiles_on, _x_matrix, assemble_mass,
+from oracles import (h2_energy, integrate_2d, mass_matrix_by_columns, weighted_l2_sq,
+                     x_matrix_per_entry)
+from plate_spectra.galerkin import (GridBasis, _cell_trig, _profiles_on, _x_matrix, assemble_mass,
                                     expand_field, merged_eigenvalues, reconstruct,
                                     solve_parity, solve_weighted, weyl_diagnostic)
 from plate_spectra.numerics import QuadratureRule
-from plate_spectra.optimize import make_pstar
+from plate_spectra.optimize import default_study_weights, make_pstar
 from plate_spectra.spectrum import build_spectrum, eval_eigenfunction, profile_values
-from plate_spectra.weights import (GridField, Weight, XBands, eval_weight, make_breve_p,
+from plate_spectra.weights import (Cross, GridField, Weight, XBands, eval_weight, make_breve_p,
                                    make_pbar_j, make_uniform, sqrt_mass_integral)
 
 
@@ -124,9 +125,59 @@ def test_x_matrix_vs_midpoint_quadrature(intervals):
         s = np.sin(f[:, None] * x[None, :])
         brute += (s * w) @ s.T
     assert np.abs(xm - brute).max() <= 1e-8
+    assert np.abs(xm - x_matrix_per_entry(freqs, intervals)).max() <= 1e-15
     assert np.array_equal(xm, xm.T)
     if intervals is None:
         assert np.array_equal(xm, np.where(f[:, None] == f[None, :], math.pi / 2.0, 0.0))
+
+
+@pytest.fixture(scope="module")
+def wide_spectrum_n100():
+    return build_spectrum(PlateConfig(ell=math.pi / 2, n_modes=100))
+
+
+@pytest.mark.parametrize("plate", ["reference", "wide"])
+def test_mass_matrix_vs_per_column_oracle_n100(plate, spectrum_n100, wide_spectrum_n100):
+    # exact-angle trig tables, the upper-triangle contraction and the summed
+    # x integrals against the per-column loop and the per-entry x integrals
+    spec = spectrum_n100 if plate == "reference" else wide_spectrum_n100
+    cfg = spec.config
+    ws = dict(default_study_weights(cfg, spec))
+    ws["pbar10"] = make_pbar_j(10, cfg)
+    assert len(ws["pbar10"].variant.x_intervals) == 10
+    assert isinstance(ws["ptilde"].variant, Cross)
+    for label, w in ws.items():
+        for parity in ("even", "odd"):
+            got = assemble_mass(w, spec, parity, 100).a
+            want = mass_matrix_by_columns(w, spec, parity, 100)
+            err = np.abs(got - want).max() / np.abs(want).max()
+            assert err <= 1e-13, (label, parity, err)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="np.longdouble carries no extra precision here")
+def test_cell_trig_tables_vs_long_double(spectrum_n100):
+    # cos(k x_i) and sin(m x_i) at nx = 600 for k = 0..200 and m = 1..100;
+    # evaluating np.cos(k * x_i) in double is off by up to 1.6e-13 here
+    nx = 600
+    basis = GridBasis.build(spectrum_n100, "even", 100, (nx, 31))
+    k = np.arange(basis.cos_table.shape[1], dtype=np.longdouble)
+    m = np.array([p.mode.m for p in spectrum_n100.mu[:100]], dtype=np.longdouble)
+    assert k.size == 201 and m.max() == 100
+    pi = 4 * np.arctan(np.longdouble(1))
+    x = (2 * np.arange(nx, dtype=np.longdouble) + 1) * pi / (2 * nx)
+    assert np.abs(basis.cos_table - np.cos(np.multiply.outer(x, k))).max() <= 2e-15
+    assert np.abs(basis.sines - np.sin(np.multiply.outer(m, x))).max() <= 2e-15
+
+
+@pytest.mark.parametrize("nx", [16383, 20000])
+def test_cell_trig_index_width(nx):
+    # (2 nx - 1)(4 nx - 1) + 3 nx passes 2^31 between the two grids, where the
+    # index widens to int64; np.cos(f x) of angles up to 2.5e5 is good to ~1e-10
+    freqs = np.array([0, 1, 5, 4 * nx - 1])
+    x = (np.arange(nx) + 0.5) * (math.pi / nx)
+    assert np.abs(_cell_trig(nx, freqs) - np.cos(np.outer(x, freqs))).max() <= 1e-9
+    assert np.abs(_cell_trig(nx, freqs, 3 * nx) - np.sin(np.outer(x, freqs))).max() <= 1e-9
 
 
 # ---------------------------------------------------------------------------

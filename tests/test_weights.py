@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import random_band_weight
+from oracles import parity_residual, parity_violated
 from plate_spectra import PlateConfig
 from plate_spectra import weights as W
 from plate_spectra.weights import (Cross, GridField, Sublevel, Uniform, Weight,
@@ -59,6 +60,14 @@ def test_validate_asymmetric_yband_fails(ref_cfg):
                ref_cfg.alpha, ref_cfg.beta)
     rep = validate(w, ref_cfg)
     assert not rep.passed and rep.symmetry_residual > 0
+
+
+def test_validate_asymmetric_sublevel_fails(ref_cfg):
+    vals = np.random.default_rng(8).random((40, 7))
+    w = Weight(Sublevel(GridField(vals, ref_cfg.ell), 0.5, 1.5, 0.5), ref_cfg.alpha, ref_cfg.beta)
+    rep = validate(w, ref_cfg)
+    assert not rep.passed and "y-symmetry residual" in rep.detail
+    assert rep.symmetry_residual == parity_residual(w.variant.node_values(), "even") == 1.0
 
 
 def test_validate_rejects_foreign_band_geometry(ref_cfg):
@@ -247,6 +256,52 @@ def test_grid_field_parity_check(ref_cfg):
     vals[0, 0] = 2.0
     with pytest.raises(ValueError):
         GridField(vals, ref_cfg.ell, parity="even")
+
+
+def _half_width_raises(v: np.ndarray, parity: str) -> bool:
+    try:
+        W._check_parity(v, parity)
+    except ValueError as exc:
+        assert str(exc).startswith(f"declared {parity} parity violated (residual ")
+        return True
+    return False
+
+
+def test_half_width_parity_check_matches_full_width_oracle():
+    # the check compares columns 0..ny//2 only; it must raise exactly where
+    # the full-width formula does, at the 1e-10 edge and on non-finite input
+    rng = np.random.default_rng(17)
+    cases, edge = [], []
+    for ny in (1, 3, 31):
+        base = rng.normal(size=(40, ny))
+        exact = {"even": base + base[:, ::-1], "odd": base - base[:, ::-1]}
+        for parity, v0 in exact.items():
+            for scale in (1e-3, 1.0, 1e5):
+                v = scale * v0
+                cases.append((parity, v))
+                tol = 1e-10 * max(1.0, float(np.abs(v).max()))
+                for factor in np.linspace(0.99999, 1.00001, 9):
+                    w = v.copy()
+                    w[int(rng.integers(40)), int(rng.integers(ny))] += factor * tol
+                    edge.append((parity, w))
+            for offset in (1e-9, 1.0):
+                w = v0.copy()
+                w[:, ny // 2] += offset  # the middle column is its own mirror image
+                cases.append((parity, w))
+            for bad in (np.nan, np.inf):
+                w = v0.copy()
+                w[3, ny - 1] = bad
+                cases.append((parity, w))
+    for parity, v in cases + edge:
+        with np.errstate(invalid="ignore"):  # inf - inf
+            assert _half_width_raises(v, parity) == parity_violated(v, parity), (parity, v.shape)
+        if np.all(np.isfinite(v)):
+            assert W._parity_residual(v, parity) == parity_residual(v, parity)
+    assert {_half_width_raises(v, parity) for parity, v in edge} == {True, False}
+    base, middle = rng.normal(size=(40, 31)), np.zeros((40, 31))
+    middle[:, 15] = 1.0
+    assert not _half_width_raises(base + base[:, ::-1] + middle, "even")
+    assert _half_width_raises(base - base[:, ::-1] + 1e-9 * middle, "odd")
 
 
 @pytest.mark.parametrize("parity", ["sideways", 7, "Even"])
