@@ -255,10 +255,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
                        f"{cfg.n_modes}: {exc}", EXIT_CONFIG) from exc
     out = Path(args.out)
     final = trace.final_weight
-    final_values = weights.field_values_json(final)  # shared by both files
-    _atomic_write(out / "trace.jsonl", optimize.trace_to_jsonl(trace, final_values))
-    _atomic_write(out / "final_weight.json",
-                  weights.weight_to_json(final, final_values) + "\n")
+    _atomic_write(out / "trace.jsonl", optimize.trace_to_jsonl(trace))
+    _atomic_write(out / "final_weight.json", weights.weight_to_json(final) + "\n")
 
     meta = {
         "target": trace.target,

@@ -21,13 +21,13 @@ class PlateConfig:
     n_modes: int = 30
 
     def __post_init__(self) -> None:
-        if not self.ell > 0:
-            raise ValueError(f"ell must be positive, got {self.ell}")
+        if not 0 < self.ell < math.inf:
+            raise ValueError(f"ell must be positive and finite, got {self.ell}")
         if not 0 < self.sigma < 0.5:
             raise ValueError(f"sigma must lie in (0, 1/2), got {self.sigma}")
-        if not 0 < self.alpha < 1 < self.beta:
+        if not 0 < self.alpha < 1 < self.beta < math.inf:
             raise ValueError(
-                f"density bounds must satisfy 0 < alpha < 1 < beta, got "
+                f"density bounds must satisfy 0 < alpha < 1 < beta < inf, got "
                 f"alpha={self.alpha}, beta={self.beta}"
             )
         if self.n_modes < 1:

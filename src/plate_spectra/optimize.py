@@ -12,10 +12,9 @@ import numpy as np
 from .config import PlateConfig
 from .galerkin import GridBasis, expand_field, solve_parity, solve_weighted
 from .spectrum import EVEN, ODD, HomSpectrum, build_spectrum, eval_eigenfunction, known_j0
-from .weights import (GridField, Sublevel, Weight, field_values_json, fill_values,
-                      make_breve_p, make_doublebar_p, make_pbar_j, make_tilde_p,
-                      make_uniform, sample_field, sublevel_split, validate,
-                      weight_to_dict)
+from .weights import (GridField, Sublevel, Weight, make_breve_p, make_doublebar_p,
+                      make_pbar_j, make_tilde_p, make_uniform, sample_field,
+                      sublevel_split, validate, weight_to_dict)
 
 
 class OptimizeError(Exception):
@@ -390,23 +389,13 @@ def ratio_study(weights: list[tuple[str, Weight]], cfg: PlateConfig,
 # exports
 # ---------------------------------------------------------------------------
 
-def trace_to_jsonl(trace: OptimizationTrace, final_values: str | None = None) -> str:
-    """One iterate per line: iteration index, eigenvalue, weight spec.
-
-    final_values is field_values_json(trace.final_weight), when the caller has
-    encoded it already; every other field is encoded here.
-    """
-    lines = []
-    last = len(trace.iterates) - 1
-    for i, (w, v) in enumerate(trace.iterates):
-        line = json.dumps({"iteration": i, "eigenvalue": v,
-                           "weight": weight_to_dict(w, values=False)})
-        if isinstance(w.variant, Sublevel):
-            values = final_values if i == last else None
-            line = fill_values(line, values or field_values_json(w))
-        lines.append(line)
-    lines.append("")
-    return "\n".join(lines)
+def trace_to_jsonl(trace: OptimizationTrace) -> str:
+    """One iterate per line: iteration index, eigenvalue and the weight's
+    parameters. A sublevel field's "values" is null; final_weight.json holds
+    the final field's samples."""
+    return "".join(json.dumps({"iteration": i, "eigenvalue": v,
+                               "weight": weight_to_dict(w, values=False)}) + "\n"
+                   for i, (w, v) in enumerate(trace.iterates))
 
 
 def ratio_csv(labels: list[str], columns: list, fmt: str = "%.6e") -> str:

@@ -365,6 +365,9 @@ _SCAN_POINTS = 65
 _EDGE = 1e-9
 _TOL_REL = 1e-13
 _SCAN_BLOCK = 16
+# Largest m the torsional window may reach. It grows like pi / (2 ell): a plate
+# narrower than about ell = 1.6e-6 is refused before anything is allocated.
+_MAX_TORSIONAL_M = 10 ** 6
 
 
 def _even_bracket(m, k, cfg: PlateConfig):
@@ -570,8 +573,16 @@ def _torsional_window(n: int, cfg: PlateConfig) -> tuple[np.ndarray, np.ndarray,
     om = (math.pi / ell) ** 2
     # root in band j satisfies lam < (m^2 + (pi/ell)^2 (j + 1/2)^2)^2
     cutoff = _nth_upper_cutoff(n, lambda m, j: (m * m + om * (j + 0.5) ** 2) ** 2, 0)
-    m_top = 1
-    while (1.0 - sigma * sigma) * float(m_top) ** 4 <= cutoff:
+    # m_top: the least m with (1 - sigma^2) m^4 > cutoff, about pi / (2 ell)
+    scale = 1.0 - sigma * sigma
+    root = (cutoff / scale) ** 0.25
+    if root > _MAX_TORSIONAL_M:
+        raise ValueError(f"ell = {ell} is too small: the torsional window would hold "
+                         f"about {root:.3g} mode numbers m, more than {_MAX_TORSIONAL_M}")
+    m_top = int(root) + 1
+    while m_top > 1 and scale * float(m_top - 1) ** 4 > cutoff:   # rounding of the root
+        m_top -= 1
+    while scale * float(m_top) ** 4 <= cutoff:
         m_top += 1
     m_t = np.arange(1, m_top)
     # bands per m from the closed form plus one, then trimmed exactly

@@ -482,7 +482,8 @@ _BAND_NAMES = {cls: name for name, (cls, _) in _BAND_FORMATS.items()}
 
 def weight_to_dict(w: Weight, values: bool = True) -> dict:
     """The JSON object of a weight. With values=False a sublevel field's
-    "values" is None, a slot for fill_values to put encoded text in."""
+    "values" is None: trace.jsonl records a field's parameters without its
+    samples, and weight_to_json puts its own encoding of them in that slot."""
     v = w.variant
     base = {"alpha": w.alpha, "beta": w.beta}
     if isinstance(v, Bands):
@@ -710,38 +711,23 @@ def floats_json(values: np.ndarray) -> str:
     return "".join(parts)
 
 
-def field_values_json(w: Weight) -> str | None:
-    """A sublevel field's values as json.dumps writes the list ("[v0, v1, ...]");
-    None for a band weight."""
-    v = w.variant
-    return floats_json(v.field.values) if isinstance(v, Sublevel) else None
-
-
-def fill_values(text: str, values_json: str, indent: str | None = None) -> str:
-    """Put values_json into the "values": null slot of JSON text.
-
-    With indent (the indentation of the slot's line) the list is laid out as
-    json.dumps(..., indent=2) lays it out there.
-    """
-    head, tail = text.split('"values": null', 1)
-    if indent is None or values_json == "[]":
-        return "".join((head, '"values": ', values_json, tail))
-    pad = "\n" + indent + "  "
-    return "".join((head, '"values": [', pad, values_json[1:-1].replace(", ", "," + pad),
-                    "\n", indent, "]", tail))
-
-
-def weight_to_json(w: Weight, values_json: str | None = None) -> str:
+def weight_to_json(w: Weight) -> str:
     """json.dumps(weight_to_dict(w), indent=2), byte for byte.
 
     The indented encoder is pure Python, so a sublevel field's values are
-    encoded by floats_json instead (values_json, from field_values_json, or
-    here) and indented by string replacement.
+    encoded by floats_json instead and put one per line into the "values"
+    slot, as indent=2 lays a list out at that depth.
     """
     text = json.dumps(weight_to_dict(w, values=False), indent=2)
-    if not isinstance(w.variant, Sublevel):
+    v = w.variant
+    if not isinstance(v, Sublevel):
         return text
-    return fill_values(text, values_json or field_values_json(w), indent=" " * 6)
+    head, tail = text.split('"values": null', 1)
+    values = floats_json(v.field.values)
+    if values != "[]":
+        pad = "\n" + " " * 8
+        values = "".join(("[", pad, values[1:-1].replace(", ", "," + pad), "\n", " " * 6, "]"))
+    return "".join((head, '"values": ', values, tail))
 
 
 def weight_from_json(text: str) -> Weight:

@@ -22,13 +22,13 @@ from plate_spectra.weights import (GridField, make_breve_p, make_uniform, sample
                                   weight_to_json)
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, timeout=None):
     import os
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
     return subprocess.run([sys.executable, "-m", "plate_spectra.cli", *args],
-                          capture_output=True, text=True, env=full_env)
+                          capture_output=True, text=True, env=full_env, timeout=timeout)
 
 
 def read_csv(path: Path):
@@ -225,6 +225,74 @@ def _assert_one_line_error(proc, code, needle):
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
     assert needle in proc.stderr
+
+
+@pytest.mark.parametrize("flag", ["--ell", "--beta"])
+def test_spectrum_rejects_infinite_config(tmp_path, flag):
+    # --beta inf used to write "beta": Infinity, which is not JSON, into
+    # spectrum_meta.json; --ell inf used to exit 5 with "s* = 0.0 is an integer"
+    proc = run_cli("spectrum", flag, "inf", "--out", str(tmp_path))
+    _assert_one_line_error(proc, 2, "invalid configuration")
+    assert not (tmp_path / "spectrum_meta.json").exists()
+
+
+def test_spectrum_rejects_tiny_ell(tmp_path):
+    # the torsional window grows like pi / (2 ell); at ell = 1e-12 the count of
+    # its mode numbers used to run for minutes, one m at a time
+    proc = run_cli("spectrum", "--ell", "1e-12", "--out", str(tmp_path), timeout=60)
+    _assert_one_line_error(proc, 2, "ell = 1e-12 is too small")
+    assert not (tmp_path / "table1.csv").exists()
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_json_outputs_are_strict_json(tmp_path):
+    # NaN and Infinity are Python's JSON extensions, not JSON: no command may
+    # write them, into any JSON file or any trace line
+    cfg = PlateConfig()
+    wfile = tmp_path / "w.json"
+    wfile.write_text(weight_to_json(make_breve_p(cfg)))
+    runs = {
+        "spectrum": ("spectrum",),
+        "eigs": ("eigs", "--weight", str(wfile)),
+        "min-mu": ("optimize", "--target", "min-mu", "--j", "3", "--sin4-compare",
+                   "--grid", "60", "31"),
+        "max-nu1": ("optimize", "--target", "max-nu1", "--grid", "60", "31"),
+        "weyl": ("ratio-table", "--ell", str(math.pi / 2), "--weyl"),
+    }
+    checked = {}
+    for name, args in runs.items():
+        out = tmp_path / name
+        proc = run_cli(*args, "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        docs = [p.read_text() for p in sorted(out.glob("*.json"))]
+        docs += [line for p in out.glob("*.jsonl") for line in p.read_text().splitlines()]
+        for doc in docs:
+            json.loads(doc, parse_constant=_reject_constant)
+        checked[name] = len(docs)
+    assert checked["spectrum"] == 1 and checked["weyl"] == 1 and checked["eigs"] == 0
+    assert checked["min-mu"] >= 3 and checked["max-nu1"] >= 3
+
+
+def test_optimize_trace_holds_no_field_values(tmp_path):
+    # final_weight.json holds the final field's samples; each trace line holds
+    # only its iterate's parameters, so the trace stays small on fine grids
+    proc = run_cli("optimize", "--target", "max-nu1", "--grid", "2400", "31",
+                   "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    trace = (tmp_path / "trace.jsonl").read_text()
+    assert len(trace.encode()) < 4096
+    records = [json.loads(line) for line in trace.splitlines()]
+    assert records
+    assert all(r["weight"]["parameters"]["field"]["values"] is None for r in records)
+    final = json.loads((tmp_path / "final_weight.json").read_text())
+    assert len(final["parameters"]["field"]["values"]) == 2400 * 31
+    final["parameters"]["field"]["values"] = None
+    assert records[-1]["weight"] == final
+    meta = json.loads((tmp_path / "optimize_meta.json").read_text())
+    assert records[-1]["eigenvalue"] == meta["final_eigenvalue"]
 
 
 @pytest.mark.parametrize("nx, ny", [(-4, 3), (-1, 3), (0, 3), (4, -1), (4.0, 3)])

@@ -22,6 +22,11 @@ def test_config_validation():
         PlateConfig(beta=0.9)
     with pytest.raises(ValueError):
         PlateConfig(ell=0.0)
+    # an infinite plate or density bound used to pass and reach the JSON outputs
+    with pytest.raises(ValueError, match="ell must be positive and finite"):
+        PlateConfig(ell=math.inf)
+    with pytest.raises(ValueError, match="beta < inf"):
+        PlateConfig(beta=math.inf)
     with pytest.raises(ValueError):
         PlateConfig(n_modes=0)
 

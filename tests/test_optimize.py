@@ -8,14 +8,17 @@ from conftest import random_band_weight, random_grid_weight
 from oracles import mu_upper_bound_forms, rearrangement_value
 from plate_spectra import PlateConfig, build_spectrum
 from plate_spectra.galerkin import solve_parity
-from plate_spectra.optimize import (OptimizeError, default_study_weights, make_pstar,
+from plate_spectra.optimize import (OptimizationTrace, OptimizeError,
+                                    default_study_weights, make_pstar,
                                     maximize_nu1_fixed_point, minimize_mu_j,
                                     mu_upper_bound, ratio_report_to_csv, ratio_study,
                                     rearrange_max, rearrange_min,
                                     symmetric_difference_area, trace_to_jsonl)
-from plate_spectra.weights import (GridField, Sublevel, eval_weight, make_doublebar_p,
-                                   make_pbar_j, make_uniform,
-                                   sample_field, sin4_level_exact, validate)
+from plate_spectra.weights import (GridField, Sublevel, Weight, eval_weight,
+                                   make_doublebar_p, make_pbar_j, make_uniform,
+                                   sample_field, sin4_level_exact, validate,
+                                   weight_from_dict, weight_from_json, weight_to_dict,
+                                   weight_to_json)
 
 
 # ---------------------------------------------------------------------------
@@ -320,20 +323,33 @@ def test_default_study_weights_all_admissible(ref_cfg, ref_spectrum):
         assert validate(w, ref_cfg).passed
 
 
+def _without_values(w):
+    # weight_to_dict(w) with a sublevel field's samples replaced by null
+    d = weight_to_dict(w)
+    if "field" in d["parameters"]:
+        d["parameters"]["field"]["values"] = None
+    return d
+
+
 def test_trace_jsonl_roundtrip(ref_cfg, ref_spectrum):
+    # the last trace line holds the final weight's parameters and
+    # final_weight.json (weight_to_json) its samples: together they give back
+    # the final weight
     tr = minimize_mu_j(1, ref_cfg, spectrum=ref_spectrum)
-    lines = trace_to_jsonl(tr).strip().split("\n")
-    assert len(lines) == len(tr.iterates)
-    rec = json.loads(lines[-1])
-    assert rec["eigenvalue"] == tr.final_value
-    from plate_spectra.weights import weight_from_dict
-    w = weight_from_dict(rec["weight"])
-    assert validate(w, ref_cfg).passed
+    records = [json.loads(line) for line in trace_to_jsonl(tr).splitlines()]
+    assert [r["eigenvalue"] for r in records] == [v for _, v in tr.iterates]
+    assert records[-1]["weight"] == _without_values(tr.final_weight)
+    text = weight_to_json(tr.final_weight)
+    back = weight_from_json(text)
+    assert validate(back, ref_cfg).passed
+    assert np.array_equal(back.variant.field.values, tr.final_weight.variant.field.values)
+    assert weight_to_json(back) == text
+    spec = records[-1]["weight"]
+    spec["parameters"]["field"]["values"] = json.loads(text)["parameters"]["field"]["values"]
+    assert weight_to_json(weight_from_dict(spec)) == text
 
 
 def test_trace_jsonl_bytes_match_encoder(ref_cfg, ref_spectrum):
-    from plate_spectra.optimize import OptimizationTrace
-    from plate_spectra.weights import Weight, field_values_json, weight_to_dict
     rng = np.random.default_rng(4)
     fields = []
     for _ in range(3):
@@ -347,11 +363,11 @@ def test_trace_jsonl_bytes_match_encoder(ref_cfg, ref_spectrum):
         (Weight(Sublevel(f, 0.0, ref_cfg.beta, ref_cfg.alpha, 0.5), ref_cfg.alpha,
                 ref_cfg.beta), 9e3 - i) for i, f in enumerate(fields)]
     tr = OptimizationTrace("min_mu_10", tuple(iterates), "converged", 1e-4)
-    expected = [json.dumps({"iteration": i, "eigenvalue": v, "weight": weight_to_dict(w)})
-                for i, (w, v) in enumerate(tr.iterates)]
-    assert trace_to_jsonl(tr).split("\n") == expected + [""]
-    final_values = field_values_json(tr.final_weight)
-    assert trace_to_jsonl(tr, final_values).split("\n") == expected + [""]
+    expected = "".join(json.dumps({"iteration": i, "eigenvalue": v,
+                                   "weight": _without_values(w)}) + "\n"
+                       for i, (w, v) in enumerate(tr.iterates))
+    assert trace_to_jsonl(tr) == expected
+    assert trace_to_jsonl(OptimizationTrace("max_nu1", (), "converged", 0.01)) == ""
 
 
 def test_ratio_csv_layout(ref_cfg, ref_spectrum):

@@ -418,11 +418,9 @@ def test_json_bytes_match_indented_encoder(ref_cfg):
     rng = np.random.default_rng(12)
     for nx, ny in ((1, 1), (2, 3), (7, 5), (40, 9)):
         w = _awkward_sublevel(rng, ref_cfg.ell, nx, ny)
-        expected = json.dumps(W.weight_to_dict(w), indent=2)
-        assert weight_to_json(w) == expected
-        assert weight_to_json(w, W.field_values_json(w)) == expected
-    for w in (make_uniform(ref_cfg), make_tilde_p(ref_cfg)):
-        assert W.field_values_json(w) is None
+        assert weight_to_json(w) == json.dumps(W.weight_to_dict(w), indent=2)
+    empty = Weight(Sublevel(GridField(np.empty((0, 1)), ref_cfg.ell), 0.0, 1.5, 0.5), 0.5, 1.5)
+    for w in (make_uniform(ref_cfg), make_tilde_p(ref_cfg), empty):
         assert weight_to_json(w) == json.dumps(W.weight_to_dict(w), indent=2)
 
 
