@@ -1,5 +1,6 @@
-"""Numerical kernels: bracketed bisection for one bracket (``find_root``) or
-for an array of brackets at once (``find_roots``), Gauss-Legendre
+"""Numerical kernels: bracketed ITP root finding for one bracket
+(``find_root``) or for an array of brackets at once (``find_roots``), both
+taking the same steps and stopping at the same relative width, Gauss-Legendre
 quadrature with breakpoints (reference rules cached per order), and the dense
 symmetric eigensolve (LAPACK ``eigh``).
 """
@@ -32,6 +33,20 @@ class NoConvergence(NumericsError):
 # ---------------------------------------------------------------------------
 # root finding
 # ---------------------------------------------------------------------------
+# ITP (interpolate, truncate, project; Oliveira & Takahashi, ACM TOMS 47(1),
+# 2020).  Each step takes the regula falsi point x_f, moves it toward the
+# midpoint by delta = k1 (hi - lo)^2 with k1 = _ITP_K1 / (initial width), and
+# projects it into the ball around the midpoint whose radius keeps the bracket
+# within tol 2^(n_max - j) after step j, n_max being bisection's step count
+# plus _ITP_N0.  So no bracket takes more than _ITP_N0 steps over bisection
+# (one more when rounding puts the last projected point an ulp outside that
+# bound), and a smooth simple root takes far fewer.  The trial point is then
+# clipped to [lo + tol/2, hi - tol/2]: once the interpolant has converged on a
+# root next to an endpoint, that one step closes the bracket.
+
+_ITP_K1 = 0.2
+_ITP_N0 = 4
+
 
 @dataclass(frozen=True)
 class Bracket:
@@ -43,11 +58,22 @@ class Bracket:
             raise ValueError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
 
 
+def _n_max(width, tol):
+    """Bisection's step count to reach width tol, ceil(log2(width / tol)), plus
+    _ITP_N0; exact through frexp, for scalars or arrays."""
+    frac, exp = np.frexp(width / tol)
+    return exp - (frac == 0.5) + _ITP_N0
+
+
 def find_root(f: Callable[[float], float], bracket: Bracket,
               tol_rel: float = 1e-12) -> float:
-    """Bisection root of f on the bracket, to relative width tol_rel.
+    """Root of f on the bracket by ITP, to relative width tol_rel.
 
-    The sign condition f(lo)*f(hi) < 0 is verified at solve time.
+    Stops once hi - lo <= tol_rel * max(1, |lo|, |hi|) (of the given bracket)
+    and returns the midpoint; an exact zero is returned at once.  Takes at
+    most _ITP_N0 + 1 steps more than bisection, and the same steps as
+    find_roots on a one-bracket array.  The sign condition f(lo)*f(hi) < 0 is
+    verified at solve time.
     """
     lo, hi = float(bracket.lo), float(bracket.hi)
     flo, fhi = float(f(lo)), float(f(hi))
@@ -60,20 +86,36 @@ def find_root(f: Callable[[float], float], bracket: Bracket,
     if (flo < 0.0) == (fhi < 0.0):
         raise NoSignChange(f"f({lo})={flo} and f({hi})={fhi} have the same sign")
 
-    scale = max(1.0, abs(lo), abs(hi))
-    while hi - lo > tol_rel * scale:
+    tol = tol_rel * max(1.0, abs(lo), abs(hi))
+    half = 0.5 * tol
+    k1 = _ITP_K1 / (hi - lo)
+    n_max = int(_n_max(hi - lo, tol))
+    j = 0
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+        if not lo < mid < hi:
             break  # interval at floating point resolution
-        fmid = float(f(mid))
-        if not math.isfinite(fmid):
-            raise NonFinite(f"f({mid}) = {fmid}")
-        if fmid == 0.0:
-            return mid
-        if (fmid < 0.0) == (flo < 0.0):
-            lo, flo = mid, fmid
+        w = hi - lo
+        x_f = lo + w * (flo / (flo - fhi))
+        d = mid - x_f
+        sign = (d > 0.0) - (d < 0.0)
+        delta = k1 * (w * w)
+        x_t = x_f + sign * delta if delta <= abs(d) else mid
+        r = math.ldexp(half, n_max - j) - 0.5 * w
+        x = x_t if abs(x_t - mid) <= r else mid - sign * r
+        x = min(max(x, lo + half), hi - half)
+        if not lo < x < hi:
+            x = mid
+        fx = float(f(x))
+        if not math.isfinite(fx):
+            raise NonFinite(f"f({x}) = {fx}")
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == (flo < 0.0):
+            lo, flo = x, fx
         else:
-            hi = mid
+            hi, fhi = x, fx
+        j += 1
     return 0.5 * (lo + hi)
 
 
@@ -81,8 +123,10 @@ def find_roots(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.nda
                tol_rel: float = 1e-12) -> np.ndarray:
     """find_root on every bracket [lo[i], hi[i]] at once.
 
-    Each bracket takes the same bisection steps and stopping rule as
-    find_root; f is called once per step, on the array of all midpoints.
+    Each bracket takes find_root's ITP steps and stopping rule, so the result
+    equals find_root's bitwise; f is called once per step, on the array of
+    all trial points (a converged bracket's is its midpoint), so the count of
+    calls is that of the slowest bracket.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
@@ -100,21 +144,42 @@ def find_roots(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.nda
         raise NoSignChange(f"f({lo[i]})={flo[i]} and f({hi[i]})={fhi[i]} have the same sign")
 
     tol = tol_rel * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-    # an endpoint root closes its bracket (the lower one first, as in find_root)
+    half = 0.5 * tol
+    k1 = _ITP_K1 / (hi - lo)
+    n_max = _n_max(hi - lo, tol)
+    # an endpoint root closes its bracket (the lower one first, as in find_root);
+    # a nonzero fhi keeps the closed bracket's interpolant finite
     hi = np.where(flo == 0.0, lo, hi)
+    fhi = np.where(flo == 0.0, -1.0, fhi)
     lo = np.where(fhi == 0.0, hi, lo)
+    j = 0
     while True:
         mid = 0.5 * (lo + hi)
+        w = hi - lo
         # brackets at tolerance or at floating point resolution stay put
-        active = (hi - lo > tol) & (lo < mid) & (mid < hi)
+        active = (w > tol) & (lo < mid) & (mid < hi)
         if not active.any():
             return mid
-        fmid = f(mid)
-        if not np.all(np.isfinite(fmid) | ~active):
+        x_f = lo + w * (flo / (flo - fhi))
+        d = mid - x_f
+        sign = np.sign(d)
+        delta = k1 * (w * w)
+        x_t = np.where(delta <= np.abs(d), x_f + sign * delta, mid)
+        r = np.ldexp(half, n_max - j) - 0.5 * w
+        x = np.where(np.abs(x_t - mid) <= r, x_t, mid - sign * r)
+        x = np.minimum(np.maximum(x, lo + half), hi - half)
+        x = np.where(active & (lo < x) & (x < hi), x, mid)
+        fx = f(x)
+        if not np.all(np.isfinite(fx) | ~active):
             raise NonFinite("non-finite f sample inside a bracket")
-        below, zero = fmid < 0.0, fmid == 0.0
-        lo = np.where(active & ((below == neg) | zero), mid, lo)
-        hi = np.where(active & ((below != neg) | zero), mid, hi)
+        below, zero = fx < 0.0, fx == 0.0
+        to_lo = active & (below == neg) & ~zero
+        to_hi = active & (below != neg) & ~zero
+        lo = np.where(to_lo | (active & zero), x, lo)
+        hi = np.where(to_hi | (active & zero), x, hi)
+        flo = np.where(to_lo, fx, flo)
+        fhi = np.where(to_hi, fx, fhi)
+        j += 1
 
 
 # ---------------------------------------------------------------------------

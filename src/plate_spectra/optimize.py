@@ -66,21 +66,26 @@ class OptimizationTrace:
 # rearrangement (bang-bang alignment with the level sets of u^2)
 # ---------------------------------------------------------------------------
 
-def _check_rearrange_field(fld: GridField) -> None:
+def _rearrange_field(fld: GridField) -> GridField:
+    """fld, checked nonnegative and y-even to 1e-10, made y-even to the last
+    bit: each value becomes the mean of itself and its mirror image.  The cell
+    centres of the grid, and so a reconstructed u^2, are y-even only up to
+    rounding; exact mirror ties keep the threshold from taking a cell without
+    its mirror, which would leave the weight y-uneven."""
     v = fld.values
     if float(v.min()) < -1e-12 * max(1.0, float(np.max(np.abs(v)))):
         raise ValueError("rearrangement field must be nonnegative")
-    if fld.parity == "even":   # GridField checked it on construction, to the same tolerance
-        return
-    resid = float(np.max(np.abs(v - v[:, ::-1])))
-    if resid > 1e-10 * max(1.0, float(np.max(np.abs(v)))):
-        raise ValueError(f"rearrangement field must be y-even (residual {resid:.3e})")
+    if fld.parity != "even":   # GridField checked "even" on construction, to the same tolerance
+        resid = float(np.max(np.abs(v - v[:, ::-1])))
+        if resid > 1e-10 * max(1.0, float(np.max(np.abs(v)))):
+            raise ValueError(f"rearrangement field must be y-even (residual {resid:.3e})")
+    return GridField(0.5 * (v + v[:, ::-1]), fld.ell, fld.parity)
 
 
 def rearrange_min(fld: GridField, cfg: PlateConfig) -> Weight:
     """Weight minimizing int p u^2 over the admissible class: the dense phase
     sits on the sublevel set {u^2 <= t} of measure (1-alpha)/(beta-alpha)|Omega|."""
-    _check_rearrange_field(fld)
+    fld = _rearrange_field(fld)
     target = (1.0 - cfg.alpha) / (cfg.beta - cfg.alpha) * cfg.area
     t, theta, degenerate = sublevel_split(fld, target, cfg.beta, cfg.alpha)
     return Weight(Sublevel(fld, t, cfg.beta, cfg.alpha, theta, degenerate),
@@ -91,7 +96,7 @@ def rearrange_max(fld: GridField, cfg: PlateConfig) -> Weight:
     """Weight maximizing int p u^2: the light phase sits on the sublevel set
     {u^2 <= t} of measure (beta-1)/(beta-alpha)|Omega|, the dense phase where
     u^2 is large."""
-    _check_rearrange_field(fld)
+    fld = _rearrange_field(fld)
     target = (cfg.beta - 1.0) / (cfg.beta - cfg.alpha) * cfg.area
     t, theta, degenerate = sublevel_split(fld, target, cfg.alpha, cfg.beta)
     return Weight(Sublevel(fld, t, cfg.alpha, cfg.beta, theta, degenerate),

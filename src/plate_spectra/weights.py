@@ -443,8 +443,9 @@ def make_tilde_p(cfg: PlateConfig, j: int = 10) -> Weight:
     """Cross-type weight: mid-line y-band combined with j x-bands.
 
     The y-band keeps TILDE_Y_RETENTION of the stand-alone band width and the
-    x-bands absorb the remaining dense-phase budget; their width is solved by
-    bisection on the union-mass identity so the total mass is exactly |Omega|.
+    x-bands absorb the remaining dense-phase budget; their width is solved
+    from the union-mass identity by find_root so the total mass is exactly
+    |Omega|.
     """
     frac = (1.0 - cfg.alpha) / (cfg.beta - cfg.alpha)
     fy = TILDE_Y_RETENTION * frac

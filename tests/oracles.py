@@ -1,9 +1,9 @@
 """Reference computations the tests check the package against.
 
-Each one takes an independent route (Gauss-Legendre quadrature in x and y, one
-quadrature per mode, a direct cell sum, a per-entry or per-column form of an
-assembly, or a second form of a closed-form bound), so nothing in the package
-calls them.
+Each one takes an independent route (bisection for roots, Gauss-Legendre
+quadrature in x and y, one quadrature per mode, a direct cell sum, a per-entry
+or per-column form of an assembly, or a second form of a closed-form bound),
+so nothing in the package calls them.
 """
 from __future__ import annotations
 
@@ -14,12 +14,41 @@ import numpy as np
 
 from plate_spectra.config import PlateConfig
 from plate_spectra.galerkin import _inner_edges, _pairs, _profiles_on, _y_rule
-from plate_spectra.numerics import NonFinite, QuadratureRule
+from plate_spectra.numerics import NonFinite, NoSignChange, QuadratureRule
 from plate_spectra.optimize import OptimizeError, _weighted_sin4_cell, mu_upper_bound
 from plate_spectra.spectrum import (HomEigenpair, HomSpectrum, _norm_quadrature_order,
                                     _profile_terms, profile_derivatives, profile_raw,
                                     profile_values)
 from plate_spectra.weights import GridField, Sublevel, Weight, _in_intervals, eval_weight
+
+
+def bisect_roots(f: Callable[[np.ndarray], np.ndarray], lo, hi,
+                 tol_rel: float = 1e-12) -> np.ndarray:
+    """Bisection on every bracket [lo[i], hi[i]] at once, with numerics.find_roots'
+    stopping rule: until hi - lo <= tol_rel * max(1, |lo|, |hi|) of the given
+    bracket, then the midpoint; f is called once per step on all midpoints."""
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    flo, fhi = f(lo), f(hi)
+    if not (np.all(np.isfinite(flo)) and np.all(np.isfinite(fhi))):
+        raise NonFinite("f non-finite at bracket endpoints")
+    neg = flo < 0.0
+    if np.any((flo != 0.0) & (fhi != 0.0) & (neg == (fhi < 0.0))):
+        raise NoSignChange("an endpoint pair has the same sign")
+    tol = tol_rel * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+    hi = np.where(flo == 0.0, lo, hi)
+    lo = np.where(fhi == 0.0, hi, lo)
+    while True:
+        mid = 0.5 * (lo + hi)
+        active = (hi - lo > tol) & (lo < mid) & (mid < hi)
+        if not active.any():
+            return mid
+        fmid = f(mid)
+        if not np.all(np.isfinite(fmid) | ~active):
+            raise NonFinite("non-finite f sample inside a bracket")
+        below, zero = fmid < 0.0, fmid == 0.0
+        lo = np.where(active & ((below == neg) | zero), mid, lo)
+        hi = np.where(active & ((below != neg) | zero), mid, hi)
 
 
 def integrate_1d(f: Callable[[np.ndarray], np.ndarray], rule: QuadratureRule) -> float:

@@ -244,6 +244,15 @@ def test_spectrum_rejects_tiny_ell(tmp_path):
     assert not (tmp_path / "table1.csv").exists()
 
 
+def test_spectrum_rejects_tiny_ell_before_c0(tmp_path):
+    # below about ell = 6e-15, s* passes 2^53, where every double is an
+    # integer, so the window refusal must come before the c0 check (which
+    # would exit 5 with "s* = 5.7e+16 is an integer")
+    proc = run_cli("spectrum", "--ell", "1e-15", "--out", str(tmp_path), timeout=60)
+    _assert_one_line_error(proc, 2, "ell = 1e-15 is too small")
+    assert not (tmp_path / "table1.csv").exists()
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 

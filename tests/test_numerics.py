@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import integrate_1d, integrate_2d
-from plate_spectra.numerics import (Bracket, NonFinite, NoSignChange,
+from oracles import bisect_roots, integrate_1d, integrate_2d
+from plate_spectra.numerics import (_ITP_N0, Bracket, NonFinite, NoSignChange,
                                     QuadratureRule, SymMatrix, find_root, find_roots,
                                     sym_eig)
 
@@ -87,6 +89,75 @@ def test_find_roots_errors():
         find_roots(lambda x: np.where(x == 0.5, np.nan, x - 0.3), [0.0], [1.0])
     with pytest.raises(ValueError):
         find_roots(lambda x: x, [1.0], [1.0])
+
+
+def _counted(f):
+    """f and the list that gets one entry per call of it."""
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+# functions that defeat interpolation, each with its bracket and root: a
+# triple root, an infinite slope, a flat function with a steep end, a step,
+# and a line (the truncation toward the midpoint is all that slows ITP there)
+_HARD = {
+    "triple-root": (lambda x: (x - 0.3) ** 3, 0.0, 1.0, 0.3),
+    "ninth-root": (lambda x: np.sign(x) * np.abs(x) ** (1.0 / 9.0), -1.0, 2.0, 0.0),
+    "x^20": (lambda x: x ** 20 - 0.5, 0.0, 1.5, 0.5 ** (1.0 / 20.0)),
+    "tanh-step": (lambda x: np.tanh(1e3 * (x - 0.37)), 0.0, 1.0, 0.37),
+    "linear": (lambda x: 2.0 * x - 0.7, 0.0, 1.0, 0.35),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HARD))
+def test_find_root_worst_case_within_bisection_plus_n0(name):
+    # ITP's minmax bound: never more than n0 steps over bisection (one more
+    # is allowed for rounding at the last step)
+    f, lo, hi, root = _HARD[name]
+    g, calls = _counted(f)
+    got = find_root(g, Bracket(lo, hi))
+    g_ref, ref_calls = _counted(f)
+    want = bisect_roots(g_ref, [lo], [hi])[0]
+    tol = 1e-12 * max(1.0, abs(lo), abs(hi))
+    assert len(calls) <= len(ref_calls) + _ITP_N0 + 1
+    assert abs(got - root) <= tol and abs(want - root) <= tol
+
+
+def _smooth(kind: int, root: float, a: float, b: float):
+    """A smooth function with a simple root at root and the sign of x - root
+    on |x - root| < 1/a (for 0 < a <= 1, b >= 0)."""
+    return [lambda x: np.sin(a * (x - root)) * np.exp(b * x),
+            lambda x: np.expm1(a * (x - root)) + b * (x - root) ** 3,
+            lambda x: (x - root) * ((x - root) ** 2 + 0.1 + b) * np.exp(-a * x),
+            lambda x: np.arctan(a * (x - root)) + b * (x - root) ** 3][kind]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.floats(-50.0, 50.0), st.floats(0.1, 1.0),
+                          st.floats(0.0, 2.0), st.floats(1e-6, 0.99), st.floats(1e-6, 0.99)),
+                min_size=1, max_size=8),
+       st.sampled_from([1e-14, 1e-13, 1e-12, 1e-9, 1e-6]))
+def test_find_root_matches_bisection_oracle(cases, tol_rel):
+    # on brackets of smooth functions the ITP root lies within tol of the
+    # bisection oracle's, and the batched solve equals find_root bitwise
+    fs = [_smooth(kind, root, a, b) for kind, root, a, b, _, _ in cases]
+    lo = np.array([root - wl / a for _, root, a, _, wl, _ in cases])
+    hi = np.array([root + wr / a for _, root, a, _, _, wr in cases])
+
+    def f_all(x):
+        return np.array([f(xi) for f, xi in zip(fs, x)])
+
+    got = find_roots(f_all, lo, hi, tol_rel=tol_rel)
+    single = [find_root(f, Bracket(a, b), tol_rel=tol_rel) for f, a, b in zip(fs, lo, hi)]
+    assert got.tolist() == single
+    want = bisect_roots(f_all, lo, hi, tol_rel=tol_rel)
+    tol = tol_rel * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+    assert np.all(np.abs(got - want) <= tol)
 
 
 def test_bracket_validation():

@@ -47,6 +47,19 @@ def test_rearrange_rejects_negative_or_uneven_field(ref_cfg, rearr):
         rearr(GridField(vals, ref_cfg.ell), ref_cfg)
 
 
+@pytest.mark.parametrize("rearr", [rearrange_min, rearrange_max])
+def test_rearrange_weight_is_exactly_y_even(ref_cfg, rearr):
+    # a field y-even only to rounding, as u^2 on the cell centres is: mirror
+    # cells one ulp apart must still enter the sublevel set together. Half
+    # of the 15 cells is 7.5: the threshold falls inside the fourth pair
+    rows = np.arange(5.0)
+    vals = np.stack([np.nextafter(1.0 + 0.1 * rows, 2.0), 10.0 + rows, 1.0 + 0.1 * rows], 1)
+    w = rearr(GridField(vals, ref_cfg.ell, "even"), ref_cfg)
+    nv = w.variant.node_values()
+    assert np.array_equal(nv, nv[:, ::-1])
+    assert validate(w, ref_cfg).passed
+
+
 def test_rearrange_orientation(ref_cfg):
     fld = sample_field(lambda x, y: np.sin(x) ** 2 + 0.0 * y, ref_cfg, 301, 11,
                        parity="even")

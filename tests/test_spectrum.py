@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from oracles import h2_energy, integrate_2d, normalization
+from oracles import bisect_roots, h2_energy, integrate_2d, normalization
 from plate_spectra import PlateConfig
 from plate_spectra import spectrum
-from plate_spectra.numerics import NonFinite, QuadratureRule
+from plate_spectra.numerics import NonFinite, QuadratureRule, find_roots
 from plate_spectra.spectrum import (C0Violated, BranchMismatch, Mode, NotAdmissible,
                                     _norm_quadrature_order, build_spectrum,
                                     characteristic_det, check_c0, eval_eigenfunction,
@@ -224,7 +224,9 @@ def test_profile_values_match_eval(ref_spectrum):
 
 
 # eval_eigenfunction(pair, 0.7, y) at y = 0, 0.3 ell, ell, -ell on the wide plate,
-# as the per-mode profile evaluation gave them, for the first mode of each kind
+# as the per-mode profile evaluation gave them, for the first mode of each kind,
+# at the eigenvalues pinned in _SCALAR_LAMS (so a change of root finder, which
+# moves lam within its tolerance, does not move these values)
 _SCALAR_EVALS = {
     Mode(1, 1, "even"): (0.2669531250566632, 0.2721709594199762,
                          0.3413038880980737, 0.3413038880980737),
@@ -233,15 +235,18 @@ _SCALAR_EVALS = {
     Mode(6, 1, "odd"): (-0.0, -0.18606280201681435, -0.8401934752883117, 0.8401934752883117),
     Mode(1, 2, "odd"): (0.0, 0.15007490275679775, 0.5118091349379766, -0.5118091349379766),
 }
+_SCALAR_LAMS = {Mode(1, 1, "even"): 0.8802741602255556, Mode(1, 2, "even"): 12.783085071405855,
+                Mode(6, 1, "odd"): 1286.2605345829436, Mode(1, 2, "odd"): 2.2669133917965367}
 
 
 def test_scalar_eval_eigenfunction_unchanged():
     cfg = PlateConfig(ell=math.pi / 2, sigma=0.45, n_modes=40)
-    spec = build_spectrum(cfg)
-    pairs = {p.mode: p for p in spec.mu + spec.nu}
     for mode, expected in _SCALAR_EVALS.items():
+        (pair,) = spectrum._make_pairs(np.array([mode.m]), np.array([mode.k]),
+                                       np.array([_SCALAR_LAMS[mode]]), mode.parity, cfg)
+        assert pair.mode == mode
         for y, want in zip((0.0, 0.3 * cfg.ell, cfg.ell, -cfg.ell), expected):
-            got = eval_eigenfunction(pairs[mode], 0.7, y)
+            got = eval_eigenfunction(pair, 0.7, y)
             assert isinstance(got, np.float64), type(got)
             assert abs(got - want) <= 1e-14 * abs(want), (mode, y, got, want)
 
@@ -301,6 +306,49 @@ def test_build_spectrum_matches_single_mode_location(cfg):
         assert abs(single.lam - pair.lam) <= 1e-12 * pair.lam, pair.mode
         assert abs(single.norm_const - pair.norm_const) <= 1e-12 * pair.norm_const
         assert _straddles_root(pair, cfg), pair.mode
+
+
+def _solve_with(monkeypatch, solver, cfg):
+    """build_spectrum(cfg) with solver in place of find_roots, and the number
+    of f calls of each batched solve."""
+    calls = []
+
+    def counted(f, lo, hi, tol_rel):
+        n = len(calls)
+        calls.append(0)
+
+        def g(s):
+            calls[n] += 1
+            return f(s)
+
+        return solver(g, lo, hi, tol_rel=tol_rel)
+
+    monkeypatch.setattr(spectrum, "find_roots", counted)
+    return build_spectrum(cfg, cap=cfg.n_modes), calls
+
+
+@pytest.mark.parametrize("cfg", [PlateConfig(n_modes=30), PlateConfig(n_modes=100),
+                                 PlateConfig(ell=math.pi / 2, n_modes=250)],  # criterion 9
+                         ids=["ref-30", "ref-100", "crit9-250"])
+def test_build_spectrum_root_calls(monkeypatch, cfg):
+    # ITP solves every bracket of a plate in a dozen steps (bisection: 45)
+    _, calls = _solve_with(monkeypatch, find_roots, cfg)
+    assert calls and max(calls) <= 16, calls
+
+
+@pytest.mark.parametrize("cfg", [PlateConfig(n_modes=30),
+                                 PlateConfig(ell=math.pi / 2, sigma=0.45, n_modes=40),
+                                 PlateConfig(ell=0.001, n_modes=60)],
+                         ids=["ref", "wide-k1", "ell=0.001"])
+def test_build_spectrum_matches_bisection_oracle(monkeypatch, cfg):
+    # same modes, order and j0; each root within the tolerance
+    # 1e-13 (relative, in s = sqrt(lam)) of the bisection oracle's
+    got = build_spectrum(cfg)
+    want, _ = _solve_with(monkeypatch, bisect_roots, cfg)
+    assert got.j0 == want.j0
+    for a, b in zip(got.mu + got.nu, want.mu + want.nu):
+        assert a.mode == b.mode
+        assert abs(a.lam - b.lam) <= 3e-13 * b.lam, a.mode
 
 
 def _norm_plates():

@@ -12,8 +12,9 @@ from conftest import random_band_weight
 from oracles import parity_residual, parity_violated
 from plate_spectra import PlateConfig
 from plate_spectra import weights as W
-from plate_spectra.weights import (Cross, GridField, Sublevel, Uniform, Weight,
-                                   WeightError, XBands, YBands, eval_weight,
+from plate_spectra.weights import (TILDE_Y_RETENTION, Cross, GridField, Sublevel,
+                                   Uniform, Weight, WeightError, XBands, YBands,
+                                   _band_centers, eval_weight,
                                    make_breve_p, make_doublebar_p, make_pbar_j,
                                    make_tilde_p, make_uniform, pj_sin4_threshold,
                                    sample_field, sin4_level_exact, sublevel_split,
@@ -220,6 +221,19 @@ def test_breve_mass_off_reference_bounds():
     cfg = PlateConfig(alpha=0.6, beta=1.8)
     rep = validate(make_breve_p(cfg), cfg)
     assert rep.passed and abs(rep.mass_error) <= 1e-12
+
+
+@pytest.mark.parametrize("j", [1, 2, 10])
+def test_tilde_x_bands_match_closed_form(ref_cfg, j):
+    # the union-mass identity t + fy - t fy = frac is linear in t, so the x
+    # fraction is (frac - fy) / (1 - fy); the solved band edges lie within
+    # 2 ulp of the edges that fraction gives (bisection left 9-13 ulp)
+    frac = (1.0 - ref_cfg.alpha) / (ref_cfg.beta - ref_cfg.alpha)
+    fy = TILDE_Y_RETENTION * frac
+    hw = (frac - fy) / (1.0 - fy) * math.pi / (2 * j)
+    want = np.array([(c - hw, c + hw) for c in _band_centers(j)])
+    got = np.array(make_tilde_p(ref_cfg, j).variant.x_intervals)
+    assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
 
 
 def test_tilde_structure(ref_cfg):
