@@ -26,7 +26,7 @@ EXIT_WEIGHT = 3
 EXIT_NO_CONVERGENCE = 4
 EXIT_NUMERICAL = 5
 
-FLOAT_FMT = "%.6e"
+FLOAT_FMT = optimize.FLOAT_FMT
 
 
 class CliError(Exception):
@@ -36,18 +36,23 @@ class CliError(Exception):
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    umask = os.umask(0)
-    os.umask(umask)
+    """Replace path by a file holding text, through a temporary file beside
+    it. CliError (exit 2) if path cannot be written."""
+    tmp = None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+        umask = os.umask(0)
+        os.umask(umask)
         os.fchmod(fd, 0o666 & ~umask)  # mkstemp creates 0600; follow the umask instead
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise CliError(f"cannot write {path}: {exc}", EXIT_CONFIG) from exc
         raise
 
 
@@ -297,7 +302,7 @@ def cmd_ratio_table(args: argparse.Namespace) -> int:
     deviations = [[abs(v - r) / abs(r) for v, r in zip(row.values(), refs[row.label])]
                   if row.label in refs else None for row in report.rows]
     _atomic_write(out / "ratio_table_deviation.csv",
-                  optimize.ratio_csv([r.label for r in report.rows], deviations, FLOAT_FMT))
+                  optimize.ratio_csv([r.label for r in report.rows], deviations))
     written = ["ratio_table.csv", "ratio_table_deviation.csv"]
 
     if args.weyl:

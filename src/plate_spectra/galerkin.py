@@ -20,23 +20,25 @@ sin(m x_i) are entries of one exact-angle table of cos(pi r / (2 nx)),
 r < 4 nx, accurate to an ulp or two however large k x_i is. Fields on a grid
 are one matrix product of the scaled sines with the y profiles.
 
-A density search solves one parity on one cell grid in every round, so the
-grid data of its basis is fixed for the whole search: a GridBasis holds the
-cell centres, the x sines, the y profiles, the cosine table and the gather of
-the upper triangle. assemble_mass, solve_parity and expand_field take one
-through basis=; without it they build what they need for the one call.
+GridBasis is the only source of these cell-grid tables: the x sines, the y
+profiles, the cosine table and the gather of the upper triangle, each built
+the first time it is read. A density search solves one parity on one cell grid
+in every round, so it builds one basis and passes it through basis= to every
+assemble_mass, solve_parity and expand_field on its grid; a call that gets no
+basis makes its own, and builds only the tables it reads.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .config import PlateConfig
 from .numerics import QuadratureRule, SymMatrix, sym_eig
 from .spectrum import EVEN, ODD, HomEigenpair, HomSpectrum, profile_raw
-from .weights import GridField, Sublevel, Weight, _in_intervals, sqrt_mass_integral
+from .weights import GridField, Sublevel, Weight, _in_intervals, cell_ys, sqrt_mass_integral
 
 
 class GalerkinError(Exception):
@@ -145,16 +147,6 @@ def _cell_trig(nx: int, freqs: np.ndarray, shift: int = 0) -> np.ndarray:
     return period[idx]
 
 
-def _mass_tables(pairs: list[HomEigenpair], nx: int):
-    """The cosine table cos(k x_i), k = 0..2 max m, and the gather of the upper
-    triangle: its row and column indices a, b and the moment indices
-    |m_a - m_b| and m_a + m_b."""
-    m = np.array([p.mode.m for p in pairs])
-    rows, cols = np.triu_indices(m.size)
-    cos_table = _cell_trig(nx, np.arange(2 * int(m.max()) + 1))
-    return cos_table, (rows, cols, np.abs(m[rows] - m[cols]), m[rows] + m[cols])
-
-
 # bytes of each (entries, ny) temporary of _contract
 _BLOCK_BYTES = 1 << 18
 
@@ -185,53 +177,70 @@ def _pairs(spectrum: HomSpectrum, parity: str, n: int) -> list[HomEigenpair]:
     return pairs
 
 
-def _sines_on(pairs: list[HomEigenpair], nx: int) -> np.ndarray:
-    """(n, nx) table of sin(m x_i) at the cell centres."""
-    return _cell_trig(nx, np.array([p.mode.m for p in pairs]), 3 * nx).T
-
-
 @dataclass(frozen=True, eq=False)
 class GridBasis:
-    """Grid data of the first n modes of one parity on one cell grid.
+    """Grid tables of the first n modes of one parity on the nx by ny cell
+    grid of the plate of half-width ell.
 
-    A density search builds it once and passes it to every solve and
-    expansion on its grid. The sines and the cosine table are read from one
-    exact-angle table of cos(pi r / (2 nx)) (see _cell_trig). Each array is
-    built by the same expression as the per-call path, so results with and
-    without a basis are bitwise equal.
+    Each table is built the first time it is read and then kept, so a caller
+    builds only what it reads: assembly reads cos_table, gather and profiles,
+    expansion reads sines and profiles. The sines and the cosine table are
+    read from one exact-angle table of cos(pi r / (2 nx)) (see _cell_trig).
     """
 
     spectrum: HomSpectrum
     parity: str
     n: int
+    nx: int
+    ny: int
     ell: float
-    xs: np.ndarray         # (nx,) cell centres
-    ys: np.ndarray         # (ny,)
-    sines: np.ndarray      # (n, nx) sin(m x_i)
-    profiles: np.ndarray   # (n, ny) y profiles at the cell centres
-    cos_table: np.ndarray  # (nx, 2 max m + 1) cos(k x_i)
-    gather: tuple[np.ndarray, ...]  # upper triangle: rows a, cols b, |m_a - m_b|, m_a + m_b
 
-    @classmethod
-    def build(cls, spectrum: HomSpectrum, parity: str, n: int,
-              grid: tuple[int, int]) -> GridBasis:
-        pairs = _pairs(spectrum, parity, n)
-        shell = GridField(np.zeros(grid), spectrum.config.ell)
-        cos_table, gather = _mass_tables(pairs, shell.nx)
-        return cls(spectrum, parity, n, shell.ell, shell.xs, shell.ys,
-                   _sines_on(pairs, shell.nx), _profiles_on(pairs, shell.ys),
-                   cos_table, gather)
+    @cached_property
+    def pairs(self) -> list[HomEigenpair]:
+        return _pairs(self.spectrum, self.parity, self.n)
 
-    def check(self, spectrum: HomSpectrum, parity: str, n: int, nx: int, ny: int,
-              ell: float) -> None:
-        """Raise ValueError unless the basis was built for this call."""
-        if spectrum is not self.spectrum:
-            raise ValueError("grid basis was built from another spectrum")
-        want = (parity, n, nx, ny, ell)
-        have = (self.parity, self.n, self.xs.size, self.ys.size, self.ell)
-        if want != have:
-            raise ValueError(f"grid basis (parity, n, nx, ny, ell) = {have} "
-                             f"does not match the call's {want}")
+    @cached_property
+    def m(self) -> np.ndarray:
+        return np.array([p.mode.m for p in self.pairs])
+
+    @cached_property
+    def sines(self) -> np.ndarray:
+        """(n, nx) sin(m x_i) at the cell centres."""
+        return _cell_trig(self.nx, self.m, 3 * self.nx).T
+
+    @cached_property
+    def profiles(self) -> np.ndarray:
+        """(n, ny) y profiles at the cell centres."""
+        return _profiles_on(self.pairs, cell_ys(self.ny, self.ell))
+
+    @cached_property
+    def cos_table(self) -> np.ndarray:
+        """(nx, 2 max m + 1) cos(k x_i), k = 0..2 max m."""
+        return _cell_trig(self.nx, np.arange(2 * int(self.m.max()) + 1))
+
+    @cached_property
+    def gather(self) -> tuple[np.ndarray, ...]:
+        """The upper triangle's row and column indices a, b and its moment
+        indices |m_a - m_b| and m_a + m_b."""
+        m = self.m
+        rows, cols = np.triu_indices(m.size)
+        return rows, cols, np.abs(m[rows] - m[cols]), m[rows] + m[cols]
+
+
+def _basis_for(basis: GridBasis | None, spectrum: HomSpectrum, parity: str, n: int,
+               nx: int, ny: int, ell: float) -> GridBasis:
+    """basis if one is passed, else a new GridBasis for this call. ValueError
+    if the passed basis was built for another call."""
+    call = GridBasis(spectrum, parity, n, nx, ny, ell)
+    basis = basis or call
+    if basis.spectrum is not spectrum:
+        raise ValueError("grid basis was built from another spectrum")
+    have = (basis.parity, basis.n, basis.nx, basis.ny, basis.ell)
+    want = (parity, n, nx, ny, ell)
+    if want != have:
+        raise ValueError(f"grid basis (parity, n, nx, ny, ell) = {have} "
+                         f"does not match the call's {want}")
+    return basis
 
 
 def assemble_mass(w: Weight, spectrum: HomSpectrum, parity: str, n: int,
@@ -254,25 +263,21 @@ def assemble_mass(w: Weight, spectrum: HomSpectrum, parity: str, n: int,
     (_BLOCK_BYTES) and none is (n, n, ny); SymMatrix mirrors the triangle.
     The cosine table, the y profiles and the gather come from basis, a
     GridBasis of this parity, n and grid (ValueError if it is another), or
-    are built here.
+    from one built for this call.
     """
-    pairs = _pairs(spectrum, parity, n)
-    cfg = spectrum.config
     v = w.variant
     mat = np.zeros((n, n))
 
     if isinstance(v, Sublevel):
         f = v.field
-        if basis is None:
-            cos_table, gather = _mass_tables(pairs, f.nx)
-            profs = _profiles_on(pairs, f.ys)                        # (n, ny)
-        else:
-            basis.check(spectrum, parity, n, f.nx, f.ny, f.ell)
-            cos_table, gather, profs = basis.cos_table, basis.gather, basis.profiles
+        basis = _basis_for(basis, spectrum, parity, n, f.nx, f.ny, f.ell)
         cell_w = (0.5 * f.cell_area) * v.node_values()               # (nx, ny)
-        mom = cos_table.T @ cell_w                                   # (K, ny), halved
-        mat[gather[0], gather[1]] = _contract(mom, profs, gather)
+        mom = basis.cos_table.T @ cell_w                             # (K, ny), halved
+        gather = basis.gather
+        mat[gather[0], gather[1]] = _contract(mom, basis.profiles, gather)
     else:
+        pairs = _pairs(spectrum, parity, n)
+        cfg = spectrum.config
         freqs = [p.mode.m for p in pairs]
         rule = _y_rule(pairs, cfg, sorted(set(_inner_edges(v.y_intervals, -cfg.ell, cfg.ell))))
         y, wq = rule.nodes_weights()
@@ -340,17 +345,12 @@ def expand_field(spectrum: HomSpectrum, parity: str, coeffs: np.ndarray,
     """Evaluate sum coeffs_n * basis_n on a cell grid for one parity.
 
     The sines and y profiles come from basis, a GridBasis of this parity,
-    coeffs.size and grid (ValueError if it is another), or are built here.
+    coeffs.size and grid (ValueError if it is another), or from one built for
+    this call.
     """
-    cfg = spectrum.config
-    if basis is None:
-        pairs = _pairs(spectrum, parity, coeffs.size)
-        shell = GridField(np.zeros(grid), cfg.ell)
-        sines, profs = _sines_on(pairs, shell.nx), _profiles_on(pairs, shell.ys)
-    else:
-        basis.check(spectrum, parity, coeffs.size, grid[0], grid[1], cfg.ell)
-        sines, profs = basis.sines, basis.profiles
-    return GridField((coeffs[:, None] * sines).T @ profs, cfg.ell, parity)
+    ell = spectrum.config.ell
+    basis = _basis_for(basis, spectrum, parity, coeffs.size, *grid, ell)
+    return GridField((coeffs[:, None] * basis.sines).T @ basis.profiles, ell, parity)
 
 
 def reconstruct(gs: GalerkinSpectrum, spectrum: HomSpectrum, which: tuple[str, int],

@@ -186,29 +186,19 @@ def find_roots(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.nda
 # quadrature
 # ---------------------------------------------------------------------------
 
-GAUSS_LEGENDRE = "gauss-legendre"
-COMPOSITE_MIDPOINT = "composite-midpoint"
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
-    """1D rule on [a, b] split at breakpoints into smooth pieces.
-
-    order is the Gauss-Legendre order per piece, or the cell count per piece
-    for the composite midpoint rule.
-    """
+    """1D Gauss-Legendre rule of the given order on each piece of [a, b]
+    split at breakpoints into smooth pieces."""
 
     a: float
     b: float
-    kind: str = GAUSS_LEGENDRE
     order: int = 24
     breakpoints: tuple[float, ...] = field(default=())
 
     def __post_init__(self) -> None:
         if not self.a < self.b:
             raise ValueError(f"empty interval [{self.a}, {self.b}]")
-        if self.kind not in (GAUSS_LEGENDRE, COMPOSITE_MIDPOINT):
-            raise ValueError(f"unknown rule kind {self.kind!r}")
         if self.order < 1:
             raise ValueError(f"order must be positive, got {self.order}")
         pts = tuple(float(t) for t in self.breakpoints)
@@ -225,18 +215,12 @@ class QuadratureRule:
     def nodes_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """Concatenated nodes and weights over all pieces (fixed order), as
         new arrays on every call."""
+        ref_x, ref_w = _gauss_legendre(self.order)
         xs: list[np.ndarray] = []
         ws: list[np.ndarray] = []
-        if self.kind == GAUSS_LEGENDRE:
-            ref_x, ref_w = _gauss_legendre(self.order)
-            for (a, b) in self.pieces():
-                xs.append(0.5 * (b - a) * ref_x + 0.5 * (a + b))
-                ws.append(0.5 * (b - a) * ref_w)
-        else:
-            for (a, b) in self.pieces():
-                h = (b - a) / self.order
-                xs.append(a + h * (np.arange(self.order) + 0.5))
-                ws.append(np.full(self.order, h))
+        for (a, b) in self.pieces():
+            xs.append(0.5 * (b - a) * ref_x + 0.5 * (a + b))
+            ws.append(0.5 * (b - a) * ref_w)
         return np.concatenate(xs), np.concatenate(ws)
 
 

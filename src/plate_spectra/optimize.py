@@ -128,12 +128,13 @@ def _search(target: str, cfg: PlateConfig, spectrum: HomSpectrum, parity: str,
     average of the eigenfunction's square. record(iterates, w, value) gets the
     weight's own j-th eigenvalue, decides which values become iterates and
     returns a stop reason or None; settled(w, w_next) says when two
-    consecutive dense sets count as equal. The grid basis is built once: every
-    expansion and every solve of a weight on the search grid uses it.
+    consecutive dense sets count as equal. One GridBasis serves the whole
+    search: every expansion and every solve of a weight on the search grid
+    reads its tables.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    basis = GridBasis.build(spectrum, parity, n, grid)
+    basis = GridBasis(spectrum, parity, n, *grid, spectrum.config.ell)
     iterates: list[tuple[Weight, float]] = []
     resorted = False
     prev_vec: np.ndarray | None = None
@@ -142,7 +143,7 @@ def _search(target: str, cfg: PlateConfig, spectrum: HomSpectrum, parity: str,
     for _ in range(max_iters):
         v = w.variant
         on_grid = isinstance(v, Sublevel) and (v.field.nx, v.field.ny, v.field.ell) == (
-            basis.xs.size, basis.ys.size, basis.ell)
+            basis.nx, basis.ny, basis.ell)
         lam, coeffs, mass = solve_parity(w, spectrum, parity, n,
                                          basis=basis if on_grid else None)
         idx = j - 1
@@ -328,6 +329,8 @@ def mu_upper_bound(w: Weight, j: int, cfg: PlateConfig) -> float:
 # ratio study
 # ---------------------------------------------------------------------------
 
+# printf format of every float in the CSV outputs
+FLOAT_FMT = "%.6e"
 # Row order of the ratio table (ratio_table.csv and its deviation file).
 RATIO_QUANTITIES = tuple(f"mu_{i}" for i in range(1, 13)) + ("nu_1", "nu_2", "R")
 
@@ -403,15 +406,15 @@ def trace_to_jsonl(trace: OptimizationTrace) -> str:
                    for i, (w, v) in enumerate(trace.iterates))
 
 
-def ratio_csv(labels: list[str], columns: list, fmt: str = "%.6e") -> str:
+def ratio_csv(labels: list[str], columns: list) -> str:
     """One row per RATIO_QUANTITIES entry, one column per label. A column holds
     numbers in that order; a None column is left empty."""
     lines = ["quantity," + ",".join(labels)]
     for i, q in enumerate(RATIO_QUANTITIES):
-        lines.append(q + "," + ",".join("" if c is None else fmt % c[i] for c in columns))
+        lines.append(q + "," + ",".join("" if c is None else FLOAT_FMT % c[i] for c in columns))
     return "\n".join(lines) + "\n"
 
 
-def ratio_report_to_csv(report: RatioReport, fmt: str = "%.6e") -> str:
+def ratio_report_to_csv(report: RatioReport) -> str:
     """Rows mu_1..mu_12, nu_1, nu_2, R; one column per weight."""
-    return ratio_csv([r.label for r in report.rows], [r.values() for r in report.rows], fmt)
+    return ratio_csv([r.label for r in report.rows], [r.values() for r in report.rows])

@@ -230,20 +230,6 @@ def _sinh_ratio(y: np.ndarray, a, ell: float) -> np.ndarray:
     return np.sign(y) * np.exp((ay - ell) * a) * (-np.expm1(-2.0 * a * ay)) / den
 
 
-def _sinh_over_cosh(y: np.ndarray, a: float, ell: float) -> np.ndarray:
-    """sinh(a y)/cosh(a ell)."""
-    ay = np.abs(y)
-    return (np.sign(y) * np.exp((ay - ell) * a) * (1.0 - np.exp(-2.0 * a * ay))
-            / (1.0 + math.exp(-2.0 * a * ell)))
-
-
-def _cosh_over_sinh(y: np.ndarray, a: float, ell: float) -> np.ndarray:
-    """cosh(a y)/sinh(a ell)."""
-    ay = np.abs(y)
-    den = -math.expm1(-2.0 * a * ell)
-    return np.exp((ay - ell) * a) * (1.0 + np.exp(-2.0 * a * ay)) / den
-
-
 def _profile_terms(m, lam, sigma: float):
     """Amplitudes and wavenumbers (q_amp, p_amp, c_bar, c, high) of modes
     (m, lam), given as scalars or broadcastable arrays."""
@@ -283,37 +269,6 @@ def profile_values(pair: HomEigenpair, y) -> np.ndarray:
     raw = profile_raw(pair.mode.m, pair.lam, pair.mode.parity,
                       pair.sigma, pair.ell, y)
     return raw / pair.norm_const
-
-
-def profile_derivatives(pair: HomEigenpair, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(profile, profile', profile'') of the normalized y-profile."""
-    m, lam = pair.mode.m, pair.lam
-    sigma, ell = pair.sigma, pair.ell
-    q_amp, p_amp, c_bar, c, high = _profile_terms(m, lam, sigma)
-    y = np.asarray(y, dtype=float)
-    f0 = profile_raw(m, lam, pair.mode.parity, sigma, ell, y)
-    if pair.mode.parity == EVEN:
-        f1 = q_amp * c_bar * _sinh_over_cosh(y, c_bar, ell)
-        f2 = q_amp * c_bar ** 2 * _cosh_ratio(y, c_bar, ell)
-        if high:
-            cos_l = math.cos(c * ell)
-            f1 = f1 - p_amp * c * np.sin(c * y) / cos_l
-            f2 = f2 - p_amp * c ** 2 * np.cos(c * y) / cos_l
-        else:
-            f1 = f1 + p_amp * c * _sinh_over_cosh(y, c, ell)
-            f2 = f2 + p_amp * c ** 2 * _cosh_ratio(y, c, ell)
-    else:
-        f1 = q_amp * c_bar * _cosh_over_sinh(y, c_bar, ell)
-        f2 = q_amp * c_bar ** 2 * _sinh_ratio(y, c_bar, ell)
-        if high:
-            sin_l = math.sin(c * ell)
-            f1 = f1 + p_amp * c * np.cos(c * y) / sin_l
-            f2 = f2 - p_amp * c ** 2 * np.sin(c * y) / sin_l
-        else:
-            f1 = f1 + p_amp * c * _cosh_over_sinh(y, c, ell)
-            f2 = f2 + p_amp * c ** 2 * _sinh_ratio(y, c, ell)
-    n = pair.norm_const
-    return f0 / n, f1 / n, f2 / n
 
 
 def eval_eigenfunction(pair: HomEigenpair, x, y):

@@ -41,6 +41,11 @@ def _length(intervals: tuple[Interval, ...]) -> float:
 # grid fields (cell-center sampling, midpoint measure)
 # ---------------------------------------------------------------------------
 
+def cell_ys(ny: int, ell: float) -> np.ndarray:
+    """y of the centres of ny equal cells across (-ell, ell)."""
+    return (np.arange(ny) + 0.5) * (2.0 * ell / ny) - ell
+
+
 @dataclass(frozen=True, eq=False)
 class GridField:
     """Scalar field sampled at cell centers of a uniform grid on Omega.
@@ -82,7 +87,7 @@ class GridField:
 
     @property
     def ys(self) -> np.ndarray:
-        return (np.arange(self.ny) + 0.5) * (2.0 * self.ell / self.ny) - self.ell
+        return cell_ys(self.ny, self.ell)
 
     @property
     def cell_area(self) -> float:

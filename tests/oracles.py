@@ -1,9 +1,10 @@
 """Reference computations the tests check the package against.
 
-Each one takes an independent route (bisection for roots, Gauss-Legendre
-quadrature in x and y, one quadrature per mode, a direct cell sum, a per-entry
-or per-column form of an assembly, or a second form of a closed-form bound),
-so nothing in the package calls them.
+Each one takes an independent route (bisection for roots, a composite
+midpoint rule, Gauss-Legendre quadrature in x and y, one quadrature per mode,
+closed-form profile derivatives, a direct cell sum, a per-entry or per-column
+form of an assembly, or a second form of a closed-form bound), so nothing in
+the package calls them.
 """
 from __future__ import annotations
 
@@ -16,9 +17,9 @@ from plate_spectra.config import PlateConfig
 from plate_spectra.galerkin import _inner_edges, _pairs, _profiles_on, _y_rule
 from plate_spectra.numerics import NonFinite, NoSignChange, QuadratureRule
 from plate_spectra.optimize import OptimizeError, _weighted_sin4_cell, mu_upper_bound
-from plate_spectra.spectrum import (HomEigenpair, HomSpectrum, _norm_quadrature_order,
-                                    _profile_terms, profile_derivatives, profile_raw,
-                                    profile_values)
+from plate_spectra.spectrum import (EVEN, HomEigenpair, HomSpectrum, _cosh_ratio,
+                                    _norm_quadrature_order, _profile_terms, _sinh_ratio,
+                                    profile_raw, profile_values)
 from plate_spectra.weights import GridField, Sublevel, Weight, _in_intervals, eval_weight
 
 
@@ -49,6 +50,18 @@ def bisect_roots(f: Callable[[np.ndarray], np.ndarray], lo, hi,
         below, zero = fmid < 0.0, fmid == 0.0
         lo = np.where(active & ((below == neg) | zero), mid, lo)
         hi = np.where(active & ((below != neg) | zero), mid, hi)
+
+
+class MidpointRule(QuadratureRule):
+    """Composite midpoint rule: order equal cells on each piece."""
+
+    def nodes_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        xs, ws = [], []
+        for a, b in self.pieces():
+            h = (b - a) / self.order
+            xs.append(a + h * (np.arange(self.order) + 0.5))
+            ws.append(np.full(self.order, h))
+        return np.concatenate(xs), np.concatenate(ws)
 
 
 def integrate_1d(f: Callable[[np.ndarray], np.ndarray], rule: QuadratureRule) -> float:
@@ -119,6 +132,51 @@ def weighted_l2_sq(pairs: list[HomEigenpair], coeffs: np.ndarray, w: Weight,
     u = _expand(pairs, coeffs, x, y)
     pv = eval_weight(w, x[:, None], y[None, :])
     return float(wx @ (pv * u * u) @ wy)
+
+
+def _sinh_over_cosh(y: np.ndarray, a: float, ell: float) -> np.ndarray:
+    """sinh(a y)/cosh(a ell)."""
+    ay = np.abs(y)
+    return (np.sign(y) * np.exp((ay - ell) * a) * (1.0 - np.exp(-2.0 * a * ay))
+            / (1.0 + math.exp(-2.0 * a * ell)))
+
+
+def _cosh_over_sinh(y: np.ndarray, a: float, ell: float) -> np.ndarray:
+    """cosh(a y)/sinh(a ell)."""
+    ay = np.abs(y)
+    den = -math.expm1(-2.0 * a * ell)
+    return np.exp((ay - ell) * a) * (1.0 + np.exp(-2.0 * a * ay)) / den
+
+
+def profile_derivatives(pair: HomEigenpair, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(profile, profile', profile'') of the normalized y-profile."""
+    m, lam = pair.mode.m, pair.lam
+    sigma, ell = pair.sigma, pair.ell
+    q_amp, p_amp, c_bar, c, high = _profile_terms(m, lam, sigma)
+    y = np.asarray(y, dtype=float)
+    f0 = profile_raw(m, lam, pair.mode.parity, sigma, ell, y)
+    if pair.mode.parity == EVEN:
+        f1 = q_amp * c_bar * _sinh_over_cosh(y, c_bar, ell)
+        f2 = q_amp * c_bar ** 2 * _cosh_ratio(y, c_bar, ell)
+        if high:
+            cos_l = math.cos(c * ell)
+            f1 = f1 - p_amp * c * np.sin(c * y) / cos_l
+            f2 = f2 - p_amp * c ** 2 * np.cos(c * y) / cos_l
+        else:
+            f1 = f1 + p_amp * c * _sinh_over_cosh(y, c, ell)
+            f2 = f2 + p_amp * c ** 2 * _cosh_ratio(y, c, ell)
+    else:
+        f1 = q_amp * c_bar * _cosh_over_sinh(y, c_bar, ell)
+        f2 = q_amp * c_bar ** 2 * _sinh_ratio(y, c_bar, ell)
+        if high:
+            sin_l = math.sin(c * ell)
+            f1 = f1 + p_amp * c * np.cos(c * y) / sin_l
+            f2 = f2 - p_amp * c ** 2 * np.sin(c * y) / sin_l
+        else:
+            f1 = f1 + p_amp * c * _cosh_over_sinh(y, c, ell)
+            f2 = f2 + p_amp * c ** 2 * _sinh_ratio(y, c, ell)
+    n = pair.norm_const
+    return f0 / n, f1 / n, f2 / n
 
 
 def h2_energy(pairs: list[HomEigenpair], coeffs: np.ndarray, cfg: PlateConfig) -> float:

@@ -428,6 +428,23 @@ def test_atomic_write_follows_umask(tmp_path):
     assert [p.name for p in path.parent.iterdir()] == ["a.csv"]
 
 
+@pytest.mark.parametrize("where", ["file", "under_file", "directory"])
+def test_unwritable_out_is_a_config_error(tmp_path, where):
+    # --out naming a file, or a path below one, used to end in a mkdir
+    # traceback with exit 1; a directory where table1.csv goes fails in the rename
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep\n")
+    out = {"file": blocker, "under_file": blocker / "sub",
+           "directory": tmp_path / "dir"}[where]
+    if where == "directory":
+        (out / "table1.csv").mkdir(parents=True)
+    proc = run_cli("spectrum", "--out", str(out))
+    _assert_one_line_error(proc, 2, "cannot write")
+    assert blocker.read_text() == "keep\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(
+        ["taken"] + (["dir", "table1.csv"] if where == "directory" else []))
+
+
 def test_optimize_min_mu_1(tmp_path):
     proc = run_cli("optimize", "--target", "min-mu", "--j", "1",
                    "--n-modes", "12", "--grid", "300", "15",

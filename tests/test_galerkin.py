@@ -6,12 +6,11 @@ import pytest
 
 from conftest import random_band_weight, random_grid_weight
 from plate_spectra import PlateConfig
-from oracles import (h2_energy, integrate_2d, mass_matrix_by_columns, weighted_l2_sq,
-                     x_matrix_per_entry)
+from oracles import (MidpointRule, h2_energy, integrate_2d, mass_matrix_by_columns,
+                     weighted_l2_sq, x_matrix_per_entry)
 from plate_spectra.galerkin import (GridBasis, _cell_trig, _profiles_on, _x_matrix, assemble_mass,
                                     expand_field, merged_eigenvalues, reconstruct,
                                     solve_parity, solve_weighted, weyl_diagnostic)
-from plate_spectra.numerics import QuadratureRule
 from plate_spectra.optimize import default_study_weights, make_pstar
 from plate_spectra.spectrum import build_spectrum, eval_eigenfunction, profile_values
 from plate_spectra.weights import (Cross, GridField, Weight, XBands, eval_weight, make_breve_p,
@@ -61,9 +60,9 @@ def test_band_assembly_vs_brute_force(ref_cfg, ref_spectrum):
     n = 6
     c = assemble_mass(w, ref_spectrum, "even", n)
     pairs = ref_spectrum.mu[:n]
-    rx = QuadratureRule(0.0, math.pi, kind="composite-midpoint", order=1500,
-                        breakpoints=(0.4, 1.1, 2.0, 2.9))
-    ry = QuadratureRule(-ref_cfg.ell, ref_cfg.ell, kind="composite-midpoint", order=200)
+    rx = MidpointRule(0.0, math.pi, order=1500,
+                      breakpoints=(0.4, 1.1, 2.0, 2.9))
+    ry = MidpointRule(-ref_cfg.ell, ref_cfg.ell, order=200)
     for i in (0, 2, 5):
         for j in (0, 3, 5):
             brute = integrate_2d(
@@ -121,7 +120,7 @@ def test_x_matrix_vs_midpoint_quadrature(intervals):
     f = np.array(freqs, dtype=float)
     brute = np.zeros((6, 6))
     for a, b in intervals or [(0.0, math.pi)]:
-        x, w = QuadratureRule(a, b, kind="composite-midpoint", order=100_000).nodes_weights()
+        x, w = MidpointRule(a, b, order=100_000).nodes_weights()
         s = np.sin(f[:, None] * x[None, :])
         brute += (s * w) @ s.T
     assert np.abs(xm - brute).max() <= 1e-8
@@ -160,7 +159,7 @@ def test_cell_trig_tables_vs_long_double(spectrum_n100):
     # cos(k x_i) and sin(m x_i) at nx = 600 for k = 0..200 and m = 1..100;
     # evaluating np.cos(k * x_i) in double is off by up to 1.6e-13 here
     nx = 600
-    basis = GridBasis.build(spectrum_n100, "even", 100, (nx, 31))
+    basis = GridBasis(spectrum_n100, "even", 100, nx, 31, spectrum_n100.config.ell)
     k = np.arange(basis.cos_table.shape[1], dtype=np.longdouble)
     m = np.array([p.mode.m for p in spectrum_n100.mu[:100]], dtype=np.longdouble)
     assert k.size == 201 and m.max() == 100
@@ -312,7 +311,7 @@ def test_grid_basis_results_bitwise_equal(spectrum_n100, n, grid):
     rng = np.random.default_rng(n + grid[0])
     w = random_grid_weight(rng, spec.config, shape=grid)
     for parity in ("even", "odd"):
-        basis = GridBasis.build(spec, parity, n, grid)
+        basis = GridBasis(spec, parity, n, *grid, spec.config.ell)
         assert np.array_equal(assemble_mass(w, spec, parity, n, basis=basis).a,
                               assemble_mass(w, spec, parity, n).a)
         for got, want in zip(solve_parity(w, spec, parity, n, basis=basis),
@@ -327,11 +326,13 @@ def test_grid_basis_mismatch_raises(ref_cfg, ref_spectrum):
     grid, n = (120, 15), 12
     w = random_grid_weight(np.random.default_rng(4), ref_cfg, shape=grid)
     other_plate = build_spectrum(PlateConfig(sigma=0.3, n_modes=n))  # same ell
-    for basis in (GridBasis.build(ref_spectrum, "odd", n, grid),
-                  GridBasis.build(ref_spectrum, "even", n - 1, grid),
-                  GridBasis.build(ref_spectrum, "even", n, (240, 15)),
-                  GridBasis.build(ref_spectrum, "even", n, (120, 31)),
-                  GridBasis.build(other_plate, "even", n, grid)):
+    ell = ref_cfg.ell
+    for basis in (GridBasis(ref_spectrum, "odd", n, *grid, ell),
+                  GridBasis(ref_spectrum, "even", n - 1, *grid, ell),
+                  GridBasis(ref_spectrum, "even", n, 240, 15, ell),
+                  GridBasis(ref_spectrum, "even", n, 120, 31, ell),
+                  GridBasis(ref_spectrum, "even", n, *grid, 2 * ell),
+                  GridBasis(other_plate, "even", n, *grid, ell)):
         with pytest.raises(ValueError, match="grid basis"):
             assemble_mass(w, ref_spectrum, "even", n, basis=basis)
         with pytest.raises(ValueError, match="grid basis"):
@@ -346,11 +347,37 @@ def test_grid_basis_mismatch_raises(ref_cfg, ref_spectrum):
     assemble_mass(shifted, ref_spectrum, "even", n)
     with pytest.raises(ValueError, match="ell"):
         assemble_mass(shifted, ref_spectrum, "even", n,
-                      basis=GridBasis.build(ref_spectrum, "even", n, grid))
+                      basis=GridBasis(ref_spectrum, "even", n, *grid, ell))
+
+
+def test_call_without_basis_builds_only_what_it_reads(ref_cfg, ref_spectrum, monkeypatch):
+    # assembly reads the cosine table (shift 0) and the profiles, expansion the
+    # sines (shift 3 nx) and the profiles; each once per call and parity
+    from plate_spectra import galerkin
+    shifts, profiled = [], []
+    trig, profiles_on = galerkin._cell_trig, galerkin._profiles_on
+
+    def counted_trig(nx, freqs, shift=0):
+        shifts.append(shift)
+        return trig(nx, freqs, shift)
+
+    def counted_profiles(pairs, y):
+        profiled.append(y.size)
+        return profiles_on(pairs, y)
+
+    monkeypatch.setattr(galerkin, "_cell_trig", counted_trig)
+    monkeypatch.setattr(galerkin, "_profiles_on", counted_profiles)
+    grid = (120, 15)
+    w = random_grid_weight(np.random.default_rng(6), ref_cfg, shape=grid)
+    solve_weighted(w, ref_spectrum, 12)
+    assert (shifts, profiled) == ([0, 0], [15, 15])
+    shifts.clear(), profiled.clear()
+    expand_field(ref_spectrum, "odd", np.ones(12), grid)
+    assert (shifts, profiled) == ([3 * 120], [15])
 
 
 def test_band_weight_ignores_grid_basis(ref_cfg, ref_spectrum):
-    basis = GridBasis.build(ref_spectrum, "odd", 5, (60, 3))  # fits no call below
+    basis = GridBasis(ref_spectrum, "odd", 5, 60, 3, ref_cfg.ell)  # fits no call below
     for w in (make_uniform(ref_cfg), make_pbar_j(10, ref_cfg), make_breve_p(ref_cfg)):
         assert np.array_equal(assemble_mass(w, ref_spectrum, "even", 20, basis=basis).a,
                               assemble_mass(w, ref_spectrum, "even", 20).a)

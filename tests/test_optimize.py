@@ -177,14 +177,15 @@ def test_minimize_follows_mode_that_slides_down(ref_cfg, ref_spectrum, monkeypat
 
 
 def test_one_grid_basis_per_search(ref_cfg, ref_spectrum, monkeypatch):
-    from plate_spectra import optimize
+    from plate_spectra import galerkin, optimize
     from plate_spectra.galerkin import GridBasis
-    built, solved, expanded = [], [], []
-    build, solve, expand = GridBasis.build, optimize.solve_parity, optimize.expand_field
+    built, solved, expanded, shifts = [], [], [], []
+    solve, expand, trig = optimize.solve_parity, optimize.expand_field, galerkin._cell_trig
 
-    def counted_build(*args, **kwargs):
-        built.append(build(*args, **kwargs))
-        return built[-1]
+    class CountedBasis(GridBasis):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
 
     def counted_solve(*args, basis=None, **kwargs):
         solved.append(basis)
@@ -194,7 +195,12 @@ def test_one_grid_basis_per_search(ref_cfg, ref_spectrum, monkeypatch):
         expanded.append(basis)
         return expand(*args, basis=basis, **kwargs)
 
-    monkeypatch.setattr(GridBasis, "build", counted_build)
+    def counted_trig(nx, freqs, shift=0):
+        shifts.append(shift)
+        return trig(nx, freqs, shift)
+
+    monkeypatch.setattr(optimize, "GridBasis", CountedBasis)
+    monkeypatch.setattr(galerkin, "_cell_trig", counted_trig)
     monkeypatch.setattr(optimize, "solve_parity", counted_solve)
     monkeypatch.setattr(optimize, "expand_field", counted_expand)
     cfg = PlateConfig(alpha=0.1, beta=3.0)  # a fixed point that takes 4 rounds
@@ -202,11 +208,13 @@ def test_one_grid_basis_per_search(ref_cfg, ref_spectrum, monkeypatch):
             (lambda: minimize_mu_j(3, ref_cfg, spectrum=ref_spectrum, grid=(600, 31)),
              "even", (600, 31)),
             (lambda: maximize_nu1_fixed_point(cfg, grid=(300, 15)), "odd", (300, 15))):
-        built.clear(), solved.clear(), expanded.clear()
+        built.clear(), solved.clear(), expanded.clear(), shifts.clear()
         search()
         assert len(built) == 1 and len(solved) > 2
         basis = built[0]
-        assert (basis.parity, basis.xs.size, basis.ys.size) == (parity, *grid)
+        assert (basis.parity, basis.nx, basis.ny) == (parity, *grid)
+        # one cosine table and one sine table for the whole search
+        assert sorted(shifts) == [0, 3 * grid[0]]
         # the band start (uniform; pstar lives on the grid) is solved without it
         assert solved[1:] == [basis] * (len(solved) - 1)
         assert solved[0] is (None if parity == "even" else basis)
