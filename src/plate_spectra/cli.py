@@ -158,6 +158,13 @@ def _config_from(args: argparse.Namespace) -> PlateConfig:
         raise CliError(f"invalid configuration: {exc}", EXIT_CONFIG) from exc
 
 
+def _too_coarse(grid: tuple[int, int], n_modes: int, exc: Exception) -> CliError:
+    # an admissible weight has a positive definite mass matrix; on this grid
+    # the sampled weight cannot resolve the basis
+    return CliError(f"grid {grid[0]} x {grid[1]} is too coarse for n_modes={n_modes}: {exc}",
+                    EXIT_CONFIG)
+
+
 def _load_weight(path: str, cfg: PlateConfig) -> weights.Weight:
     try:
         text = Path(path).read_text()
@@ -254,10 +261,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             trace = optimize.maximize_nu1_fixed_point(cfg, max_iters=args.max_iters,
                                                       spectrum=spec, grid=grid)
     except galerkin.SingularMass as exc:
-        # an admissible weight has a positive definite mass matrix; on this
-        # grid the sampled weight cannot resolve the basis
-        raise CliError(f"grid {grid[0]} x {grid[1]} is too coarse for n_modes="
-                       f"{cfg.n_modes}: {exc}", EXIT_CONFIG) from exc
+        raise _too_coarse(grid, cfg.n_modes, exc) from exc
     out = Path(args.out)
     final = trace.final_weight
     _atomic_write(out / "trace.jsonl", optimize.trace_to_jsonl(trace))
@@ -291,9 +295,13 @@ def cmd_ratio_table(args: argparse.Namespace) -> int:
     if cfg.n_modes < 12:
         raise CliError("ratio table needs n_modes >= 12", EXIT_CONFIG)
     spec = spectrum.build_spectrum(cfg)
-    study = optimize.default_study_weights(cfg, spec, tuple(args.grid))
-    report = optimize.ratio_study(study, cfg, spec,
-                                  n=max(min(cfg.n_modes, 30), spectrum.known_j0(spec)))
+    grid = tuple(args.grid)
+    n = max(min(cfg.n_modes, 30), spectrum.known_j0(spec))
+    try:
+        report = optimize.ratio_study(optimize.default_study_weights(cfg, spec, grid),
+                                      cfg, spec, n=n)
+    except galerkin.SingularMass as exc:
+        raise _too_coarse(grid, n, exc) from exc
     out = Path(args.out)
     _atomic_write(out / "ratio_table.csv", optimize.ratio_report_to_csv(report))
 

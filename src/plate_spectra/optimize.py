@@ -399,8 +399,8 @@ def ratio_study(weights: list[tuple[str, Weight]], cfg: PlateConfig,
 
 def trace_to_jsonl(trace: OptimizationTrace) -> str:
     """One iterate per line: iteration index, eigenvalue and the weight's
-    parameters. A sublevel field's "values" is null; final_weight.json holds
-    the final field's samples."""
+    parameters. A sublevel field's "values" is null and its "threshold" the
+    true level; final_weight.json holds the final weight's phase map."""
     return "".join(json.dumps({"iteration": i, "eigenvalue": v,
                                "weight": weight_to_dict(w, values=False)}) + "\n"
                    for i, (w, v) in enumerate(trace.iterates))

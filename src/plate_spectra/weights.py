@@ -486,10 +486,23 @@ _BAND_FORMATS = {
 _BAND_NAMES = {cls: name for name, (cls, _) in _BAND_FORMATS.items()}
 
 
+def _phase_map(v: Sublevel) -> Sublevel:
+    """v on the map of its cells' phases: the code 0 where the field lies below
+    the threshold, 1 where it equals it and 2 above it, with threshold 1. Node
+    values and the inside mask are v's, bit for bit. ValueError if the map
+    breaks the field's declared parity."""
+    f = v.field
+    codes = (f.values >= v.threshold).astype(float) + (f.values > v.threshold)
+    return Sublevel(GridField(codes, f.ell, f.parity), 1.0, v.inside, v.outside,
+                    v.tie_fraction, v.degenerate)
+
+
 def weight_to_dict(w: Weight, values: bool = True) -> dict:
-    """The JSON object of a weight. With values=False a sublevel field's
-    "values" is None: trace.jsonl records a field's parameters without its
-    samples, and weight_to_json puts its own encoding of them in that slot."""
+    """The JSON object of a weight. A sublevel weight is written as its phase
+    map: the field's "values" are the integer codes 0, 1 and 2 of _phase_map
+    and "threshold" is 1.0. With values=False the field's "values" is None
+    and "threshold" is the true level: trace.jsonl records each iterate's
+    parameters this way."""
     v = w.variant
     base = {"alpha": w.alpha, "beta": w.beta}
     if isinstance(v, Bands):
@@ -501,15 +514,17 @@ def weight_to_dict(w: Weight, values: bool = True) -> dict:
             value = getattr(v, attr)
             params[key] = [list(t) for t in value] if attr.endswith("intervals") else value
         return {**base, "variant": name, "parameters": params}
+    codes = None
+    if values:
+        v = _phase_map(v)
+        codes = v.field.values.astype(np.int8).ravel().tolist()
     f = v.field
     return {**base, "variant": "sublevel",
             "parameters": {"threshold": v.threshold, "inside": v.inside,
                            "outside": v.outside, "tie_fraction": v.tie_fraction,
                            "degenerate": v.degenerate,
                            "field": {"nx": f.nx, "ny": f.ny, "ell": f.ell,
-                                     "parity": f.parity,
-                                     "values": f.values.ravel().tolist() if values
-                                     else None}}}
+                                     "parity": f.parity, "values": codes}}}
 
 
 def weight_from_dict(data: dict) -> Weight:
@@ -538,201 +553,27 @@ def weight_from_dict(data: dict) -> Weight:
     return Weight(v, alpha, beta)
 
 
-# ---------------------------------------------------------------------------
-# JSON text of float arrays
-# ---------------------------------------------------------------------------
-
-# floats_json writes each number into a 48-byte cell: ", ", the sign and the
-# "0.", "0.0", "0.00" or "0.000" of the positional form (8 bytes), the 17
-# significant digits c0 .. c16 of the value, each followed by a slot for the
-# decimal point (33 bytes), and the exponent "e-05" in the last 4 bytes. Digits
-# past the shortest round-trip ones, empty slots and padding are NUL, and the
-# NULs are dropped at the end.
-_VELTKAMP = 134217729.0                 # 2**27 + 1: splits a double into 26-bit halves
-_TIE_TOL = 1e-9                         # certification margin, in units of the digit compared
-_JSON_ROWS = 4096                       # values encoded at a time, which bounds the temporaries
-
-
-def _json_text(strings) -> np.ndarray:
-    return np.frombuffer("".join(strings).encode("ascii"), dtype=np.uint64)
-
-
-def _json_powers() -> tuple[np.ndarray, np.ndarray]:
-    """10**k for k in -99 .. 115 (index k + 99) as hi + lo: hi the nearest
-    double, lo the nearest double to the rest, zero where hi is exact."""
-    hi, lo = [], []
-    for k in range(-99, 116):
-        if k >= 0:
-            hi.append(float(10 ** k))
-            lo.append(float(10 ** k - int(hi[-1])))
-        else:
-            hi.append(1 / 10 ** -k)
-            num, den = hi[-1].as_integer_ratio()
-            lo.append((den - num * 10 ** -k) / (den * 10 ** -k))
-    return np.array(hi), np.array(lo)
-
-
-def _json_digit_words() -> np.ndarray:
-    """Digit words for 0 .. 9999: the four digits at bytes 0, 2, 4 and 6, each
-    followed by a NUL slot for a decimal point."""
-    pairs = (48 + np.arange(100)[:, None] // [10, 1] % 10).astype(np.uint8)   # "00" .. "99"
-    out = np.zeros((100, 100, 8), dtype=np.uint8)
-    out[..., 0:4:2] = pairs[:, None]
-    out[..., 4:8:2] = pairs
-    return out.view(np.uint64).ravel()
-
-
-def _json_patterns() -> np.ndarray:
-    """48-byte XOR masks by 18 * point + keep: '0' -> NUL for the digits from c_keep
-    on, NUL -> '.' in the slot after c_point (none for point 16)."""
-    out = np.zeros((17, 18, 48), dtype=np.uint8)
-    j = np.arange(17)
-    out[:, :, 8 + 2 * j] = np.where(j >= np.arange(18)[:, None], 48, 0)
-    out[j[:16], :, 9 + 2 * j[:16]] = ord(".")
-    return out.view("V48").ravel()
-
-
-_POW_HI, _POW_LO = _json_powers()
-# by e + 99: 10**(16 - e) as hi + lo, and hi in 26-bit halves hh + hl
-_SCALE_HI, _SCALE_LO = _POW_HI[214:15:-1].copy(), _POW_LO[214:15:-1].copy()
-_SCALE_HH = _SCALE_HI * _VELTKAMP - (_SCALE_HI * _VELTKAMP - _SCALE_HI)
-_SCALE_HL = _SCALE_HI - _SCALE_HH
-# by biased binary exponent: floor(log10) of the binade's least value (clipped
-# to -99 .. 98), and the least double >= the next power of ten
-_DECADE = np.floor((np.arange(2048) - 1023) * math.log10(2)).astype(np.intp).clip(-99, 98)
-_NEXT_DECADE = np.where(_POW_LO > 0, np.nextafter(_POW_HI, np.inf), _POW_HI)[_DECADE + 100]
-_DIGIT_WORDS = _json_digit_words()
-_JSON_PATTERNS = _json_patterns()
-# the decimal exponents of the fast path, and whether repr writes them without "e"
-_JSON_FORMS = [(e, -4 <= e < 16) for e in range(-99, 100)]
-# by 2 * (e + 99) + negative: separator, sign and the positional "0.000" prefix
-_JSON_HEAD = _json_text((", " + sign + ("0." + "0" * (-e - 1) if pos and e < 0 else "")).ljust(8, "\0")
-                        for e, pos in _JSON_FORMS for sign in ("", "-"))
-# by e + 99: the exponent, in the cell's last 4 bytes
-_JSON_EXP = _json_text("\0" * 8 if pos else f"\0\0\0\0e{e:+03d}" for e, pos in _JSON_FORMS)
-# by e + 99: digits the positional form keeps whatever the value ("100.0")
-_JSON_KEEP = np.array([e + 2 if pos and e >= 0 else 0 for e, pos in _JSON_FORMS])
-# by 2 * (e + 99) + one digit: the digit the point follows, 16 for none
-_JSON_POINT = np.array([e if pos and e >= 0 else 16 if pos or one else 0
-                        for e, pos in _JSON_FORMS for one in (False, True)])
-
-
-def _shortest_digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Shortest round-trip decimal digits of nonnegative doubles, as repr finds them.
-
-    Returns (ok, S, K, e): the value's repr has the significant digits of the
-    17-digit integer S, which ends in K zeros, and decimal exponent e. ok is
-    False where the result is not certified.
-
-    For |a| in [1e-98, 1e98) with e = floor(log10 a), exact from the binary
-    exponent, Y = a * 10**(16 - e) lies in [1e16, 1e17) and is evaluated in
-    double-double (Dekker's exact product plus the low part of the power of
-    ten) as 100 * top + y, with an error below 1e-13 in y. Every decimal
-    closer to Y than h, half an ulp of a in the same units, reads back as a.
-    The shortest digits are the multiple of the largest power of ten in that
-    interval, the one nearest Y where there are several: rint(y) for K = 0,
-    the nearest multiple of 10 for K = 1, and for K >= 2 the one multiple of
-    100 the interval, narrower than 23, holds, with K from its trailing zeros.
-    Not certified:
-    interval ends within _TIE_TOL of a multiple of 10 (the round-half-even
-    reading decides there), near-ties between two candidates, exact powers of
-    two (their interval is asymmetric) and values outside the range; zeros are
-    certified as S = 0, K = 16, e = 0.
-    """
-    fast = (a >= 1e-98) & (a < 1e98)
-    nonzero = a != 0
-    a = np.where(fast, a, 1.0)
-    bits = a.view(np.uint64)
-    binade = (bits >> np.uint64(52)).astype(np.intp)
-    e = _DECADE.take(binade) + (a >= _NEXT_DECADE.take(binade))
-    i = e + 99
-    hi, hh, hl = _SCALE_HI.take(i), _SCALE_HH.take(i), _SCALE_HL.take(i)
-    p = a * hi
-    t = a * _VELTKAMP
-    ah = t - (t - a)
-    al = a - ah
-    lo = (((ah * hh - p) + ah * hl + al * hh) + al * hl) + a * _SCALE_LO.take(i)
-    fl = np.floor(lo)
-    whole = p.astype(np.int64) + fl.astype(np.int64)
-    top = whole // 100
-    y = (whole - top * 100) + (lo - fl)
-    h = ((bits & np.uint64(0x7FF << 52)) - np.uint64(53 << 52)).view(np.float64) * hi
-    u10 = (y + h) * 0.1
-    l10 = (y - h) * 0.1
-    y10 = y * 0.1
-    lc, uf = np.ceil(l10), np.floor(u10)     # multiples of 10 in the interval: 10 lc .. 10 uf
-    ry, ry10 = np.rint(y), np.rint(y10)
-    ok = ((fast & ((bits << np.uint64(12)) != 0)
-           & (lc - l10 >= _TIE_TOL) & (l10 - lc + 1 >= _TIE_TOL)
-           & (u10 - uf >= _TIE_TOL) & (uf + 1 - u10 >= _TIE_TOL)
-           & (np.abs(np.abs(y - ry) - 0.5) >= _TIE_TOL)
-           & (np.abs(np.abs(y10 - ry10) - 0.5) >= _TIE_TOL)) | ~nonzero)
-    K = (lc <= uf).astype(np.intp) + ((lc <= 0) | (uf >= 10))
-    last = np.choose(K, [ry, ry10 * 10, (uf >= 10) * 100.0])
-    S = top * 100 + last.astype(np.int64)
-    K[~nonzero] = 16
-    sel = np.flatnonzero((K == 2) & nonzero)
-    if sel.size:
-        q = S[sel] // 100
-        carry = q == 10 ** 15               # 9.99.. rounds to 10: one digit more
-        e[sel[carry]] += 1
-        q[carry] = 10 ** 14
-        S[sel] = q * 100
-        while sel.size:
-            q10 = q // 10
-            z = q10 * 10 == q
-            sel, q = sel[z], q10[z]
-            K[sel] += 1
-    return ok, S * nonzero, K, e
-
-
-def floats_json(values: np.ndarray) -> str:
-    """json.dumps(values.ravel().tolist()), byte for byte: each number is the
-    shortest round-trip repr. Values _shortest_digits does not certify are
-    written by json.dumps one by one."""
-    v = np.asarray(values, dtype=float).ravel()
-    parts = ["["]
-    for start in range(0, v.size, _JSON_ROWS):
-        block = v[start:start + _JSON_ROWS]
-        ok, S, K, e = _shortest_digits(np.abs(block))
-        ei = e + 99
-        n = 17 - K
-        keep = np.maximum(n, _JSON_KEEP.take(ei))
-        point = _JSON_POINT.take(2 * ei + (n == 1))
-        cells = _JSON_PATTERNS.take(18 * point + keep).view(np.uint64).reshape(-1, 6)
-        cells[:, 0] = _JSON_HEAD.take(2 * ei + np.signbit(block))
-        for col, power in enumerate((10 ** 13, 10 ** 9, 10 ** 5, 10), 1):   # c0..c3 .. c12..c15
-            q = S // power
-            S -= q * power
-            cells[:, col] ^= _DIGIT_WORDS.take(q)
-        cells[:, 5] ^= _JSON_EXP.take(ei) | (48 + S).view(np.uint64)   # c16, exponent
-        if not ok.all():
-            cells[~ok] = np.array([(", " + json.dumps(x)).encode("ascii")
-                                   for x in block[~ok].tolist()],
-                                  dtype="S48").view(np.uint64).reshape(-1, 6)
-        if start == 0:
-            cells.view(np.uint8)[0, :2] = 0
-        parts.append(cells.tobytes().translate(None, b"\0").decode("ascii"))
-    parts.append("]")
-    return "".join(parts)
+# one line of a phase map's "values" list per code, indented as indent=2 lays
+# out a list at that depth
+_CODE_LINES = np.array([b"        0,\n", b"        1,\n", b"        2,\n"])
 
 
 def weight_to_json(w: Weight) -> str:
     """json.dumps(weight_to_dict(w), indent=2), byte for byte.
 
-    The indented encoder is pure Python, so a sublevel field's values are
-    encoded by floats_json instead and put one per line into the "values"
-    slot, as indent=2 lays a list out at that depth.
+    The indented encoder is pure Python, so a sublevel field's codes are
+    written from _CODE_LINES instead, into the "values" slot of the phase
+    map's spec.
     """
-    text = json.dumps(weight_to_dict(w, values=False), indent=2)
     v = w.variant
     if not isinstance(v, Sublevel):
-        return text
+        return json.dumps(weight_to_dict(w), indent=2)
+    phases = _phase_map(v)
+    text = json.dumps(weight_to_dict(Weight(phases, w.alpha, w.beta), values=False), indent=2)
     head, tail = text.split('"values": null', 1)
-    values = floats_json(v.field.values)
-    if values != "[]":
-        pad = "\n" + " " * 8
-        values = "".join(("[", pad, values[1:-1].replace(", ", "," + pad), "\n", " " * 6, "]"))
+    codes = phases.field.values.astype(np.intp).ravel()
+    values = "[]" if codes.size == 0 else "".join(
+        ("[\n", _CODE_LINES.take(codes).tobytes()[:-2].decode("ascii"), "\n      ]"))
     return "".join((head, '"values": ', values, tail))
 
 

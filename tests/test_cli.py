@@ -15,9 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from plate_spectra import PlateConfig
+from plate_spectra import PlateConfig, build_spectrum
 from plate_spectra.cli import _atomic_write, _grid_csv, main
-from plate_spectra.optimize import rearrange_min
+from plate_spectra.optimize import maximize_nu1_fixed_point, minimize_mu_j, rearrange_min
 from plate_spectra.weights import (GridField, make_breve_p, make_uniform, sample_field,
                                   weight_to_json)
 
@@ -144,18 +144,20 @@ def test_grid_csv_mask_matches_indicator_field(shape):
 
 @pytest.mark.parametrize("target", [["max-nu1"], ["min-mu", "--j", "3"]])
 def test_optimize_grid_csvs_match_final_weight(tmp_path, target):
-    # expected bytes come from this run's own final weight, not from stored
-    # outputs, so the test holds whatever digits the BLAS in use produces
+    # expected bytes come from the same search run in this process, not from
+    # stored outputs, so the test holds whatever digits the BLAS in use produces
     proc = run_cli("optimize", "--target", *target, "--grid", "60", "31",
                    "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
-    spec = json.loads((tmp_path / "final_weight.json").read_text())["parameters"]
-    f = spec["field"]
-    values = np.array(f["values"]).reshape(f["nx"], f["ny"])
+    cfg = PlateConfig()
+    spec = build_spectrum(cfg)
+    tr = (maximize_nu1_fixed_point(cfg, spectrum=spec, grid=(60, 31)) if target == ["max-nu1"]
+          else minimize_mu_j(3, cfg, spectrum=spec, grid=(60, 31)))
+    fld = tr.final_weight.variant.field
+    assert (tmp_path / "field.csv").read_text() == per_cell_csv(fld, fld.values)
+    f = json.loads((tmp_path / "final_weight.json").read_text())["parameters"]["field"]
     assert (f["nx"], f["ny"]) == (60, 31)
-    fld = GridField(values, f["ell"])
-    assert (tmp_path / "field.csv").read_text() == per_cell_csv(fld, values)
-    inside = (values <= spec["threshold"]).astype(float)
+    inside = (np.array(f["values"]).reshape(60, 31) <= 1).astype(float)
     assert 0 < inside.sum() < inside.size
     assert (tmp_path / "sset.csv").read_text() == per_cell_csv(fld, inside)
 
@@ -286,8 +288,9 @@ def test_json_outputs_are_strict_json(tmp_path):
 
 
 def test_optimize_trace_holds_no_field_values(tmp_path):
-    # final_weight.json holds the final field's samples; each trace line holds
-    # only its iterate's parameters, so the trace stays small on fine grids
+    # final_weight.json holds the final weight's phase map, one code per cell;
+    # each trace line holds only its iterate's parameters, so the trace stays
+    # small on fine grids
     proc = run_cli("optimize", "--target", "max-nu1", "--grid", "2400", "31",
                    "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
@@ -296,11 +299,17 @@ def test_optimize_trace_holds_no_field_values(tmp_path):
     records = [json.loads(line) for line in trace.splitlines()]
     assert records
     assert all(r["weight"]["parameters"]["field"]["values"] is None for r in records)
-    final = json.loads((tmp_path / "final_weight.json").read_text())
-    assert len(final["parameters"]["field"]["values"]) == 2400 * 31
-    final["parameters"]["field"]["values"] = None
-    assert records[-1]["weight"] == final
+    text = (tmp_path / "final_weight.json").read_bytes()
+    assert len(text) <= 1_000_000
+    final = json.loads(text)
+    codes = final["parameters"]["field"]["values"]
+    assert len(codes) == 2400 * 31 and set(codes) <= {0, 1, 2}
+    assert final["parameters"]["threshold"] == 1.0
     meta = json.loads((tmp_path / "optimize_meta.json").read_text())
+    assert records[-1]["weight"]["parameters"]["threshold"] == meta["threshold"]
+    final["parameters"]["field"]["values"] = None
+    final["parameters"]["threshold"] = meta["threshold"]
+    assert records[-1]["weight"] == final
     assert records[-1]["eigenvalue"] == meta["final_eigenvalue"]
 
 
@@ -319,9 +328,9 @@ def test_eigs_rejects_bad_grid_size(tmp_path, nx, ny):
     assert not (tmp_path / "eigenvalues.csv").exists()
 
 
-_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=3),
-                         st.floats(allow_nan=True, allow_infinity=True))
-_JSON = st.recursive(_JSON_SCALARS, lambda inner: st.lists(inner, max_size=3)
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=3),
+                    st.floats(allow_nan=True, allow_infinity=True))
+_JSON = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3)
                      | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=6)
 _NUMBERS = st.one_of(st.sampled_from([0.5, 1.0, 1.5, 0.0, -1.0, math.pi / 150]),
                      st.floats(allow_nan=True, allow_infinity=True), st.integers())
@@ -494,10 +503,11 @@ def test_optimize_non_convergence_exit_code(tmp_path):
 def test_optimize_singular_mass_exit_code(tmp_path):
     # grids this coarse leave the weighted mass matrix singular: a
     # configuration error that names the grid
-    for args in (("--target", "max-nu1", "--grid", "4", "3"),
-                 ("--target", "min-mu", "--j", "2", "--grid", "4", "3"),
-                 ("--target", "max-nu1", "--grid", "16", "3")):
-        proc = run_cli("optimize", *args, "--out", str(tmp_path))
+    for args in (("optimize", "--target", "max-nu1", "--grid", "4", "3"),
+                 ("optimize", "--target", "min-mu", "--j", "2", "--grid", "4", "3"),
+                 ("optimize", "--target", "max-nu1", "--grid", "16", "3"),
+                 ("ratio-table", "--grid", "4", "3")):
+        proc = run_cli(*args, "--out", str(tmp_path))
         _assert_one_line_error(proc, 2, f"grid {args[-2]} x 3 is too coarse for n_modes=30")
         assert "not positive definite" in proc.stderr
 

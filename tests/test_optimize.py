@@ -345,28 +345,34 @@ def test_default_study_weights_all_admissible(ref_cfg, ref_spectrum):
 
 
 def _without_values(w):
-    # weight_to_dict(w) with a sublevel field's samples replaced by null
+    # weight_to_dict(w) with a sublevel field's codes replaced by null and the
+    # true threshold in place of the phase map's 1.0
     d = weight_to_dict(w)
     if "field" in d["parameters"]:
         d["parameters"]["field"]["values"] = None
+        d["parameters"]["threshold"] = w.variant.threshold
     return d
 
 
 def test_trace_jsonl_roundtrip(ref_cfg, ref_spectrum):
     # the last trace line holds the final weight's parameters and
-    # final_weight.json (weight_to_json) its samples: together they give back
-    # the final weight
+    # final_weight.json (weight_to_json) its phase map: together they give
+    # back the final weight's node values and inside mask
     tr = minimize_mu_j(1, ref_cfg, spectrum=ref_spectrum)
     records = [json.loads(line) for line in trace_to_jsonl(tr).splitlines()]
     assert [r["eigenvalue"] for r in records] == [v for _, v in tr.iterates]
     assert records[-1]["weight"] == _without_values(tr.final_weight)
+    final = tr.final_weight.variant
     text = weight_to_json(tr.final_weight)
     back = weight_from_json(text)
     assert validate(back, ref_cfg).passed
-    assert np.array_equal(back.variant.field.values, tr.final_weight.variant.field.values)
+    assert np.array_equal(back.variant.node_values(), final.node_values())
+    assert np.array_equal(back.variant.inside_mask(), final.inside_mask())
     assert weight_to_json(back) == text
     spec = records[-1]["weight"]
-    spec["parameters"]["field"]["values"] = json.loads(text)["parameters"]["field"]["values"]
+    written = json.loads(text)["parameters"]
+    spec["parameters"]["threshold"] = written["threshold"]
+    spec["parameters"]["field"]["values"] = written["field"]["values"]
     assert weight_to_json(weight_from_dict(spec)) == text
 
 

@@ -1,4 +1,5 @@
 """Property tests (Hypothesis) for invariants the paper proves, on grid weights."""
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis.extra.numpy import arrays
 
 from plate_spectra import PlateConfig, build_spectrum
 from plate_spectra.galerkin import solve_weighted
-from plate_spectra.weights import GridField, Sublevel, Weight, sublevel_split, validate
+from plate_spectra.weights import (GridField, Sublevel, Weight, mean_density, sublevel_split,
+                                   validate, weight_from_json, weight_to_dict, weight_to_json)
 
 CFG = PlateConfig(n_modes=100)
 
@@ -81,3 +83,35 @@ def test_sublevel_split_exact_grid_mass(vals, frac, inside, outside):
     expected = inside * target + outside * (CFG.area - target)
     assert mass == pytest.approx(expected, rel=1e-9)
     assert math.isfinite(t)
+
+
+def _assert_phase_map_roundtrip(w: Weight) -> None:
+    """w written as its phase map reads back as the same density, bit for bit."""
+    text = weight_to_json(w)
+    assert text == json.dumps(weight_to_dict(w), indent=2)
+    back = weight_from_json(text)
+    assert weight_to_json(back) == text
+    a, b = w.variant, back.variant
+    assert a.node_values().tobytes() == b.node_values().tobytes()
+    assert np.array_equal(a.inside_mask(), b.inside_mask())
+    assert mean_density(back, CFG) == mean_density(w, CFG)
+    assert validate(back, CFG) == validate(w, CFG)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), nx=st.integers(1, 300), half_ny=st.integers(0, 15))
+def test_phase_map_roundtrip_random_sublevel(seed, nx, half_ny):
+    _assert_phase_map_roundtrip(_y_even_sublevel(np.random.default_rng(seed),
+                                                 (nx, 2 * half_ny + 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(vals=few_level_fields(), frac=st.floats(0.001, 0.999),
+       inside=st.floats(1.0, 4.0), outside=st.floats(0.1, 1.0))
+@example(vals=np.full((3, 5), 2.0), frac=0.4, inside=1.5, outside=0.5)   # degenerate
+def test_phase_map_roundtrip_tied_levels(vals, frac, inside, outside):
+    fld = GridField(vals, CFG.ell)
+    t, theta, degenerate = sublevel_split(fld, frac * CFG.area, inside, outside)
+    _assert_phase_map_roundtrip(Weight(Sublevel(fld, t, inside, outside, theta, degenerate),
+                                       CFG.alpha, CFG.beta))
+
