@@ -262,6 +262,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
                                                       spectrum=spec, grid=grid)
     except galerkin.SingularMass as exc:
         raise _too_coarse(grid, cfg.n_modes, exc) from exc
+    del spec  # frees the search's grid tables before the outputs are written
     out = Path(args.out)
     final = trace.final_weight
     _atomic_write(out / "trace.jsonl", optimize.trace_to_jsonl(trace))

@@ -20,12 +20,11 @@ sin(m x_i) are entries of one exact-angle table of cos(pi r / (2 nx)),
 r < 4 nx, accurate to an ulp or two however large k x_i is. Fields on a grid
 are one matrix product of the scaled sines with the y profiles.
 
-GridBasis is the only source of these cell-grid tables: the x sines, the y
-profiles, the cosine table and the gather of the upper triangle, each built
-the first time it is read. A density search solves one parity on one cell grid
-in every round, so it builds one basis and passes it through basis= to every
-assemble_mass, solve_parity and expand_field on its grid; a call that gets no
-basis makes its own, and builds only the tables it reads.
+grid_basis is the only source of these cell-grid tables: the x sines, the y
+profiles and the gather of the upper triangle of each parity, and one cosine
+table for both, each built the first time it is read. The spectrum memoizes
+the tables of the grid it was last read on, so the solves and expansions of a
+density search, and both parities of solve_weighted, share one set.
 """
 from __future__ import annotations
 
@@ -178,26 +177,15 @@ def _pairs(spectrum: HomSpectrum, parity: str, n: int) -> list[HomEigenpair]:
 
 
 @dataclass(frozen=True, eq=False)
-class GridBasis:
+class ParityTables:
     """Grid tables of the first n modes of one parity on the nx by ny cell
-    grid of the plate of half-width ell.
+    grid of the plate of half-width ell, each built the first time it is read:
+    assembly reads gather and profiles, expansion sines and profiles."""
 
-    Each table is built the first time it is read and then kept, so a caller
-    builds only what it reads: assembly reads cos_table, gather and profiles,
-    expansion reads sines and profiles. The sines and the cosine table are
-    read from one exact-angle table of cos(pi r / (2 nx)) (see _cell_trig).
-    """
-
-    spectrum: HomSpectrum
-    parity: str
-    n: int
+    pairs: tuple[HomEigenpair, ...]
     nx: int
     ny: int
     ell: float
-
-    @cached_property
-    def pairs(self) -> list[HomEigenpair]:
-        return _pairs(self.spectrum, self.parity, self.n)
 
     @cached_property
     def m(self) -> np.ndarray:
@@ -214,11 +202,6 @@ class GridBasis:
         return _profiles_on(self.pairs, cell_ys(self.ny, self.ell))
 
     @cached_property
-    def cos_table(self) -> np.ndarray:
-        """(nx, 2 max m + 1) cos(k x_i), k = 0..2 max m."""
-        return _cell_trig(self.nx, np.arange(2 * int(self.m.max()) + 1))
-
-    @cached_property
     def gather(self) -> tuple[np.ndarray, ...]:
         """The upper triangle's row and column indices a, b and its moment
         indices |m_a - m_b| and m_a + m_b."""
@@ -227,31 +210,44 @@ class GridBasis:
         return rows, cols, np.abs(m[rows] - m[cols]), m[rows] + m[cols]
 
 
-def _basis_for(basis: GridBasis | None, spectrum: HomSpectrum, parity: str, n: int,
-               nx: int, ny: int, ell: float) -> GridBasis:
-    """basis if one is passed, else a new GridBasis for this call. ValueError
-    if the passed basis was built for another call."""
-    call = GridBasis(spectrum, parity, n, nx, ny, ell)
-    basis = basis or call
-    if basis.spectrum is not spectrum:
-        raise ValueError("grid basis was built from another spectrum")
-    have = (basis.parity, basis.n, basis.nx, basis.ny, basis.ell)
-    want = (parity, n, nx, ny, ell)
-    if want != have:
-        raise ValueError(f"grid basis (parity, n, nx, ny, ell) = {have} "
-                         f"does not match the call's {want}")
-    return basis
+@dataclass(frozen=True, eq=False)
+class GridBasis:
+    """The ParityTables of both parities on one grid and their one cosine
+    table. It holds mode pairs, not the spectrum that memoizes it."""
+
+    even: ParityTables
+    odd: ParityTables
+
+    def parity(self, parity: str) -> ParityTables:
+        return self.even if parity == EVEN else self.odd
+
+    @cached_property
+    def cos_table(self) -> np.ndarray:
+        """(nx, K) cos(k x_i), k < K, the larger 2 max m + 1 of the two
+        parities; each parity reads its own leading columns."""
+        k_max = max(2 * p.mode.m for p in self.even.pairs + self.odd.pairs)
+        return _cell_trig(self.even.nx, np.arange(k_max + 1))
 
 
-def assemble_mass(w: Weight, spectrum: HomSpectrum, parity: str, n: int,
-                  basis: GridBasis | None = None) -> SymMatrix:
+def grid_basis(spectrum: HomSpectrum, n: int, nx: int, ny: int, ell: float) -> GridBasis:
+    """The spectrum's grid tables for the first n modes on the nx by ny grid of
+    half-width ell. Its memo keeps only the most recent (n, nx, ny, ell)."""
+    key = (n, nx, ny, ell)
+    memo = spectrum.grid_tables
+    if key not in memo:
+        memo.clear()
+        memo[key] = GridBasis(ParityTables(spectrum.mu[:n], nx, ny, ell),
+                              ParityTables(spectrum.nu[:n], nx, ny, ell))
+    return memo[key]
+
+
+def assemble_mass(w: Weight, spectrum: HomSpectrum, parity: str, n: int) -> SymMatrix:
     """Weighted mass matrix C_{nm} = int_Omega p z_n z_m for one parity.
 
     Band weights: each term coeff * chi_X(x) * chi_Y(y) of the density is an
     x matrix times a y matrix. The x matrix is closed form (_x_matrix); the
     y matrix is a quadrature with the band edges as breakpoints. Each
-    distinct interval set is integrated once per call. Band weights ignore
-    basis.
+    distinct interval set is integrated once per call.
 
     Sublevel weights are integrated with the midpoint rule on their own grid
     through cosine moments:
@@ -261,22 +257,23 @@ def assemble_mass(w: Weight, spectrum: HomSpectrum, parity: str, n: int,
     contraction over the upper triangle's moment gathers (_contract), in
     blocks of its entries, so no temporary exceeds about 0.25 MB
     (_BLOCK_BYTES) and none is (n, n, ny); SymMatrix mirrors the triangle.
-    The cosine table, the y profiles and the gather come from basis, a
-    GridBasis of this parity, n and grid (ValueError if it is another), or
-    from one built for this call.
+    The cosine table, the y profiles and the gather come from the
+    spectrum's grid tables for n and the field's grid (grid_basis).
     """
     v = w.variant
+    pairs = _pairs(spectrum, parity, n)
     mat = np.zeros((n, n))
 
     if isinstance(v, Sublevel):
         f = v.field
-        basis = _basis_for(basis, spectrum, parity, n, f.nx, f.ny, f.ell)
+        basis = grid_basis(spectrum, n, f.nx, f.ny, f.ell)
+        tables = basis.parity(parity)
         cell_w = (0.5 * f.cell_area) * v.node_values()               # (nx, ny)
-        mom = basis.cos_table.T @ cell_w                             # (K, ny), halved
-        gather = basis.gather
-        mat[gather[0], gather[1]] = _contract(mom, basis.profiles, gather)
+        k = 2 * int(tables.m.max()) + 1
+        mom = basis.cos_table[:, :k].T @ cell_w                      # (K, ny), halved
+        gather = tables.gather
+        mat[gather[0], gather[1]] = _contract(mom, tables.profiles, gather)
     else:
-        pairs = _pairs(spectrum, parity, n)
         cfg = spectrum.config
         freqs = [p.mode.m for p in pairs]
         rule = _y_rule(pairs, cfg, sorted(set(_inner_edges(v.y_intervals, -cfg.ell, cfg.ell))))
@@ -302,10 +299,9 @@ def assemble_mass(w: Weight, spectrum: HomSpectrum, parity: str, n: int,
 # solve
 # ---------------------------------------------------------------------------
 
-def solve_parity(w: Weight, spectrum: HomSpectrum, parity: str, n: int,
-                 basis: GridBasis | None = None):
+def solve_parity(w: Weight, spectrum: HomSpectrum, parity: str, n: int):
     """Eigenvalues, coefficient columns and the weighted mass matrix C for one
-    parity. basis is passed on to assemble_mass.
+    parity.
 
     The transformed symmetric problem M b = (1/lam) b with
     M = D^{-1/2} C D^{-1/2} is solved by LAPACK's symmetric eigensolver
@@ -314,7 +310,7 @@ def solve_parity(w: Weight, spectrum: HomSpectrum, parity: str, n: int,
     """
     pairs = (spectrum.mu if parity == EVEN else spectrum.nu)[:n]
     d = np.array([p.lam for p in pairs])
-    c = assemble_mass(w, spectrum, parity, n, basis=basis)
+    c = assemble_mass(w, spectrum, parity, n)
     d_isqrt = 1.0 / np.sqrt(d)
     m = SymMatrix(d_isqrt[:, None] * c.a * d_isqrt[None, :])
     evals, vecs = sym_eig(m)
@@ -340,17 +336,15 @@ def solve_weighted(w: Weight, spectrum: HomSpectrum, n: int | None = None) -> Ga
 # ---------------------------------------------------------------------------
 
 def expand_field(spectrum: HomSpectrum, parity: str, coeffs: np.ndarray,
-                 grid: tuple[int, int] = (600, 31),
-                 basis: GridBasis | None = None) -> GridField:
+                 grid: tuple[int, int] = (600, 31)) -> GridField:
     """Evaluate sum coeffs_n * basis_n on a cell grid for one parity.
 
-    The sines and y profiles come from basis, a GridBasis of this parity,
-    coeffs.size and grid (ValueError if it is another), or from one built for
-    this call.
+    The sines and y profiles come from the spectrum's grid tables for
+    coeffs.size and grid (grid_basis).
     """
     ell = spectrum.config.ell
-    basis = _basis_for(basis, spectrum, parity, coeffs.size, *grid, ell)
-    return GridField((coeffs[:, None] * basis.sines).T @ basis.profiles, ell, parity)
+    tables = grid_basis(spectrum, coeffs.size, *grid, ell).parity(parity)
+    return GridField((coeffs[:, None] * tables.sines).T @ tables.profiles, ell, parity)
 
 
 def reconstruct(gs: GalerkinSpectrum, spectrum: HomSpectrum, which: tuple[str, int],

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import PlateConfig
-from .galerkin import GridBasis, expand_field, solve_parity, solve_weighted
+from .galerkin import expand_field, solve_parity, solve_weighted
 from .spectrum import EVEN, ODD, HomSpectrum, build_spectrum, eval_eigenfunction, known_j0
 from .weights import (GridField, Sublevel, Weight, make_breve_p, make_doublebar_p,
                       make_pbar_j, make_tilde_p, make_uniform, sample_field,
@@ -128,24 +128,19 @@ def _search(target: str, cfg: PlateConfig, spectrum: HomSpectrum, parity: str,
     average of the eigenfunction's square. record(iterates, w, value) gets the
     weight's own j-th eigenvalue, decides which values become iterates and
     returns a stop reason or None; settled(w, w_next) says when two
-    consecutive dense sets count as equal. One GridBasis serves the whole
-    search: every expansion and every solve of a weight on the search grid
-    reads its tables.
+    consecutive dense sets count as equal. Every expansion and every solve of
+    a weight on the search grid reads the same grid tables, which the
+    spectrum keeps from the first of them (galerkin.grid_basis).
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    basis = GridBasis(spectrum, parity, n, *grid, spectrum.config.ell)
     iterates: list[tuple[Weight, float]] = []
     resorted = False
     prev_vec: np.ndarray | None = None
     g_field: np.ndarray | None = None
 
     for _ in range(max_iters):
-        v = w.variant
-        on_grid = isinstance(v, Sublevel) and (v.field.nx, v.field.ny, v.field.ell) == (
-            basis.nx, basis.ny, basis.ell)
-        lam, coeffs, mass = solve_parity(w, spectrum, parity, n,
-                                         basis=basis if on_grid else None)
+        lam, coeffs, mass = solve_parity(w, spectrum, parity, n)
         idx = j - 1
         if prev_vec is not None and j > 1:
             overlaps = np.abs(prev_vec @ mass.a @ coeffs)
@@ -162,7 +157,7 @@ def _search(target: str, cfg: PlateConfig, spectrum: HomSpectrum, parity: str,
             break
 
         prev_vec = coeffs[:, idx]
-        u = expand_field(spectrum, parity, prev_vec, grid, basis=basis)
+        u = expand_field(spectrum, parity, prev_vec, grid)
         u_sq = u.values ** 2
         g_field = u_sq if g_field is None else (
             (1.0 - relaxation) * g_field + relaxation * u_sq)

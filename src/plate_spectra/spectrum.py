@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import warnings
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import numpy as np
 
 from .config import PlateConfig
@@ -102,12 +102,14 @@ class HomEigenpair:
 
 @dataclass(frozen=True, eq=False)
 class HomSpectrum:
-    """Ordered longitudinal (mu) and torsional (nu) eigenpairs, plus j0."""
+    """Ordered longitudinal (mu) and torsional (nu) eigenpairs, plus j0, and
+    the memo of galerkin.grid_basis."""
 
     mu: tuple[HomEigenpair, ...]
     nu: tuple[HomEigenpair, ...]
     j0: int
     config: PlateConfig
+    grid_tables: dict = field(default_factory=dict, init=False, repr=False)
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,8 @@ class GridField:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2:
             raise ValueError(f"values must be 2D, got shape {v.shape}")
+        if v.shape[0] < 1:
+            raise ValueError(f"nx must be >= 1, got {v.shape[0]}")
         if v.shape[1] % 2 == 0:
             raise ValueError(f"ny must be odd, got {v.shape[1]}")
         if not np.all(np.isfinite(v)):

@@ -94,11 +94,25 @@ def per_cell_csv(fld: GridField, values) -> str:
     return "\n".join(lines) + "\n"
 
 
+def assert_same_text(got: str, want: str) -> None:
+    """assert got == want, exactly as strictly, but fail with the line counts,
+    the trailing newline or the first differing line: pytest's diff of two
+    whole grid CSVs (up to 18,601 lines) can run for minutes."""
+    if got == want:
+        return
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    assert got.endswith("\n") == want.endswith("\n"), "trailing newline differs"
+    assert len(got_lines) == len(want_lines), (
+        f"{len(got_lines) - 1} line breaks, expected {len(want_lines) - 1}")
+    i = next(i for i, (g, w) in enumerate(zip(got_lines, want_lines)) if g != w)
+    pytest.fail(f"line {i + 1} is {got_lines[i]!r}, expected {want_lines[i]!r}")
+
+
 def test_grid_csv_matches_per_cell_formatting():
     values = np.array([[-1.5, 1e-300, 0.0], [-0.0, 2.5e-17, -3.25e12],
                        [7.0, -1e-9, 123456789.0], [1.0, 0.0, -2.0]])
     fld = GridField(values, 0.01)
-    assert _grid_csv(fld) == per_cell_csv(fld, values)
+    assert_same_text(_grid_csv(fld), per_cell_csv(fld, values))
 
 
 def _grid(values, ny):
@@ -128,7 +142,7 @@ _POWERS = 10.0 ** np.arange(-323, 309)
 @example(values=_grid(np.concatenate([_POWERS, -_POWERS]), 79), ell=math.pi / 150)
 def test_grid_csv_matches_per_cell_formatting_property(values, ell):
     fld = GridField(values, ell)
-    assert _grid_csv(fld) == per_cell_csv(fld, values)
+    assert_same_text(_grid_csv(fld), per_cell_csv(fld, values))
 
 
 @pytest.mark.parametrize("shape", [(4, 3), (37, 9), (600, 31)])
@@ -137,7 +151,7 @@ def test_grid_csv_mask_matches_indicator_field(shape):
     fld = GridField(rng.normal(size=shape), 0.01)
     for mask in (rng.random(shape) < 0.4, rng.random(shape) < 0.9,
                  np.ones(shape, dtype=bool), np.zeros(shape, dtype=bool)):
-        assert _grid_csv(fld, mask=mask) == per_cell_csv(fld, mask.astype(float))
+        assert_same_text(_grid_csv(fld, mask=mask), per_cell_csv(fld, mask.astype(float)))
     with pytest.raises(ValueError, match="mask shape"):
         _grid_csv(fld, mask=np.ones((shape[0], shape[1] + 2), dtype=bool))
 
@@ -154,12 +168,12 @@ def test_optimize_grid_csvs_match_final_weight(tmp_path, target):
     tr = (maximize_nu1_fixed_point(cfg, spectrum=spec, grid=(60, 31)) if target == ["max-nu1"]
           else minimize_mu_j(3, cfg, spectrum=spec, grid=(60, 31)))
     fld = tr.final_weight.variant.field
-    assert (tmp_path / "field.csv").read_text() == per_cell_csv(fld, fld.values)
+    assert_same_text((tmp_path / "field.csv").read_text(), per_cell_csv(fld, fld.values))
     f = json.loads((tmp_path / "final_weight.json").read_text())["parameters"]["field"]
     assert (f["nx"], f["ny"]) == (60, 31)
     inside = (np.array(f["values"]).reshape(60, 31) <= 1).astype(float)
     assert 0 < inside.sum() < inside.size
-    assert (tmp_path / "sset.csv").read_text() == per_cell_csv(fld, inside)
+    assert_same_text((tmp_path / "sset.csv").read_text(), per_cell_csv(fld, inside))
 
 
 def test_reference_csv_bytes_match_golden(tmp_path):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -8,12 +7,12 @@ from conftest import random_band_weight, random_grid_weight
 from plate_spectra import PlateConfig
 from oracles import (MidpointRule, h2_energy, integrate_2d, mass_matrix_by_columns,
                      weighted_l2_sq, x_matrix_per_entry)
-from plate_spectra.galerkin import (GridBasis, _cell_trig, _profiles_on, _x_matrix, assemble_mass,
-                                    expand_field, merged_eigenvalues, reconstruct,
-                                    solve_parity, solve_weighted, weyl_diagnostic)
+from plate_spectra.galerkin import (_cell_trig, _contract, _profiles_on, _x_matrix, assemble_mass,
+                                    expand_field, grid_basis, merged_eigenvalues, reconstruct,
+                                    solve_weighted, weyl_diagnostic)
 from plate_spectra.optimize import default_study_weights, make_pstar
 from plate_spectra.spectrum import build_spectrum, eval_eigenfunction, profile_values
-from plate_spectra.weights import (Cross, GridField, Weight, XBands, eval_weight, make_breve_p,
+from plate_spectra.weights import (Cross, Weight, XBands, eval_weight, make_breve_p,
                                    make_pbar_j, make_uniform, sqrt_mass_integral)
 
 
@@ -159,14 +158,14 @@ def test_cell_trig_tables_vs_long_double(spectrum_n100):
     # cos(k x_i) and sin(m x_i) at nx = 600 for k = 0..200 and m = 1..100;
     # evaluating np.cos(k * x_i) in double is off by up to 1.6e-13 here
     nx = 600
-    basis = GridBasis(spectrum_n100, "even", 100, nx, 31, spectrum_n100.config.ell)
+    basis = grid_basis(spectrum_n100, 100, nx, 31, spectrum_n100.config.ell)
     k = np.arange(basis.cos_table.shape[1], dtype=np.longdouble)
     m = np.array([p.mode.m for p in spectrum_n100.mu[:100]], dtype=np.longdouble)
     assert k.size == 201 and m.max() == 100
     pi = 4 * np.arctan(np.longdouble(1))
     x = (2 * np.arange(nx, dtype=np.longdouble) + 1) * pi / (2 * nx)
     assert np.abs(basis.cos_table - np.cos(np.multiply.outer(x, k))).max() <= 2e-15
-    assert np.abs(basis.sines - np.sin(np.multiply.outer(m, x))).max() <= 2e-15
+    assert np.abs(basis.parity("even").sines - np.sin(np.multiply.outer(m, x))).max() <= 2e-15
 
 
 @pytest.mark.parametrize("nx", [16383, 20000])
@@ -296,7 +295,7 @@ def test_expand_field_grid(ref_cfg, ref_spectrum):
 
 
 # ---------------------------------------------------------------------------
-# grid basis
+# grid tables
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -304,55 +303,53 @@ def spectrum_n100():
     return build_spectrum(PlateConfig(n_modes=100))
 
 
+@pytest.fixture(scope="module")
+def narrow_spectrum_n100():
+    # at n = 100 the longitudinal modes reach m = 64, the torsional m = 78
+    return build_spectrum(PlateConfig(ell=0.05, n_modes=100))
+
+
+def _own_tables_mass(w, spec, parity, n):
+    """Upper triangle of the sublevel mass matrix from tables built for this
+    parity alone: the cosine table has its own 2 max m + 1 columns."""
+    f = w.variant.field
+    pairs = (spec.mu if parity == "even" else spec.nu)[:n]
+    m = np.array([p.mode.m for p in pairs])
+    rows, cols = np.triu_indices(n)
+    cos = _cell_trig(f.nx, np.arange(2 * m.max() + 1))
+    mom = cos.T @ ((0.5 * f.cell_area) * w.variant.node_values())
+    gather = rows, cols, np.abs(m[rows] - m[cols]), m[rows] + m[cols]
+    return _contract(mom, _profiles_on(pairs, f.ys), gather)
+
+
 @pytest.mark.parametrize("grid", [(600, 31), (2400, 31)])
 @pytest.mark.parametrize("n", [12, 30, 100])
-def test_grid_basis_results_bitwise_equal(spectrum_n100, n, grid):
-    spec = spectrum_n100
+def test_grid_basis_results_bitwise_equal(narrow_spectrum_n100, n, grid):
+    # both parities read one cosine table sized for the larger 2 max m + 1;
+    # assembly and expansion match tables built for each call and parity alone
+    spec = narrow_spectrum_n100
     rng = np.random.default_rng(n + grid[0])
     w = random_grid_weight(rng, spec.config, shape=grid)
-    for parity in ("even", "odd"):
-        basis = GridBasis(spec, parity, n, *grid, spec.config.ell)
-        assert np.array_equal(assemble_mass(w, spec, parity, n, basis=basis).a,
-                              assemble_mass(w, spec, parity, n).a)
-        for got, want in zip(solve_parity(w, spec, parity, n, basis=basis),
-                             solve_parity(w, spec, parity, n)):
-            assert np.array_equal(getattr(got, "a", got), getattr(want, "a", want))
+    for parity in ("odd", "even"):
+        rows, cols = np.triu_indices(n)
+        assert np.array_equal(assemble_mass(w, spec, parity, n).a[rows, cols],
+                              _own_tables_mass(w, spec, parity, n))
+        pairs = (spec.mu if parity == "even" else spec.nu)[:n]
+        m = np.array([p.mode.m for p in pairs])
         coeffs = rng.normal(size=n)
-        assert np.array_equal(expand_field(spec, parity, coeffs, grid, basis=basis).values,
-                              expand_field(spec, parity, coeffs, grid).values)
+        want = ((coeffs[:, None] * _cell_trig(grid[0], m, 3 * grid[0]).T).T
+                @ _profiles_on(pairs, w.variant.field.ys))
+        assert np.array_equal(expand_field(spec, parity, coeffs, grid).values, want)
+    k = [2 * max(p.mode.m for p in pairs) + 1 for pairs in (spec.mu[:n], spec.nu[:n])]
+    assert grid_basis(spec, n, *grid, spec.config.ell).cos_table.shape == (grid[0], max(k))
+    if n == 100:
+        assert k == [129, 157]
 
 
-def test_grid_basis_mismatch_raises(ref_cfg, ref_spectrum):
-    grid, n = (120, 15), 12
-    w = random_grid_weight(np.random.default_rng(4), ref_cfg, shape=grid)
-    other_plate = build_spectrum(PlateConfig(sigma=0.3, n_modes=n))  # same ell
-    ell = ref_cfg.ell
-    for basis in (GridBasis(ref_spectrum, "odd", n, *grid, ell),
-                  GridBasis(ref_spectrum, "even", n - 1, *grid, ell),
-                  GridBasis(ref_spectrum, "even", n, 240, 15, ell),
-                  GridBasis(ref_spectrum, "even", n, 120, 31, ell),
-                  GridBasis(ref_spectrum, "even", n, *grid, 2 * ell),
-                  GridBasis(other_plate, "even", n, *grid, ell)):
-        with pytest.raises(ValueError, match="grid basis"):
-            assemble_mass(w, ref_spectrum, "even", n, basis=basis)
-        with pytest.raises(ValueError, match="grid basis"):
-            solve_parity(w, ref_spectrum, "even", n, basis=basis)
-        with pytest.raises(ValueError, match="grid basis"):
-            expand_field(ref_spectrum, "even", np.ones(n), grid, basis=basis)
-    # a field declared on a plate one part in 1e12 wider: same spectrum, other ell
-    v = w.variant
-    shifted = Weight(dataclasses.replace(
-        v, field=GridField(v.field.values, v.field.ell * (1 + 1e-12), v.field.parity)),
-        w.alpha, w.beta)
-    assemble_mass(shifted, ref_spectrum, "even", n)
-    with pytest.raises(ValueError, match="ell"):
-        assemble_mass(shifted, ref_spectrum, "even", n,
-                      basis=GridBasis(ref_spectrum, "even", n, *grid, ell))
-
-
-def test_call_without_basis_builds_only_what_it_reads(ref_cfg, ref_spectrum, monkeypatch):
+def test_grid_tables_built_once_and_only_when_read(ref_cfg, monkeypatch):
     # assembly reads the cosine table (shift 0) and the profiles, expansion the
-    # sines (shift 3 nx) and the profiles; each once per call and parity
+    # sines (shift 3 nx) and the profiles; both parities share the cosine
+    # table, and the spectrum keeps the tables of the grid it was last read on
     from plate_spectra import galerkin
     shifts, profiled = [], []
     trig, profiles_on = galerkin._cell_trig, galerkin._profiles_on
@@ -365,22 +362,30 @@ def test_call_without_basis_builds_only_what_it_reads(ref_cfg, ref_spectrum, mon
         profiled.append(y.size)
         return profiles_on(pairs, y)
 
+    def built():
+        got = (shifts[:], profiled[:])
+        shifts.clear(), profiled.clear()
+        return got
+
     monkeypatch.setattr(galerkin, "_cell_trig", counted_trig)
     monkeypatch.setattr(galerkin, "_profiles_on", counted_profiles)
+    spec = build_spectrum(ref_cfg)
     grid = (120, 15)
     w = random_grid_weight(np.random.default_rng(6), ref_cfg, shape=grid)
-    solve_weighted(w, ref_spectrum, 12)
-    assert (shifts, profiled) == ([0, 0], [15, 15])
-    shifts.clear(), profiled.clear()
-    expand_field(ref_spectrum, "odd", np.ones(12), grid)
-    assert (shifts, profiled) == ([3 * 120], [15])
-
-
-def test_band_weight_ignores_grid_basis(ref_cfg, ref_spectrum):
-    basis = GridBasis(ref_spectrum, "odd", 5, 60, 3, ref_cfg.ell)  # fits no call below
-    for w in (make_uniform(ref_cfg), make_pbar_j(10, ref_cfg), make_breve_p(ref_cfg)):
-        assert np.array_equal(assemble_mass(w, ref_spectrum, "even", 20, basis=basis).a,
-                              assemble_mass(w, ref_spectrum, "even", 20).a)
+    first = solve_weighted(w, spec, 12)
+    assert built() == ([0], [15, 15])
+    second = solve_weighted(w, spec, 12)
+    assert built() == ([], [])
+    assert np.array_equal(first.a_coeffs, second.a_coeffs)
+    expand_field(spec, "odd", np.ones(12), grid)
+    assert built() == ([3 * 120], [])
+    # another grid replaces the memo's one entry
+    expand_field(spec, "odd", np.ones(12), (60, 3))
+    assert built() == ([3 * 60], [3])
+    assert list(spec.grid_tables) == [(12, 60, 3, ref_cfg.ell)]
+    solve_weighted(w, spec, 12)
+    assert built() == ([0], [15, 15])
+    assert list(spec.grid_tables) == [(12, *grid, ref_cfg.ell)]
 
 
 # ---------------------------------------------------------------------------

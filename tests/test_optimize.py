@@ -176,64 +176,53 @@ def test_minimize_follows_mode_that_slides_down(ref_cfg, ref_spectrum, monkeypat
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
-def test_one_grid_basis_per_search(ref_cfg, ref_spectrum, monkeypatch):
-    from plate_spectra import galerkin, optimize
-    from plate_spectra.galerkin import GridBasis
-    built, solved, expanded, shifts = [], [], [], []
-    solve, expand, trig = optimize.solve_parity, optimize.expand_field, galerkin._cell_trig
+def test_one_grid_basis_per_search(ref_cfg, monkeypatch):
+    # every solve and expansion on the search grid reads one memo entry, so a
+    # search builds one cosine table and one sine table
+    from plate_spectra import galerkin
+    bases, shifts = [], []
+    grid_basis, trig = galerkin.grid_basis, galerkin._cell_trig
 
-    class CountedBasis(GridBasis):
-        def __init__(self, *args):
-            super().__init__(*args)
-            built.append(self)
-
-    def counted_solve(*args, basis=None, **kwargs):
-        solved.append(basis)
-        return solve(*args, basis=basis, **kwargs)
-
-    def counted_expand(*args, basis=None, **kwargs):
-        expanded.append(basis)
-        return expand(*args, basis=basis, **kwargs)
+    def counted_basis(spectrum, *key):
+        bases.append((key, grid_basis(spectrum, *key)))
+        return bases[-1][1]
 
     def counted_trig(nx, freqs, shift=0):
         shifts.append(shift)
         return trig(nx, freqs, shift)
 
-    monkeypatch.setattr(optimize, "GridBasis", CountedBasis)
+    monkeypatch.setattr(galerkin, "grid_basis", counted_basis)
     monkeypatch.setattr(galerkin, "_cell_trig", counted_trig)
-    monkeypatch.setattr(optimize, "solve_parity", counted_solve)
-    monkeypatch.setattr(optimize, "expand_field", counted_expand)
     cfg = PlateConfig(alpha=0.1, beta=3.0)  # a fixed point that takes 4 rounds
-    for search, parity, grid in (
-            (lambda: minimize_mu_j(3, ref_cfg, spectrum=ref_spectrum, grid=(600, 31)),
-             "even", (600, 31)),
-            (lambda: maximize_nu1_fixed_point(cfg, grid=(300, 15)), "odd", (300, 15))):
-        built.clear(), solved.clear(), expanded.clear(), shifts.clear()
+    for search, grid in (
+            (lambda: minimize_mu_j(3, ref_cfg, spectrum=build_spectrum(ref_cfg),
+                                   grid=(600, 31)), (600, 31)),
+            (lambda: maximize_nu1_fixed_point(cfg, grid=(300, 15)), (300, 15))):
+        bases.clear(), shifts.clear()
         search()
-        assert len(built) == 1 and len(solved) > 2
-        basis = built[0]
-        assert (basis.parity, basis.nx, basis.ny) == (parity, *grid)
-        # one cosine table and one sine table for the whole search
+        # the uniform start of min-mu is a band weight and reads no grid tables
+        assert len(bases) > 4
+        assert {key for key, _ in bases} == {(30, *grid, ref_cfg.ell)}
+        assert all(basis is bases[0][1] for _, basis in bases)
         assert sorted(shifts) == [0, 3 * grid[0]]
-        # the band start (uniform; pstar lives on the grid) is solved without it
-        assert solved[1:] == [basis] * (len(solved) - 1)
-        assert solved[0] is (None if parity == "even" else basis)
-        assert expanded == [basis] * len(expanded)
 
 
 def test_minimize_from_start_on_another_grid(ref_cfg, ref_spectrum, monkeypatch):
     # the start is solved on its own 600x31 grid, every later round on the
-    # 2400x31 basis; the result matches the path that builds everything per call
-    from plate_spectra import optimize
+    # 2400x31 grid, whose tables replace the start's; the result matches the
+    # path that builds every table per call
+    from plate_spectra import galerkin
     start = random_grid_weight(np.random.default_rng(5), ref_cfg, shape=(600, 31))
     tr = minimize_mu_j(4, ref_cfg, spectrum=ref_spectrum, initial=start, grid=(2400, 31))
     assert tr.iterates[0][0] is start
     assert tr.final_value == pytest.approx(186.3119770143048, rel=1e-9)
-    solve, expand = optimize.solve_parity, optimize.expand_field
-    monkeypatch.setattr(optimize, "solve_parity",
-                        lambda *args, basis=None, **kwargs: solve(*args, **kwargs))
-    monkeypatch.setattr(optimize, "expand_field",
-                        lambda *args, basis=None, **kwargs: expand(*args, **kwargs))
+    grid_basis = galerkin.grid_basis
+
+    def fresh_basis(spectrum, *key):
+        spectrum.grid_tables.clear()
+        return grid_basis(spectrum, *key)
+
+    monkeypatch.setattr(galerkin, "grid_basis", fresh_basis)
     ref = minimize_mu_j(4, ref_cfg, spectrum=ref_spectrum, initial=start, grid=(2400, 31))
     assert (tr.stop_reason, tr.eigenvalues) == (ref.stop_reason, ref.eigenvalues)
     assert np.array_equal(tr.final_weight.variant.node_values(),

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from plate_spectra import PlateConfig, build_spectrum
-from plate_spectra.galerkin import solve_weighted
+from plate_spectra.galerkin import SingularMass, expand_field, solve_parity, solve_weighted
 from plate_spectra.weights import (GridField, Sublevel, Weight, mean_density, sublevel_split,
                                    validate, weight_from_json, weight_to_dict, weight_to_json)
 
@@ -51,6 +51,62 @@ def test_stability_bounds_random_sublevel(spectrum100, seed, n, extra_nx, half_n
     for lam_p, lam_1 in ((gp.mu_p, g1.mu_p), (gp.nu_p, g1.nu_p)):
         assert np.all(lam_p >= lam_1 / CFG.beta * (1 - 1e-10))
         assert np.all(lam_p <= lam_1 / CFG.alpha * (1 + 1e-10))
+
+
+# the reference plate, and two wider ones whose parities reach different max m
+# (9 and 12 at n = 12, 17 and 18 at n = 30)
+MEMO_PLATES = (PlateConfig(n_modes=12), PlateConfig(ell=0.3, n_modes=12),
+               PlateConfig(ell=0.3, n_modes=30))
+
+
+def _grid_call(spec, kind, parity, n, w, coeffs, grid):
+    """The arrays one grid call returns, or its SingularMass message."""
+    try:
+        if kind == "solve_weighted":
+            gs = solve_weighted(w, spec, n)
+            return [gs.mu_p, gs.nu_p, gs.a_coeffs, gs.b_coeffs]
+        if kind == "solve_parity":
+            lam, vecs, mass = solve_parity(w, spec, parity, n)
+            return [lam, vecs, mass.a]
+        return [expand_field(spec, parity, coeffs, grid).values]
+    except SingularMass as exc:
+        return str(exc)
+
+
+@settings(max_examples=25, deadline=None)
+@given(plate=st.sampled_from(MEMO_PLATES), seed=st.integers(0, 2 ** 32 - 1),
+       grids=st.lists(st.tuples(st.integers(40, 70), st.sampled_from([7, 9, 11])),
+                      min_size=2, max_size=2),
+       calls=st.lists(st.tuples(st.sampled_from(["solve_weighted", "solve_parity",
+                                                 "expand_field"]),
+                                st.sampled_from(["even", "odd"]), st.sampled_from([5, 12, 30]),
+                                st.integers(0, 1), st.booleans()),
+                      min_size=1, max_size=6))
+@example(plate=MEMO_PLATES[0], seed=0, grids=[(40, 7), (41, 9)],
+         calls=[("solve_parity", "even", 12, 0, False), ("solve_parity", "even", 12, 0, True),
+                ("expand_field", "odd", 12, 0, False)])
+def test_grid_table_memo_matches_fresh_spectrum(plate, seed, grids, calls):
+    # a sequence of calls on one spectrum, each of which keeps or replaces the
+    # memoized grid tables, gives the bits of each call on a fresh spectrum;
+    # a field ell one part in 1e12 off the plate's is a key of its own
+    spec = build_spectrum(plate)
+    rng = np.random.default_rng(seed)
+    for kind, parity, n, g, off in calls:
+        n = min(n, plate.n_modes)
+        grid = grids[g]
+        vals = rng.random(grid)
+        fld = GridField(vals + vals[:, ::-1], plate.ell * (1 + 1e-12 * off), "even")
+        w = Weight(Sublevel(fld, float(np.median(fld.values)), 1.5, 0.5),
+                   plate.alpha, plate.beta)
+        coeffs = rng.normal(size=n)
+        got = _grid_call(spec, kind, parity, n, w, coeffs, grid)
+        want = _grid_call(build_spectrum(plate), kind, parity, n, w, coeffs, grid)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert len(spec.grid_tables) == 1
 
 
 @st.composite

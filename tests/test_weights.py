@@ -262,6 +262,18 @@ def test_grid_field_requires_odd_ny(ref_cfg):
         GridField(np.zeros((10, 4)), ref_cfg.ell)
 
 
+@pytest.mark.parametrize("shape", [(0, 1), (0, 5)])
+def test_grid_field_rejects_empty_grid(ref_cfg, shape):
+    # the weight reader refuses nx = 0, so the field refuses it as well
+    with pytest.raises(ValueError, match="nx must be >= 1"):
+        GridField(np.empty(shape), ref_cfg.ell)
+    text = json.dumps({"variant": "sublevel", "alpha": 0.5, "beta": 1.5, "parameters": {
+        "field": {"nx": 0, "ny": shape[1], "ell": ref_cfg.ell, "values": []},
+        "threshold": 1.0, "inside": 1.5, "outside": 0.5}})
+    with pytest.raises(WeightError, match="nx"):
+        weight_from_json(text)
+
+
 def test_grid_field_parity_check(ref_cfg):
     vals = np.ones((6, 5))
     vals[0, 0] = 2.0
@@ -440,9 +452,10 @@ def test_json_bytes_match_indented_encoder(ref_cfg):
     for nx, ny in ((1, 1), (2, 3), (7, 5), (40, 9)):
         w = _awkward_sublevel(rng, ref_cfg.ell, nx, ny)
         assert weight_to_json(w) == json.dumps(W.weight_to_dict(w), indent=2)
-    empty = Weight(Sublevel(GridField(np.empty((0, 1)), ref_cfg.ell), 0.0, 1.5, 0.5), 0.5, 1.5)
-    for w in (make_uniform(ref_cfg), make_tilde_p(ref_cfg), empty):
+    for w in (make_uniform(ref_cfg), make_tilde_p(ref_cfg)):
         assert weight_to_json(w) == json.dumps(W.weight_to_dict(w), indent=2)
+    with pytest.raises(ValueError, match="nx"):   # no empty grid reaches the writer
+        GridField(np.empty((0, 1)), ref_cfg.ell)
 
 
 def test_json_malformed():
