@@ -8,6 +8,7 @@ numbers. Exit codes: 0 success, 2 configuration error, 3 weight error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -352,7 +353,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=str, default=".", help="output directory")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parse_args leaves it
+    unchanged, so in-process main calls share it)."""
     ap = argparse.ArgumentParser(
         prog="plate-spectra",
         description="Weighted eigenvalues of a partially hinged plate and "

@@ -18,10 +18,10 @@ at the same relative width.
 
 Eigenfunction profiles come from one array kernel, profile_raw, whose m, lam
 and y broadcast: it evaluates many modes of one parity at many points, each
-element on its own mode's branch.  The L2 scales of all modes of a parity
-come from one quadrature pass: every mode keeps its own Gauss-Legendre order,
-the nodes of all modes go through one kernel call, and the weighted squares
-are summed per mode.
+element on its own mode's branch.  The L2 scales need no quadrature: each
+profile is two cosh/cos (even) or sinh/sin (odd) terms, so its square has an
+elementary integral over (-ell, ell), which _norm_consts evaluates for all
+modes of a parity in one array pass.
 """
 from __future__ import annotations
 
@@ -32,8 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import PlateConfig
-from .numerics import (Bracket, NoSignChange, NonFinite, QuadratureRule, find_root,
-                       find_roots)
+from .numerics import Bracket, NoSignChange, NonFinite, find_root, find_roots
 
 
 class SpectrumError(Exception):
@@ -278,35 +277,101 @@ def eval_eigenfunction(pair: HomEigenpair, x, y):
     return profile_values(pair, y) * np.sin(pair.mode.m * np.asarray(x, dtype=float))
 
 
-def _norm_quadrature_order(c, ell: float):
-    # resolve the oscillatory cos/sin factor: about one GL point per half cycle
-    # of c*y over (-ell, ell), plus safety margin
-    return np.minimum(200, np.maximum(24, np.ceil(2.0 * c * ell).astype(int) + 16))
+# _norm_consts integrates the square of each profile in closed form.  For the
+# odd family it takes four functions of one argument:
+#   G(t) = t coth t - 1,  K(t) = 1 - t cot t,
+#   S(t) = G'(t) / t = (sinh 2t - 2t) / (2t sinh^2 t),
+#   T(t) = K'(t) / t = (2t - sin 2t) / (2t sin^2 t).
+# Each loses digits as t -> 0, so below _SERIES_CUT they come from their
+# Taylor series: G(t) = sum g_n t^2n with g_n = 4^n B_2n / (2n)!, K has the
+# coefficients |g_n|, and S and T take 2n g_n and 2n |g_n| at t^(2n-2).  The
+# series converge for t < pi; at t < 1, 18 terms leave a relative truncation
+# error below 2e-16.
+
+_SERIES_CUT = 1.0
+_SERIES_TERMS = 18
+
+
+def _series_table(terms: int) -> np.ndarray:
+    """Columns of Taylor coefficients in u = t^2 of G/u, K/u, S and T.
+
+    g_n comes from t coth t = 1 + sum g_n t^2n as the quotient of the series
+    of cosh t and sinh t / t, whose coefficients 1/(2n)! and 1/(2n+1)! give
+    each g_n from the ones before it (to a few ulps)."""
+    g = [1.0]
+    for n in range(1, terms + 1):
+        g.append(1.0 / math.factorial(2 * n)
+                 - sum(g[n - k] / math.factorial(2 * k + 1) for k in range(1, n + 1)))
+    g = np.array(g[1:])
+    n2 = 2.0 * np.arange(1, terms + 1)
+    return np.column_stack([g, np.abs(g), n2 * g, n2 * np.abs(g)])
+
+
+_SERIES = _series_table(_SERIES_TERMS)[::-1, :, None]   # highest power first
+
+
+def _odd_parts(t: np.ndarray):
+    """(G, K, S, T) at the entries t > 0 of a 1-d array: each from its series
+    below _SERIES_CUT and its direct form at and above it; each form sees
+    only arguments on its own side of the cut."""
+    small = t < _SERIES_CUT
+    u = np.minimum(t, _SERIES_CUT) ** 2
+    # Horner's rule on the four series at once: elementwise operations only,
+    # so the bits do not depend on how a BLAS sums a product
+    acc = np.zeros((4, u.size))
+    for coef in _SERIES:
+        acc *= u
+        acc += coef
+    g_u, k_u, s, tt = acc
+    w = np.maximum(t, _SERIES_CUT)
+    coth, cot = 1.0 / np.tanh(w), 1.0 / np.tan(w)
+    e = np.exp(-2.0 * w)
+    csch2 = 4.0 * e / (1.0 - e) ** 2
+    return (np.where(small, u * g_u, w * coth - 1.0),
+            np.where(small, u * k_u, 1.0 - w * cot),
+            np.where(small, s, (coth - w * csch2) / w),
+            np.where(small, tt, (2.0 * w - np.sin(2.0 * w)) / (2.0 * w * np.sin(w) ** 2)))
+
+
+def _sech2(t):
+    e = np.exp(-2.0 * t)
+    return 4.0 * e / (1.0 + e) ** 2
 
 
 def _norm_consts(m: np.ndarray, lam: np.ndarray, parity: str, cfg: PlateConfig) -> np.ndarray:
     """Profile scales so that every || profile(y) sin(m x) ||_L2(Omega) = 1,
-    for the modes (m[i], lam[i]) of one parity.
+    for the modes (m[i], lam[i]) of one parity, in closed form.
 
-    Each mode has its own Gauss-Legendre order. The rule of each distinct
-    order is built once, the nodes of all modes go through one profile_raw
-    call, and the weighted squares are summed per mode.
+    With x = c_bar ell, z = c ell and x^2 -+ z^2 = 2 sqrt(lam) ell^2 on the
+    low (high) branch, int profile^2 dy = ell (q^2 A + 2 q p B + p^2 C):
+      even: A = sech^2 x + tanh(x)/x,
+            C = sech^2 z + tanh(z)/z        or  sec^2 z + tan(z)/z,
+            B = 2 (x tanh x - z tanh z) / (x^2 - z^2)
+                                            or  2 (x tanh x + z tan z) / (x^2 + z^2);
+      odd:  A = S(x),  C = S(z)  or  T(z),
+            B = 2 (G(x) - G(z)) / (x^2 - z^2)  or  2 (G(x) + K(z)) / (x^2 + z^2).
     """
-    _, _, _, c, high = _profile_terms(m, lam, cfg.sigma)
-    order = _norm_quadrature_order(np.where(high, c, 0.0), cfg.ell)
-    orders, rule_of = np.unique(order, return_inverse=True)
-    nodes, weights = (np.concatenate(v) for v in zip(*(
-        QuadratureRule(-cfg.ell, cfg.ell, order=int(o)).nodes_weights() for o in orders)))
-    first_node = np.cumsum(orders) - orders  # where each rule starts in nodes
-    start = np.cumsum(order) - order         # where each mode starts in the flat arrays
-    # flat slot start[i] + j holds node j of mode i's rule
-    idx = np.repeat(first_node[rule_of] - start, order) + np.arange(order.sum())
-    sq = profile_raw(np.repeat(m, order), np.repeat(lam, order), parity,
-                     cfg.sigma, cfg.ell, nodes[idx]) ** 2
-    if not np.all(np.isfinite(sq)):
-        raise NonFinite("non-finite profile sample in the normalization quadrature")
+    ell = cfg.ell
+    q, p, c_bar, c, high = _profile_terms(m, lam, cfg.sigma)
+    x, z = c_bar * ell, c * ell
+    d = 2.0 * np.sqrt(lam) * ell * ell
+    if parity == EVEN:
+        th_x, th_z, tn_z = np.tanh(x), np.tanh(z), np.tan(z)
+        a = _sech2(x) + th_x / x
+        c_low = _sech2(z) + th_z / z
+        c_high = 1.0 / np.cos(z) ** 2 + tn_z / z
+        b = 2.0 * (x * th_x + np.where(high, z * tn_z, -z * th_z)) / d
+    else:
+        n = x.size
+        g, k, s, t = _odd_parts(np.concatenate([x, z]))
+        a, c_low, c_high = s[:n], s[n:], t[n:]
+        b = 2.0 * (g[:n] + np.where(high, k[n:], -g[n:])) / d
+    sq = ell * (q * q * a + 2.0 * q * p * b + p * p * np.where(high, c_high, c_low))
     # x-factor contributes int_0^pi sin^2(mx) dx = pi/2
-    return np.sqrt(np.add.reduceat(weights[idx] * sq, start) * (math.pi / 2.0))
+    norm = np.sqrt(sq * (math.pi / 2.0))
+    if not np.all(np.isfinite(norm) & (sq > 0.0)):
+        raise NonFinite("non-finite or non-positive L2 scale of a uniform-plate profile")
+    return norm
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,9 @@ def _length(intervals: tuple[Interval, ...]) -> float:
 # ---------------------------------------------------------------------------
 
 def cell_ys(ny: int, ell: float) -> np.ndarray:
-    """y of the centres of ny equal cells across (-ell, ell)."""
-    return (np.arange(ny) + 0.5) * (2.0 * ell / ny) - ell
+    """y of the centres of ny equal cells across (-ell, ell), exactly
+    antisymmetric: ys[::-1] == -ys bit for bit."""
+    return (np.arange(ny) - (ny - 1) / 2) * (2.0 * ell / ny)
 
 
 @dataclass(frozen=True, eq=False)

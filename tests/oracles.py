@@ -1,10 +1,11 @@
 """Reference computations the tests check the package against.
 
 Each one takes an independent route (bisection for roots, a composite
-midpoint rule, Gauss-Legendre quadrature in x and y, one quadrature per mode,
-closed-form profile derivatives, a direct cell sum, a per-entry or per-column
-form of an assembly, or a second form of a closed-form bound), so nothing in
-the package calls them.
+midpoint rule, Gauss-Legendre quadrature in x and y, a converged composite
+Gauss-Legendre rule per mode for the L2 scales, closed-form profile
+derivatives, a direct cell sum, a per-entry or per-column form of an
+assembly, or a second form of a closed-form bound), so nothing in the
+package calls them.
 """
 from __future__ import annotations
 
@@ -18,8 +19,7 @@ from plate_spectra.galerkin import _inner_edges, _pairs, _profiles_on, _y_rule
 from plate_spectra.numerics import NonFinite, NoSignChange, QuadratureRule
 from plate_spectra.optimize import OptimizeError, _weighted_sin4_cell, mu_upper_bound
 from plate_spectra.spectrum import (EVEN, HomEigenpair, HomSpectrum, _cosh_ratio,
-                                    _norm_quadrature_order, _profile_terms, _sinh_ratio,
-                                    profile_raw, profile_values)
+                                    _profile_terms, _sinh_ratio, profile_raw, profile_values)
 from plate_spectra.weights import GridField, Sublevel, Weight, _in_intervals, eval_weight
 
 
@@ -73,16 +73,48 @@ def integrate_1d(f: Callable[[np.ndarray], np.ndarray], rule: QuadratureRule) ->
     return float(w @ vals)
 
 
+def gauss_legendre(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
+                   pieces: int, order: int = 24) -> float:
+    """Integral of f over (a, b) by a composite Gauss-Legendre rule of
+    `order` nodes on each of `pieces` equal pieces, summed exactly."""
+    t, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(a, b, pieces + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    vals = np.asarray(f((0.5 * (edges[1:] + edges[:-1])[:, None] + half * t).ravel()),
+                      dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise NonFinite("non-finite integrand sample in gauss_legendre")
+    return math.fsum((half * w).ravel() * vals)
+
+
 def normalization(m: int, lam: float, parity: str, cfg: PlateConfig) -> float:
-    """Profile scale so that || profile(y) sin(mx) ||_L2(Omega) = 1, from one
-    Gauss-Legendre quadrature of this mode alone, at the package's order."""
-    _, _, _, c, high = _profile_terms(m, lam, cfg.sigma)
-    order = int(_norm_quadrature_order(c if high else 0.0, cfg.ell))
-    rule = QuadratureRule(-cfg.ell, cfg.ell, order=order)
-    val = integrate_1d(
-        lambda y: profile_raw(m, lam, parity, cfg.sigma, cfg.ell, y) ** 2, rule)
+    """Profile scale so that || profile(y) sin(mx) ||_L2(Omega) = 1, by a
+    converged composite Gauss-Legendre rule: each piece spans at most 2 / c_bar
+    and 2 / c, so it holds at most a factor e^4 of the boundary layer and
+    2 radians of the cos/sin factor, which 24 nodes integrate to rounding."""
+    _, _, c_bar, c, _ = _profile_terms(m, lam, cfg.sigma)
+    pieces = int(math.ceil(max(c_bar, c) * cfg.ell)) + 1
+    val = gauss_legendre(
+        lambda y: profile_raw(m, lam, parity, cfg.sigma, cfg.ell, y) ** 2,
+        -cfg.ell, cfg.ell, pieces)
     # x-factor contributes int_0^pi sin^2(mx) dx = pi/2
     return math.sqrt(val * (math.pi / 2.0))
+
+
+def profile_square_helpers(t: float) -> dict[str, float]:
+    """The one-argument functions of the closed-form L2 scale, as integrals
+    over (-1, 1) of the odd profile parts at wavenumber t:
+    S(t) = int sinh^2(t y) / sinh^2 t,  T(t) = int sin^2(t y) / sin^2 t,
+    G(t) = (t^2 / 2) int y sinh(t y) / sinh t  (= t coth t - 1),
+    K(t) = (t^2 / 2) int y sin(t y) / sin t    (= 1 - t cot t)."""
+    pieces = int(math.ceil(t)) + 1
+    sh, sn = math.sinh(t), math.sin(t)
+    return {
+        "S": gauss_legendre(lambda y: (np.sinh(t * y) / sh) ** 2, -1.0, 1.0, pieces),
+        "T": gauss_legendre(lambda y: (np.sin(t * y) / sn) ** 2, -1.0, 1.0, pieces),
+        "G": 0.5 * t * t * gauss_legendre(lambda y: y * np.sinh(t * y) / sh, -1.0, 1.0, pieces),
+        "K": 0.5 * t * t * gauss_legendre(lambda y: y * np.sin(t * y) / sn, -1.0, 1.0, pieces),
+    }
 
 
 def integrate_2d(f: Callable[[np.ndarray, np.ndarray], np.ndarray],

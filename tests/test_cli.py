@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from plate_spectra import PlateConfig, build_spectrum
-from plate_spectra.cli import _atomic_write, _grid_csv, main
+from plate_spectra.cli import _atomic_write, _grid_csv, build_parser, main
 from plate_spectra.optimize import maximize_nu1_fixed_point, minimize_mu_j, rearrange_min
 from plate_spectra.weights import (GridField, make_breve_p, make_uniform, sample_field,
                                   weight_to_json)
@@ -414,6 +415,31 @@ def test_eigs_weight_file_fuzz(tmp_path_factory, doc):
         code = main(["eigs", "--weight", str(wfile), "--n-modes", "4", "--out", str(out)])
     assert code in (0, 3), err.getvalue()
     assert (code == 0) == (out / "eigenvalues.csv").exists()
+
+
+def test_main_calls_share_one_parser(tmp_path, monkeypatch):
+    # in-process main calls parse with one parser built once, and each still
+    # runs its own command
+    assert build_parser() is build_parser()
+    added = []
+    real = argparse.ArgumentParser.add_argument
+
+    def counted(self, *args, **kwargs):
+        added.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    wfile = tmp_path / "w.json"
+    wfile.write_text(weight_to_json(make_uniform(PlateConfig())))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["spectrum", "--n-modes", "12", "--out", str(tmp_path / "a")]) == 0
+        assert main(["eigs", "--weight", str(wfile), "--n-modes", "12",
+                     "--out", str(tmp_path / "b")]) == 0
+    assert added == []
+    assert sorted(p.name for p in (tmp_path / "a").iterdir()) == ["spectrum_meta.json",
+                                                                  "table1.csv"]
+    assert (tmp_path / "b" / "eigenvalues.csv").exists()
+    assert not (tmp_path / "b" / "table1.csv").exists()
 
 
 def test_eigs_rejects_band_weight_for_another_plate(tmp_path):

@@ -1,15 +1,18 @@
-"""Property tests (Hypothesis) for invariants the paper proves, on grid weights."""
+"""Property tests (Hypothesis) for invariants the paper proves, on grid weights,
+and for the closed-form L2 scales of the uniform-plate eigenfunctions."""
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from plate_spectra import PlateConfig, build_spectrum
+from oracles import normalization, profile_square_helpers
+from plate_spectra import PlateConfig, build_spectrum, spectrum
 from plate_spectra.galerkin import SingularMass, expand_field, solve_parity, solve_weighted
+from plate_spectra.spectrum import Mode, NotAdmissible, RootIsolationFailure, find_hom_eigenvalue
 from plate_spectra.weights import (GridField, Sublevel, Weight, mean_density, sublevel_split,
                                    validate, weight_from_json, weight_to_dict, weight_to_json)
 
@@ -171,3 +174,36 @@ def test_phase_map_roundtrip_tied_levels(vals, frac, inside, outside):
     _assert_phase_map_roundtrip(Weight(Sublevel(fld, t, inside, outside, theta, degenerate),
                                        CFG.alpha, CFG.beta))
 
+
+
+@settings(max_examples=150, deadline=None)
+@given(log_ell=st.floats(-4.0, 1.7), sigma=st.floats(0.01, 0.49), m=st.integers(1, 40),
+       k=st.integers(1, 40), parity=st.sampled_from(["even", "odd"]))
+@example(log_ell=math.log10(50.0), sigma=0.2, m=40, k=40, parity="odd")
+@example(log_ell=-4.0, sigma=0.01, m=1, k=1, parity="even")
+def test_norm_const_matches_converged_quadrature(log_ell, sigma, m, k, parity):
+    # the closed-form scale against a composite Gauss rule whose pieces
+    # resolve both the boundary layer (about 1 / c_bar wide) and the cos/sin
+    cfg = PlateConfig(ell=10.0 ** log_ell, sigma=sigma, n_modes=2)
+    try:
+        pair = find_hom_eigenvalue(Mode(m, k, parity), cfg)
+    except (NotAdmissible, RootIsolationFailure):
+        reject()   # a mode that does not exist, or a wide-plate scan failure
+    want = normalization(m, pair.lam, parity, cfg)
+    assert abs(pair.norm_const - want) <= 1e-14 * want
+
+
+_CUT = spectrum._SERIES_CUT
+
+
+@settings(max_examples=40, deadline=None)
+@given(t=st.floats(0.99 * _CUT, 1.01 * _CUT))
+@example(t=float(np.nextafter(_CUT, 0.0)))
+@example(t=_CUT)
+@example(t=float(np.nextafter(_CUT, 2.0 * _CUT)))
+def test_profile_square_helpers_across_the_series_cut(t):
+    # each helper switches from its Taylor series to its direct form at the
+    # cut; both forms must match the integral it stands for
+    want = profile_square_helpers(t)
+    for name, got in zip("GKST", spectrum._odd_parts(np.array([t]))):
+        assert abs(float(got[0]) - want[name]) <= 2e-15 * abs(want[name]), name

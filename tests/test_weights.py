@@ -262,6 +262,18 @@ def test_grid_field_requires_odd_ny(ref_cfg):
         GridField(np.zeros((10, 4)), ref_cfg.ell)
 
 
+@pytest.mark.parametrize("ny", [3, 31, 61, 101])
+@pytest.mark.parametrize("ell", [math.pi / 150, 0.1, 1.0, math.pi / 2, 7.3])
+def test_cell_ys_exactly_antisymmetric(ny, ell):
+    # mirror cells sit at exactly opposite y, so a y-even field sampled there
+    # is y-even to the last bit
+    ys = W.cell_ys(ny, ell)
+    assert np.all(ys + ys[::-1] == 0.0)
+    h = 2.0 * ell / ny
+    assert np.allclose(ys, -ell + h * (np.arange(ny) + 0.5), rtol=0.0, atol=1e-15 * ell)
+    assert np.array_equal(GridField(np.zeros((2, ny)), ell).ys, ys)
+
+
 @pytest.mark.parametrize("shape", [(0, 1), (0, 5)])
 def test_grid_field_rejects_empty_grid(ref_cfg, shape):
     # the weight reader refuses nx = 0, so the field refuses it as well
