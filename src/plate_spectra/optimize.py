@@ -12,9 +12,9 @@ import numpy as np
 from .config import PlateConfig
 from .galerkin import expand_field, solve_parity, solve_weighted
 from .spectrum import EVEN, ODD, HomSpectrum, build_spectrum, eval_eigenfunction, known_j0
-from .weights import (GridField, Sublevel, Weight, make_breve_p, make_doublebar_p,
-                      make_pbar_j, make_tilde_p, make_uniform, sample_field,
-                      sublevel_split, validate, weight_to_dict)
+from .weights import (GridField, Sublevel, Weight, _parity_residual, make_breve_p,
+                      make_doublebar_p, make_pbar_j, make_tilde_p, make_uniform,
+                      sample_field, sublevel_split, validate, weight_to_dict)
 
 
 class OptimizeError(Exception):
@@ -76,7 +76,7 @@ def _rearrange_field(fld: GridField) -> GridField:
     if float(v.min()) < -1e-12 * max(1.0, float(np.max(np.abs(v)))):
         raise ValueError("rearrangement field must be nonnegative")
     if fld.parity != "even":   # GridField checked "even" on construction, to the same tolerance
-        resid = float(np.max(np.abs(v - v[:, ::-1])))
+        resid = _parity_residual(v, "even")
         if resid > 1e-10 * max(1.0, float(np.max(np.abs(v)))):
             raise ValueError(f"rearrangement field must be y-even (residual {resid:.3e})")
     return GridField(0.5 * (v + v[:, ::-1]), fld.ell, fld.parity)

@@ -7,14 +7,14 @@ on the two-parameter even (resp. odd) solution family yields, per branch, a
 2x2 determinant whose zeros are the eigenvalues. Longitudinal modes are the
 y-even family, torsional modes the y-odd family.
 
-Every eigenvalue has an a-priori bracket, or a band that a fixed grid scans
-for sign changes.  The determinants, brackets and scans take arrays of modes:
-build_spectrum sets up the brackets of every candidate mode of both parities
-at once and solves them in one batched ITP solve (numerics.find_roots, about
-a dozen determinant calls for all brackets, against 45 for bisection);
-find_hom_eigenvalue runs the same builders for a single mode and solves its
-one bracket with numerics.find_root, which takes the same steps.  Both stop
-at the same relative width.
+Every eigenvalue has an a-priori bracket in s = sqrt(lam), or a band that a
+fixed grid scans for sign changes; determinants, brackets and scans take
+arrays of modes.  build_spectrum takes each parity's candidates from one
+window builder over the brackets and solves all of them in one batched ITP
+solve (numerics.find_roots, about a dozen determinant calls for all brackets,
+against 45 for bisection); find_hom_eigenvalue takes one mode's determinant
+and bracket or scan hit from the same builders and solves it with
+numerics.find_root, which takes the same steps and stops at the same width.
 
 Eigenfunction profiles come from one array kernel, profile_raw, whose m, lam
 and y broadcast: it evaluates many modes of one parity at many points, each
@@ -26,6 +26,7 @@ modes of a parity in one array pass.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -64,6 +65,18 @@ EVEN_HIGH = "even-high"  # lam > m^4, cosh/cos profile
 ODD_BRANCH = "odd"       # sinh/sin above m^4, sinh/sinh below
 
 
+def _check_mode_numbers(m, k=None) -> None:
+    """ValueError unless m (and k, if given) are integers >= 1; numpy integers
+    pass and floats do not, as for operator.index."""
+    try:
+        if operator.index(m) >= 1 and (k is None or operator.index(k) >= 1):
+            return
+    except TypeError:
+        pass
+    got = f"m={m!r}" if k is None else f"m={m!r}, k={k!r}"
+    raise ValueError(f"mode numbers must be integers >= 1, got {got}")
+
+
 @dataclass(frozen=True)
 class Mode:
     m: int
@@ -71,8 +84,7 @@ class Mode:
     parity: str
 
     def __post_init__(self) -> None:
-        if self.m < 1 or self.k < 1:
-            raise ValueError(f"mode indices must be >= 1, got m={self.m}, k={self.k}")
+        _check_mode_numbers(self.m, self.k)
         if self.parity not in (EVEN, ODD):
             raise ValueError(f"parity must be 'even' or 'odd', got {self.parity!r}")
 
@@ -119,36 +131,31 @@ class HomSpectrum:
 # while preserving zeros and sign changes.  s = sqrt(lam) and m may be scalars
 # or broadcastable arrays.
 
-def _det_even_low(s, m, sigma: float, ell: float):
-    cbar = np.sqrt(s + m * m)
-    c = np.sqrt(m * m - s)
+def _terms(s, m, sigma: float):
+    """(c_bar, c, p, q) at s = sqrt(lam): the wavenumbers sqrt(s + m^2) and
+    sqrt(|s - m^2|) and the amplitudes s +- (1 - sigma) m^2."""
     a = (1.0 - sigma) * m * m
-    p, q = s + a, s - a
+    return np.sqrt(s + m * m), np.sqrt(np.abs(s - m * m)), s + a, s - a
+
+
+def _det_even_low(s, m, sigma: float, ell: float):
+    cbar, c, p, q = _terms(s, m, sigma)
     return cbar * q * q * np.tanh(cbar * ell) - c * p * p * np.tanh(c * ell)
 
 
 def _det_even_high(s, m, sigma: float, ell: float):
-    cbar = np.sqrt(s + m * m)
-    c = np.sqrt(s - m * m)
-    a = (1.0 - sigma) * m * m
-    p, q = s + a, s - a
+    cbar, c, p, q = _terms(s, m, sigma)
     return (cbar * q * q * np.tanh(cbar * ell) * np.cos(c * ell)
             + c * p * p * np.sin(c * ell))
 
 
 def _det_odd_low(s, m, sigma: float, ell: float):
-    cbar = np.sqrt(s + m * m)
-    c = np.sqrt(m * m - s)
-    a = (1.0 - sigma) * m * m
-    p, q = s + a, s - a
+    cbar, c, p, q = _terms(s, m, sigma)
     return cbar * q * q * np.tanh(c * ell) - c * p * p * np.tanh(cbar * ell)
 
 
 def _det_odd_high(s, m, sigma: float, ell: float):
-    cbar = np.sqrt(s + m * m)
-    c = np.sqrt(s - m * m)
-    a = (1.0 - sigma) * m * m
-    p, q = s + a, s - a
+    cbar, c, p, q = _terms(s, m, sigma)
     return (cbar * q * q * np.sin(c * ell)
             - c * p * p * np.tanh(cbar * ell) * np.cos(c * ell))
 
@@ -159,6 +166,7 @@ def characteristic_det(lam: float, m: int, branch: str, cfg: PlateConfig) -> flo
     branch selects the solution family: 'even-low' (lam < m^4), 'even-high'
     (lam > m^4) or 'odd' (either side of m^4, dispatched on lam).
     """
+    _check_mode_numbers(m)
     if lam <= 0:
         raise ValueError(f"lam must be positive, got {lam}")
     m4 = float(m) ** 4
@@ -187,8 +195,7 @@ def torsional_first_exists(m: int, cfg: PlateConfig) -> bool:
     """Whether the first torsional branch (k=1, eigenvalue below m^4) exists:
     ell*m*sqrt(2)*coth(ell*m*sqrt(2)) > ((2-sigma)/sigma)^2.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    _check_mode_numbers(m)
     return bool(_first_exists(m, cfg))
 
 
@@ -235,11 +242,7 @@ def _profile_terms(m, lam, sigma: float):
     """Amplitudes and wavenumbers (q_amp, p_amp, c_bar, c, high) of modes
     (m, lam), given as scalars or broadcastable arrays."""
     m = np.asarray(m, dtype=float)
-    s = np.sqrt(lam)
-    p_amp = s + (1.0 - sigma) * m * m
-    q_amp = s - (1.0 - sigma) * m * m
-    c_bar = np.sqrt(s + m * m)
-    c = np.sqrt(np.abs(s - m * m))
+    c_bar, c, p_amp, q_amp = _terms(np.sqrt(lam), m, sigma)
     return q_amp, p_amp, c_bar, c, lam > (m * m) ** 2
 
 
@@ -391,8 +394,8 @@ _SCAN_POINTS = 65
 _EDGE = 1e-9
 _TOL_REL = 1e-13
 _SCAN_BLOCK = 16
-# Largest m the torsional window may reach. It grows like pi / (2 ell): a plate
-# narrower than about ell = 1.6e-6 is refused before anything is allocated.
+# Largest m a window may reach; the torsional window's grows like pi / (2 ell),
+# so a plate narrower than about ell = 1.6e-6 is refused before any allocation.
 _MAX_TORSIONAL_M = 10 ** 6
 
 
@@ -402,28 +405,39 @@ def _even_bracket(m, k, cfg: PlateConfig):
     k = 1: between sqrt(1 - sigma^2) m^2 and m^2 (even-low determinant);
     k >= 2: c ell in ((k - 3/2) pi, (k - 1) pi) (even-high determinant).
     """
-    sigma, ell = cfg.sigma, cfg.ell
+    sigma, ell, mm = cfg.sigma, cfg.ell, m * m
     c_lo = (k - 1.5) * math.pi / ell
     c_hi = (k - 1.0) * math.pi / ell
     first = np.equal(k, 1)
-    s_lo = np.where(first, math.sqrt(1.0 - sigma * sigma) * m * m, m * m + c_lo * c_lo)
-    s_hi = np.where(first, m * m, m * m + c_hi * c_hi)
+    s_lo = np.where(first, math.sqrt(1.0 - sigma * sigma) * m * m, mm + c_lo * c_lo)
+    s_hi = np.where(first, mm, mm + c_hi * c_hi)
     pad = (s_hi - s_lo) * _EDGE
     return s_lo + pad, s_hi - pad
 
 
+def _band(j):
+    """The band c ell in (j pi, j pi + pi/2), pulled in by _EDGE of its width:
+    torsional roots above m^4 lie only in these bands."""
+    lo, hi = j * math.pi, j * math.pi + 0.5 * math.pi
+    return lo + (hi - lo) * _EDGE, hi - (hi - lo) * _EDGE
+
+
+def _band_bracket(m, j, cfg: PlateConfig):
+    """Bracket in s of the band j of m.  Squares are products: x ** 2 on a
+    numpy scalar calls pow, which can round differently from an array's x * x."""
+    c_lo, c_hi = (c / cfg.ell for c in _band(j))
+    return m * m + c_lo * c_lo, m * m + c_hi * c_hi
+
+
 def _odd_high_grid(m: np.ndarray, j: np.ndarray, cfg: PlateConfig) -> np.ndarray:
-    """Scan points in s, one row per (m, j), over the band c ell in
-    (j pi, j pi + pi/2); torsional roots above m^4 lie only in these bands,
-    and scanning them finds the occasional double root near the k = 1
-    existence threshold."""
+    """Scan points in s, one row per (m, j), over the band j of m; scanning
+    the bands finds the occasional double root near the k = 1 existence
+    threshold."""
     ell = cfg.ell
-    cl_lo = j * math.pi
-    cl_hi = j * math.pi + 0.5 * math.pi
+    lo, hi = _band(j)
     # keep the scan clear of the trivial determinant zero at c = 0: the
     # offset must shift s = m^2 + c^2 by well over its rounding resolution
-    lo = np.maximum(np.maximum(cl_lo + (cl_hi - cl_lo) * _EDGE, 1e-7), 3e-6 * m * ell)
-    hi = cl_hi - (cl_hi - cl_lo) * _EDGE
+    lo = np.maximum(np.maximum(lo, 1e-7), 3e-6 * m * ell)
     cl = np.linspace(lo, hi, _SCAN_POINTS, axis=-1)
     return (m * m)[:, None] + (cl / ell) ** 2
 
@@ -469,57 +483,45 @@ def _low_scan(m, lam_m1, cfg: PlateConfig):
     return lo[first], hi[first], zero[first]
 
 
-def _even_lam(m: int, k: int, cfg: PlateConfig) -> float:
-    det = _det_even_low if k == 1 else _det_even_high
-    lo, hi = _even_bracket(m, k, cfg)
-    try:
-        s = find_root(lambda s: det(s, m, cfg.sigma, cfg.ell),
-                      Bracket(float(lo), float(hi)), tol_rel=_TOL_REL)
-    except NoSignChange as exc:
-        raise RootIsolationFailure(f"no sign change for Lambda_({m},{k})") from exc
-    return s * s
-
-
-def _hit_lam(det, lo: float, hi: float, zero: bool) -> float:
-    """Eigenvalue at one scan hit: the grid point lo, or the root of det in [lo, hi]."""
-    s = float(lo) if zero else find_root(det, Bracket(float(lo), float(hi)), tol_rel=_TOL_REL)
-    return s * s
-
-
-def _odd_low_lam(m: int, cfg: PlateConfig) -> float:
-    """The torsional eigenvalue below m^4 (requires the existence inequality)."""
-    (lo,), (hi,), (zero,) = _low_scan(m, _even_lam(m, 1, cfg), cfg)
-    return _hit_lam(lambda s: _det_odd_low(s, m, cfg.sigma, cfg.ell), lo, hi, zero)
-
-
-def _odd_high_lam(m: int, k: int, cfg: PlateConfig) -> float:
-    """The (k-1)-th torsional eigenvalue above m^4.  A band holds one root
-    except near the k = 1 existence threshold, so blocks of k - 1 bands are
-    scanned until k - 1 roots have shown up."""
-    want = k - 1
-    for j0 in range(0, 100000, k - 1):
-        _, lo, hi, zero = _high_scan(m, np.arange(j0, j0 + k - 1), cfg)
-        if lo.size >= want:
-            i = want - 1
-            return _hit_lam(lambda s: _det_odd_high(s, m, cfg.sigma, cfg.ell),
-                            lo[i], hi[i], zero[i])
-        want -= lo.size
-    raise RootIsolationFailure(f"could not isolate torsional ({m},{k})")
-
-
-def find_hom_eigenvalue(mode: Mode, cfg: PlateConfig) -> HomEigenpair:
-    """Locate one eigenvalue of the homogeneous plate and build its profile."""
-    m, k = mode.m, mode.k
-    if mode.parity == EVEN:
-        lam = _even_lam(m, k, cfg)
+def _mode_lam(m: int, k: int, parity: str, cfg: PlateConfig) -> float:
+    """Eigenvalue of the mode (m, k) of one parity, from the bracket or scan
+    hit and the determinant that build_spectrum batches, solved by find_root
+    (a scan hit on a grid zero is the eigenvalue itself)."""
+    zero = False
+    if parity == EVEN:
+        det = _det_even_low if k == 1 else _det_even_high
+        lo, hi = _even_bracket(m, k, cfg)
     elif k == 1:
         if not torsional_first_exists(m, cfg):
             raise NotAdmissible(
                 f"torsional k=1 mode does not exist for m={m} at these parameters")
-        lam = _odd_low_lam(m, cfg)
+        det = _det_odd_low
+        (lo,), (hi,), (zero,) = _low_scan(m, _mode_lam(m, 1, EVEN, cfg), cfg)
     else:
-        lam = _odd_high_lam(m, k, cfg)
-    (pair,) = _make_pairs(np.array([m]), np.array([k]), np.array([lam]), mode.parity, cfg)
+        # a band holds one root except near the k = 1 existence threshold, so
+        # blocks of k - 1 bands are scanned until k - 1 roots have shown up
+        det, want = _det_odd_high, k - 1
+        for j in range(0, 100000, k - 1):
+            _, lo, hi, zero = _high_scan(m, np.arange(j, j + k - 1), cfg)
+            if lo.size >= want:
+                lo, hi, zero = lo[want - 1], hi[want - 1], zero[want - 1]
+                break
+            want -= lo.size
+        else:
+            raise RootIsolationFailure(f"could not isolate torsional ({m},{k})")
+    try:
+        s = float(lo) if zero else find_root(lambda s: det(s, m, cfg.sigma, cfg.ell),
+                                             Bracket(float(lo), float(hi)), tol_rel=_TOL_REL)
+    except NoSignChange as exc:
+        raise RootIsolationFailure(f"no sign change for the {parity} mode ({m},{k})") from exc
+    return s * s
+
+
+def find_hom_eigenvalue(mode: Mode, cfg: PlateConfig) -> HomEigenpair:
+    """Locate one eigenvalue of the homogeneous plate and build its profile."""
+    lam = _mode_lam(mode.m, mode.k, mode.parity, cfg)
+    (pair,) = _make_pairs(np.array([mode.m]), np.array([mode.k]), np.array([lam]),
+                          mode.parity, cfg)
     return pair
 
 
@@ -538,78 +540,35 @@ def _make_pairs(m: np.ndarray, k: np.ndarray, lam: np.ndarray, parity: str,
 # full spectrum
 # ---------------------------------------------------------------------------
 
-def _nth_upper_cutoff(n: int, upper, i_first: int) -> float:
-    """n-th smallest value of upper(m, i) over m >= 1, i >= i_first; upper
-    takes arrays and increases in both m and i.
-
-    The first column upper(1..n, i_first) and the first row upper(1, i_first..)
-    each hold n values, so the answer is at most the smaller of their n-th
-    entries, and the candidates are the (m, i) of the column and row entries
-    within that bound: one array of them, then np.partition.
-    """
-    m, i = np.arange(1.0, n + 1.0), np.arange(i_first, i_first + n)
-    col, row = upper(m, i_first), upper(1.0, i)
-    bound = min(col[-1], row[-1])
-    vals = upper(m[col <= bound, None], i[row <= bound])
-    return float(np.partition(vals[vals <= bound], n - 1)[n - 1])
-
-
-def _longitudinal_window(n: int, cfg: PlateConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(m, k) of every longitudinal mode that can be among the n lowest, in
-    m-major order: those whose bracket starts at or below the n-th smallest
-    bracket end."""
-    sigma, ell = cfg.sigma, cfg.ell
-    om = (math.pi / ell) ** 2
-
-    def upper(m, k):
-        return np.where(np.equal(k, 1), np.power(m, 4.0), (m * m + om * (k - 1.0) ** 2) ** 2)
-
-    def lower(m: int, k: int) -> float:
-        if k == 1:
-            return (1.0 - sigma * sigma) * float(m) ** 4
-        return (m * m + om * (k - 1.5) ** 2) ** 2
-
-    cutoff = _nth_upper_cutoff(n, upper, 1)
-    modes: list[tuple[int, int]] = []
-    m = 1
-    while lower(m, 1) <= cutoff:
-        k = 1
-        while lower(m, k) <= cutoff:
-            modes.append((m, k))
-            k += 1
-        m += 1
-    m_e, k_e = np.array(modes).T
-    return m_e, k_e
-
-
-def _torsional_window(n: int, cfg: PlateConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Torsional modes that can be among the n lowest: the m (ascending) with
-    an eigenvalue below m^4, and the (m, j) pairs of the bands c ell in
-    (j pi, j pi + pi/2) that start at or below the n-th smallest band end,
-    in m-major order."""
-    sigma, ell = cfg.sigma, cfg.ell
-    om = (math.pi / ell) ** 2
-    # root in band j satisfies lam < (m^2 + (pi/ell)^2 (j + 1/2)^2)^2
-    cutoff = _nth_upper_cutoff(n, lambda m, j: (m * m + om * (j + 0.5) ** 2) ** 2, 0)
-    # m_top: the least m with (1 - sigma^2) m^4 > cutoff, about pi / (2 ell)
-    scale = 1.0 - sigma * sigma
-    root = (cutoff / scale) ** 0.25
+def _window(n: int, bracket, i_first: int, cfg: PlateConfig):
+    """Modes that can be among the n lowest of one bracket family: bracket(m,
+    i, cfg) gives (s_lo, s_hi) of the mode (m, i >= i_first), each holding an
+    eigenvalue, both ends increasing in m and i.  The candidates are the
+    brackets that start at or below the n-th smallest end.  Returns the m
+    whose Lambda_(m,1) bracket starts there too (the candidates for a
+    torsional eigenvalue below m^4, which lies above Lambda_(m,1)), and the
+    (m, i) of the candidates, m-major."""
+    m, i = np.arange(1, n + 1), np.arange(i_first, i_first + n)
+    col, (row_lo, row) = bracket(m, i_first, cfg)[1], bracket(1, i, cfg)
+    # the cutoff is at most the corner end of a block of a x b >= n brackets:
+    # the first block whose column and row ends all lie at or below one level
+    level = np.sort(np.concatenate([col, row]))
+    a, b = np.searchsorted(col, level, "right"), np.searchsorted(row, level, "right")
+    first = np.argmax(a * b >= n)
+    bound = bracket(a[first], i[b[first] - 1], cfg)[1]
+    ends = bracket(m[col <= bound, None], i[row <= bound], cfg)[1]
+    cutoff = np.partition(ends, n - 1, axis=None)[n - 1]
+    # no bracket of m starts below sqrt(1 - sigma^2) m^2, where Lambda_(m,1)'s
+    # does, and the brackets of m = 1 are disjoint, so no candidate has i > i[-1]
+    root = math.sqrt(cutoff / math.sqrt(1.0 - cfg.sigma ** 2))
     if root > _MAX_TORSIONAL_M:
-        raise ValueError(f"ell = {ell} is too small: the torsional window would hold "
+        raise ValueError(f"ell = {cfg.ell} is too small: the torsional window would hold "
                          f"about {root:.3g} mode numbers m, more than {_MAX_TORSIONAL_M}")
-    m_top = int(root) + 1
-    while m_top > 1 and scale * float(m_top - 1) ** 4 > cutoff:   # rounding of the root
-        m_top -= 1
-    while scale * float(m_top) ** 4 <= cutoff:
-        m_top += 1
-    m_t = np.arange(1, m_top)
-    # bands per m from the closed form plus one, then trimmed exactly
-    count = 2 + np.floor(ell / math.pi * np.sqrt(np.maximum(
-        math.sqrt(cutoff) - m_t * m_t, 0.0))).astype(int)
-    m_b = np.repeat(m_t, count)
-    j_b = np.arange(m_b.size) - np.repeat(np.cumsum(count) - count, count)
-    keep = (m_b * m_b + (j_b * math.pi / ell) ** 2) ** 2 <= cutoff
-    return m_t[_first_exists(m_t, cfg)], m_b[keep], j_b[keep]
+    m = np.arange(1, int(root) + 2)
+    m = m[_even_bracket(m, 1, cfg)[0] <= cutoff]
+    i = i[row_lo <= cutoff]
+    rows, cols = np.nonzero(bracket(m[:, None], i, cfg)[0] <= cutoff)
+    return m, m[rows], i[cols]
 
 
 def _solve(groups, cfg: PlateConfig) -> list[np.ndarray]:
@@ -658,12 +617,13 @@ def build_spectrum(cfg: PlateConfig, cap: int = 200) -> HomSpectrum:
         raise ValueError(f"n_modes={n} exceeds the safety cap {cap}")
     # the torsional window refuses a plate too narrow for it, before c0 (whose
     # s* is then too large to tell an integer from a fraction)
-    m_low, m_b, j_b = _torsional_window(n, cfg)
+    m_t, m_b, j_b = _window(n, _band_bracket, 0, cfg)
     holds, s_star = check_c0(cfg)
     if not holds:
         raise C0Violated(f"degenerate parameters: s* = {s_star} is an integer")
 
-    m_e, k_e = _longitudinal_window(n, cfg)
+    _, m_e, k_e = _window(n, _even_bracket, 1, cfg)
+    m_low = m_t[_first_exists(m_t, cfg)]
     # the scan for a torsional root below m^4 starts at Lambda_(m,1)
     first = k_e == 1
     m1 = np.concatenate([m_e[first], m_low[m_low > m_e.max()]])

@@ -193,6 +193,32 @@ def test_norm_const_matches_converged_quadrature(log_ell, sigma, m, k, parity):
     assert abs(pair.norm_const - want) <= 1e-14 * want
 
 
+@settings(max_examples=25, deadline=None)
+@given(log_ell=st.floats(-3.5, 1.5), sigma=st.floats(0.02, 0.48), n=st.integers(1, 120))
+@example(log_ell=-3.131308919752262, sigma=0.2, n=16)   # pow and x * x round apart
+def test_spectrum_window_is_complete(log_ell, sigma, n):
+    # the n lowest pairs do not change when more are asked for, and no mode
+    # found on its own below the n-th eigenvalue is left out of the list
+    cfg = PlateConfig(ell=10.0 ** log_ell, sigma=sigma, n_modes=n)
+    try:
+        spec = build_spectrum(cfg)
+        more = build_spectrum(cfg.with_(n_modes=n + 15))
+        for seq, longer, parity in ((spec.mu, more.mu, "even"), (spec.nu, more.nu, "odd")):
+            assert seq == longer[:n]
+            listed, top = {(p.mode.m, p.mode.k) for p in seq}, seq[-1].lam
+            for m in range(1, 41):
+                for k in range(1, 6):   # eigenvalues of one m increase with k
+                    try:
+                        lam = find_hom_eigenvalue(Mode(m, k, parity), cfg).lam
+                    except NotAdmissible:
+                        continue
+                    if lam >= top:
+                        break
+                    assert (m, k) in listed, (parity, m, k, lam, top)
+    except RootIsolationFailure:
+        reject()   # a wide-plate scan failure
+
+
 _CUT = spectrum._SERIES_CUT
 
 

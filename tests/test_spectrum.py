@@ -61,6 +61,29 @@ def test_det_branch_mismatch(ref_cfg):
         characteristic_det(0.5, 1, "even-high", ref_cfg)
 
 
+@pytest.mark.parametrize("call", [
+    lambda cfg: find_hom_eigenvalue(Mode(1.5, 1, "even"), cfg),
+    lambda cfg: Mode(1, 2.0, "odd"),
+    lambda cfg: Mode(0, 1, "even"),
+    lambda cfg: characteristic_det(1.0, 0, "odd", cfg),
+    lambda cfg: characteristic_det(2.0, -1, "even-high", cfg),
+    lambda cfg: torsional_first_exists(2734.5, cfg),
+], ids=["mode_float_m", "mode_float_k", "mode_zero_m", "det_zero_m", "det_negative_m",
+        "exists_float_m"])
+def test_mode_numbers_must_be_positive_integers(call, ref_cfg):
+    with pytest.raises(ValueError, match="^mode numbers must be integers >= 1, got m="):
+        call(ref_cfg)
+
+
+def test_numpy_integer_mode_numbers(ref_cfg):
+    m, k = np.int64(10), np.int32(1)
+    assert find_hom_eigenvalue(Mode(m, k, "even"), ref_cfg) == \
+        find_hom_eigenvalue(Mode(10, 1, "even"), ref_cfg)
+    assert characteristic_det(9000.0, m, "even-low", ref_cfg) == \
+        characteristic_det(9000.0, 10, "even-low", ref_cfg)
+    assert torsional_first_exists(np.int64(2735), ref_cfg)
+
+
 # ---------------------------------------------------------------------------
 # single eigenvalues
 # ---------------------------------------------------------------------------
