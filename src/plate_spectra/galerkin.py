@@ -308,7 +308,7 @@ def solve_parity(w: Weight, spectrum: HomSpectrum, parity: str, n: int):
     (``sym_eig``); coefficient columns are rescaled to be orthonormal in the
     weighted inner product.
     """
-    pairs = (spectrum.mu if parity == EVEN else spectrum.nu)[:n]
+    pairs = _pairs(spectrum, parity, n)
     d = np.array([p.lam for p in pairs])
     c = assemble_mass(w, spectrum, parity, n)
     d_isqrt = 1.0 / np.sqrt(d)

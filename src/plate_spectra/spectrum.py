@@ -7,13 +7,14 @@ on the two-parameter even (resp. odd) solution family yields, per branch, a
 2x2 determinant whose zeros are the eigenvalues. Longitudinal modes are the
 y-even family, torsional modes the y-odd family.
 
-Every eigenvalue has an a-priori bracket in s = sqrt(lam), or a band that a
-fixed grid scans for sign changes; determinants, brackets and scans take
-arrays of modes.  build_spectrum takes each parity's candidates from one
-window builder over the brackets and solves all of them in one batched ITP
-solve (numerics.find_roots, about a dozen determinant calls for all brackets,
-against 45 for bisection); find_hom_eigenvalue takes one mode's determinant
-and bracket or scan hit from the same builders and solves it with
+Every eigenvalue has an a-priori bracket in s = sqrt(lam) (the torsional one
+below m^4 shares the longitudinal Lambda_(m,1)'s), or, torsional above m^4, a
+band that a fixed grid scans for sign changes; determinants, brackets and
+scans take arrays of modes.  build_spectrum takes each parity's candidates
+from one window builder over the brackets and solves all of them in one
+batched ITP solve (numerics.find_roots, about a dozen determinant calls for
+all brackets, against 45 for bisection); find_hom_eigenvalue takes one mode's
+determinant and bracket or scan hit from the same builders and solves it with
 numerics.find_root, which takes the same steps and stops at the same width.
 
 Eigenfunction profiles come from one array kernel, profile_raw, whose m, lam
@@ -65,16 +66,19 @@ EVEN_HIGH = "even-high"  # lam > m^4, cosh/cos profile
 ODD_BRANCH = "odd"       # sinh/sin above m^4, sinh/sinh below
 
 
-def _check_mode_numbers(m, k=None) -> None:
-    """ValueError unless m (and k, if given) are integers >= 1; numpy integers
-    pass and floats do not, as for operator.index."""
+def _mode_numbers(**nums) -> tuple[int, ...]:
+    """The mode numbers as plain ints; ValueError unless each is an integer
+    >= 1.  numpy integers pass, as for operator.index; floats do not, and
+    neither do bools, which operator.index would read as 0 or 1."""
     try:
-        if operator.index(m) >= 1 and (k is None or operator.index(k) >= 1):
-            return
+        got = tuple(x if type(x) is int else -1 if isinstance(x, (bool, np.bool_))
+                    else int(operator.index(x)) for x in nums.values())
+        if min(got) >= 1:
+            return got
     except TypeError:
         pass
-    got = f"m={m!r}" if k is None else f"m={m!r}, k={k!r}"
-    raise ValueError(f"mode numbers must be integers >= 1, got {got}")
+    raise ValueError("mode numbers must be integers >= 1, got "
+                     + ", ".join(f"{name}={x!r}" for name, x in nums.items()))
 
 
 @dataclass(frozen=True)
@@ -84,7 +88,9 @@ class Mode:
     parity: str
 
     def __post_init__(self) -> None:
-        _check_mode_numbers(self.m, self.k)
+        if not (type(self.m) is int and type(self.k) is int and self.m >= 1 and self.k >= 1):
+            for name, x in zip("mk", _mode_numbers(m=self.m, k=self.k)):
+                object.__setattr__(self, name, x)
         if self.parity not in (EVEN, ODD):
             raise ValueError(f"parity must be 'even' or 'odd', got {self.parity!r}")
 
@@ -166,7 +172,7 @@ def characteristic_det(lam: float, m: int, branch: str, cfg: PlateConfig) -> flo
     branch selects the solution family: 'even-low' (lam < m^4), 'even-high'
     (lam > m^4) or 'odd' (either side of m^4, dispatched on lam).
     """
-    _check_mode_numbers(m)
+    (m,) = _mode_numbers(m=m)
     if lam <= 0:
         raise ValueError(f"lam must be positive, got {lam}")
     m4 = float(m) ** 4
@@ -195,7 +201,7 @@ def torsional_first_exists(m: int, cfg: PlateConfig) -> bool:
     """Whether the first torsional branch (k=1, eigenvalue below m^4) exists:
     ell*m*sqrt(2)*coth(ell*m*sqrt(2)) > ((2-sigma)/sigma)^2.
     """
-    _check_mode_numbers(m)
+    (m,) = _mode_numbers(m=m)
     return bool(_first_exists(m, cfg))
 
 
@@ -381,9 +387,12 @@ def _norm_consts(m: np.ndarray, lam: np.ndarray, parity: str, cfg: PlateConfig) 
 # eigenvalue location
 # ---------------------------------------------------------------------------
 # Each eigenvalue is lam = s^2 for a root s = sqrt(lam) of one determinant in
-# an a-priori bracket.  The bracket and scan builders take scalars or arrays
-# of mode indices: build_spectrum sets up the brackets of every mode of both
-# parities and solves them in one batched ITP solve (find_roots), while
+# an a-priori bracket: below m^4, both parities in Lambda_(m,1)'s interval
+# s in (sqrt(1 - sigma^2) m^2, m^2); above m^4, the even ones in one interval
+# of c ell each and the odd ones at the sign changes of a scan over bands of
+# c ell.  The bracket and scan builders take scalars or arrays of mode
+# indices: build_spectrum sets up the brackets of every mode of both parities
+# and solves them in one batched ITP solve (find_roots), while
 # find_hom_eigenvalue runs the same builders for one mode and solves its one
 # bracket with find_root.  Both take the same ITP steps and stop once a
 # bracket is at most _TOL_REL * max(1, |lo|, |hi|) wide (in s = sqrt(lam)),
@@ -467,20 +476,13 @@ def _high_scan(m, j, cfg: PlateConfig):
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def _low_scan(m, lam_m1, cfg: PlateConfig):
-    """First of the _hits of the odd-low determinant on each m's scan grid, as
-    (lo, hi, zero).  The torsional eigenvalue below m^4 lies above the
-    longitudinal eigenvalue lam_m1 = Lambda_(m,1)."""
-    m = np.atleast_1d(m)
-    s_lo, s_hi = np.sqrt(np.atleast_1d(lam_m1)), m * m
-    pad = (s_hi - s_lo) * _EDGE
-    s = np.linspace(s_lo + pad, s_hi - pad, _SCAN_POINTS, axis=-1)
-    row, lo, hi, zero = _hits(s, _det_odd_low(s, m[:, None], cfg.sigma, cfg.ell))
-    found, first = np.unique(row, return_index=True)
-    if found.size < m.size:
-        missing = m[np.setdiff1d(np.arange(m.size), found)]
-        raise RootIsolationFailure(f"no torsional root below m^4 for m={int(missing[0])}")
-    return lo[first], hi[first], zero[first]
+def _low_bracket(m, cfg: PlateConfig):
+    """Bracket in s of the torsional eigenvalue below m^4, in Lambda_(m,1)'s
+    interval above it: the odd-low determinant is the even-low one less
+    (tanh(c_bar ell) - tanh(c ell)) (c_bar q^2 + c p^2) > 0, so it is negative
+    at _even_bracket(m, 1)'s lower end, and positive at the largest float below
+    m^2 (the root nears m^2 at the threshold) iff torsional_first_exists."""
+    return _even_bracket(m, 1, cfg)[0], np.nextafter(m * m, 0.0)
 
 
 def _mode_lam(m: int, k: int, parity: str, cfg: PlateConfig) -> float:
@@ -496,7 +498,7 @@ def _mode_lam(m: int, k: int, parity: str, cfg: PlateConfig) -> float:
             raise NotAdmissible(
                 f"torsional k=1 mode does not exist for m={m} at these parameters")
         det = _det_odd_low
-        (lo,), (hi,), (zero,) = _low_scan(m, _mode_lam(m, 1, EVEN, cfg), cfg)
+        lo, hi = _low_bracket(m, cfg)
     else:
         # a band holds one root except near the k = 1 existence threshold, so
         # blocks of k - 1 bands are scanned until k - 1 roots have shown up
@@ -546,8 +548,8 @@ def _window(n: int, bracket, i_first: int, cfg: PlateConfig):
     eigenvalue, both ends increasing in m and i.  The candidates are the
     brackets that start at or below the n-th smallest end.  Returns the m
     whose Lambda_(m,1) bracket starts there too (the candidates for a
-    torsional eigenvalue below m^4, which lies above Lambda_(m,1)), and the
-    (m, i) of the candidates, m-major."""
+    torsional eigenvalue below m^4, which shares that bracket's lower end),
+    and the (m, i) of the candidates, m-major."""
     m, i = np.arange(1, n + 1), np.arange(i_first, i_first + n)
     col, (row_lo, row) = bracket(m, i_first, cfg)[1], bracket(1, i, cfg)
     # the cutoff is at most the corner end of a block of a x b >= n brackets:
@@ -580,7 +582,7 @@ def _solve(groups, cfg: PlateConfig) -> list[np.ndarray]:
 
     def f(s: np.ndarray) -> np.ndarray:
         return np.concatenate([det(s[a:b], m, cfg.sigma, cfg.ell)
-                               for (det, m, _, _), a, b in parts])
+                               for (det, m, _, _), a, b in parts if b > a])
 
     try:
         s = find_roots(f, np.concatenate([g[2] for g in groups]),
@@ -588,14 +590,6 @@ def _solve(groups, cfg: PlateConfig) -> list[np.ndarray]:
     except NoSignChange as exc:
         raise RootIsolationFailure(f"no sign change in an eigenvalue bracket: {exc}") from exc
     return [s[a:b] for _, a, b in parts]
-
-
-def _hits_lam(lo: np.ndarray, zero: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """Eigenvalues at scan hits: the grid point lo where zero, else the
-    bracket roots in hit order."""
-    s = lo.copy()
-    s[~zero] = roots
-    return s * s
 
 
 def _lowest(n: int, m: np.ndarray, k: np.ndarray, lam: np.ndarray, parity: str,
@@ -624,30 +618,25 @@ def build_spectrum(cfg: PlateConfig, cap: int = 200) -> HomSpectrum:
 
     _, m_e, k_e = _window(n, _even_bracket, 1, cfg)
     m_low = m_t[_first_exists(m_t, cfg)]
-    # the scan for a torsional root below m^4 starts at Lambda_(m,1)
     first = k_e == 1
-    m1 = np.concatenate([m_e[first], m_low[m_low > m_e.max()]])
-    m2, k2 = m_e[~first], k_e[~first]
+    m1, m2, k2 = m_e[first], m_e[~first], k_e[~first]
     row, lo, hi, zero = _high_scan(m_b, j_b, cfg)
-    s1, s2, s_high = _solve([(_det_even_low, m1, *_even_bracket(m1, 1, cfg)),
-                             (_det_even_high, m2, *_even_bracket(m2, k2, cfg)),
-                             (_det_odd_high, m_b[row[~zero]], lo[~zero], hi[~zero])], cfg)
-    lam_1 = s1 * s1
+    s1, s2, s_low, s_high = _solve([(_det_even_low, m1, *_even_bracket(m1, 1, cfg)),
+                                    (_det_even_high, m2, *_even_bracket(m2, k2, cfg)),
+                                    (_det_odd_low, m_low, *_low_bracket(m_low, cfg)),
+                                    (_det_odd_high, m_b[row[~zero]], lo[~zero], hi[~zero])],
+                                   cfg)
     lam_e = np.empty(m_e.size)
-    lam_e[first] = lam_1[:np.count_nonzero(first)]
-    lam_e[~first] = s2 * s2
+    lam_e[first], lam_e[~first] = s1 * s1, s2 * s2
 
-    m_o, lam_o = m_b[row], _hits_lam(lo, zero, s_high)
-    k_o = 2 + np.arange(m_o.size) - np.searchsorted(m_o, m_o)
-    if m_low.size:
-        lo, hi, zero = _low_scan(m_low, lam_1[np.searchsorted(m1, m_low)], cfg)
-        (s_low,) = _solve([(_det_odd_low, m_low[~zero], lo[~zero], hi[~zero])], cfg)
-        m_o = np.concatenate([m_low, m_o])
-        k_o = np.concatenate([np.ones(m_low.size, dtype=int), k_o])
-        lam_o = np.concatenate([_hits_lam(lo, zero, s_low), lam_o])
+    m_high = m_b[row]
+    k_high = 2 + np.arange(row.size) - np.searchsorted(m_high, m_high)
+    m_o, k_o = np.concatenate([m_low, m_high]), np.concatenate([np.ones_like(m_low), k_high])
+    s_o = np.concatenate([s_low, lo])   # a scan hit on a grid zero is the eigenvalue itself
+    s_o[m_low.size:][~zero] = s_high
 
     mu = _lowest(n, m_e, k_e, lam_e, EVEN, cfg)
-    nu = _lowest(n, m_o, k_o, lam_o, ODD, cfg)
+    nu = _lowest(n, m_o, k_o, s_o * s_o, ODD, cfg)
 
     for seq, label in ((mu, "longitudinal"), (nu, "torsional")):
         for a, b in zip(seq, seq[1:]):

@@ -51,6 +51,14 @@ def test_spectrum_command(tmp_path):
     assert meta["c0_holds"] is True
 
 
+@pytest.mark.parametrize("args", [("--ell", "50", "--sigma", "0.45"), ("--ell", "1000")])
+def test_spectrum_wide_plate(tmp_path, args):
+    # both used to exit 5 with "no torsional root below m^4"
+    proc = run_cli("spectrum", *args, "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "table1.csv").exists()
+
+
 def test_spectrum_rejects_bad_config(tmp_path):
     proc = run_cli("spectrum", "--sigma", "0.7", "--out", str(tmp_path))
     assert proc.returncode == 2

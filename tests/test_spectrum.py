@@ -68,8 +68,14 @@ def test_det_branch_mismatch(ref_cfg):
     lambda cfg: characteristic_det(1.0, 0, "odd", cfg),
     lambda cfg: characteristic_det(2.0, -1, "even-high", cfg),
     lambda cfg: torsional_first_exists(2734.5, cfg),
+    # operator.index reads True as 1, so a bool used to pass as m = 1
+    lambda cfg: Mode(True, 2, "odd"),
+    lambda cfg: Mode(2, np.True_, "even"),
+    lambda cfg: characteristic_det(1.0, True, "even-low", cfg),
+    lambda cfg: torsional_first_exists(np.True_, cfg),
 ], ids=["mode_float_m", "mode_float_k", "mode_zero_m", "det_zero_m", "det_negative_m",
-        "exists_float_m"])
+        "exists_float_m", "mode_bool_m", "mode_numpy_bool_k", "det_bool_m",
+        "exists_numpy_bool_m"])
 def test_mode_numbers_must_be_positive_integers(call, ref_cfg):
     with pytest.raises(ValueError, match="^mode numbers must be integers >= 1, got m="):
         call(ref_cfg)
@@ -82,6 +88,12 @@ def test_numpy_integer_mode_numbers(ref_cfg):
     assert characteristic_det(9000.0, m, "even-low", ref_cfg) == \
         characteristic_det(9000.0, 10, "even-low", ref_cfg)
     assert torsional_first_exists(np.int64(2735), ref_cfg)
+    # a Mode stores plain ints: numpy scalars used to be kept, and printed as
+    # np.int64(10) in the "nearly coincident" warnings
+    mode = Mode(m, np.int32(3), "odd")
+    assert type(mode.m) is int and type(mode.k) is int
+    assert repr(mode) == "Mode(m=10, k=3, parity='odd')"
+    assert mode == Mode(10, 3, "odd") and hash(mode) == hash(Mode(10, 3, "odd"))
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +310,35 @@ def test_spectrum_with_first_torsional_branch():
     assert [p.lam for p in wider.nu[:40]] == nu
 
 
+@pytest.mark.parametrize("ell, sigma", [(1000.0, 0.2), (1500.0, 0.2), (2000.0, 0.2),
+                                        (3000.0, 0.2), (50.0, 0.45)])
+def test_wide_plate_spectrum(ell, sigma):
+    # on a wide plate the torsional root below m^4 lies within about
+    # exp(-2 c ell) of Lambda_(m,1), so a scan that started just above
+    # Lambda_(m,1) began above it and found no sign change
+    cfg = PlateConfig(ell=ell, sigma=sigma)
+    spec = build_spectrum(cfg)
+    om = (math.pi / ell) ** 2
+    for p in spec.mu + spec.nu:
+        m, k = p.mode.m, p.mode.k
+        if k == 1:
+            assert (1 - sigma ** 2) * m ** 4 < p.lam < m ** 4, p.mode
+        elif p.mode.parity == "even":
+            assert (m * m + om * (k - 1.5) ** 2) ** 2 < p.lam < (m * m + om * (k - 1) ** 2) ** 2
+        else:
+            assert p.lam > m ** 4, p.mode
+    k1 = [p for p in spec.nu if p.mode.k == 1]
+    assert k1
+    m = np.array([p.mode.m for p in k1])
+    lo, hi = spectrum._low_bracket(m, cfg)
+    want = bisect_roots(lambda s: spectrum._det_odd_low(s, m, sigma, ell), lo, hi,
+                        tol_rel=1e-13) ** 2
+    got = np.array([p.lam for p in k1])
+    assert np.all(np.abs(got - want) <= 2e-13 * want)
+    lam_m1 = np.array([find_hom_eigenvalue(Mode(p.mode.m, 1, "even"), cfg).lam for p in k1])
+    assert np.all(got >= lam_m1 * (1 - 1e-12))
+
+
 # ---------------------------------------------------------------------------
 # batched spectrum against single-mode location
 # ---------------------------------------------------------------------------
@@ -350,12 +391,14 @@ def _solve_with(monkeypatch, solver, cfg):
 
 
 @pytest.mark.parametrize("cfg", [PlateConfig(n_modes=30), PlateConfig(n_modes=100),
-                                 PlateConfig(ell=math.pi / 2, n_modes=250)],  # criterion 9
-                         ids=["ref-30", "ref-100", "crit9-250"])
+                                 PlateConfig(ell=math.pi / 2, n_modes=250),  # criterion 9
+                                 PlateConfig(ell=math.pi / 2, sigma=0.45, n_modes=40)],
+                         ids=["ref-30", "ref-100", "crit9-250", "wide-k1"])
 def test_build_spectrum_root_calls(monkeypatch, cfg):
-    # ITP solves every bracket of a plate in a dozen steps (bisection: 45)
+    # ITP solves every bracket of a plate, torsional ones below m^4 included,
+    # in one batched solve of a dozen steps (bisection: 45)
     _, calls = _solve_with(monkeypatch, find_roots, cfg)
-    assert calls and max(calls) <= 16, calls
+    assert len(calls) == 1 and calls[0] <= 16, calls
 
 
 @pytest.mark.parametrize("cfg", [PlateConfig(n_modes=30),
