@@ -255,8 +255,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     grid = tuple(args.grid)
     try:
         if args.target == "min-mu":
-            trace = optimize.minimize_mu_j(args.j, cfg, epsilon=args.epsilon,
-                                           max_iters=args.max_iters,
+            trace = optimize.minimize_mu_j(args.j, cfg, max_iters=args.max_iters,
                                            spectrum=spec, grid=grid)
         else:
             trace = optimize.maximize_nu1_fixed_point(cfg, max_iters=args.max_iters,
@@ -274,8 +273,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         "stop_reason": trace.stop_reason,
         "iterations": len(trace.iterates),
         "final_eigenvalue": trace.final_value,
-        "epsilon": trace.epsilon,
-        "resorted": trace.resorted,
+        "gap": trace.gap,
     }
     v = final.variant
     if isinstance(v, weights.Sublevel):
@@ -378,8 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--target", choices=["min-mu", "max-nu1"], required=True)
     p.add_argument("--j", type=int, default=1, help="eigenvalue index for min-mu")
-    p.add_argument("--epsilon", type=float, default=1e-4,
-                   help="relative stop tolerance for min-mu")
     p.add_argument("--max-iters", type=int, default=100, dest="max_iters")
     p.add_argument("--sin4-compare", action="store_true", dest="sin4_compare",
                    help="record the banded sin^4 threshold for comparison")

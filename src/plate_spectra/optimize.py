@@ -1,20 +1,21 @@
-"""Density optimization: rearrangement steps, one rearrangement loop with two
-targets (descent on mu_j and the torsional fixed point), the closed-form upper
-bound on longitudinal eigenvalues, and the ratio study."""
+"""Density optimization: rearrangement steps, one damped rearrangement driver
+with two objectives (descent on mu_j and ascent on nu_1), the closed-form
+upper bound on longitudinal eigenvalues, and the ratio study."""
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import PlateConfig
 from .galerkin import expand_field, solve_parity, solve_weighted
 from .spectrum import EVEN, ODD, HomSpectrum, build_spectrum, eval_eigenfunction, known_j0
-from .weights import (GridField, Sublevel, Weight, _parity_residual, make_breve_p,
-                      make_doublebar_p, make_pbar_j, make_tilde_p, make_uniform,
-                      sample_field, sublevel_split, validate, weight_to_dict)
+from .weights import (GridField, Sublevel, Weight, _parity_residual, eval_weight,
+                      make_breve_p, make_doublebar_p, make_pbar_j, make_tilde_p,
+                      make_uniform, sample_field, sublevel_split, validate,
+                      weight_to_dict)
 
 
 class OptimizeError(Exception):
@@ -25,29 +26,19 @@ CONVERGED = "converged"
 MAX_ITERS = "max_iters"
 DEGENERATE = "degenerate"
 
-# Share of the newest u^2 in the field the descent on mu_j thresholds. The
-# undamped map flips large parts of the domain per iteration and can hang up
-# short of the optimum from rough starting weights.
-RELAXATION = 0.5
-# Rounds without a new best value after which the descent on mu_j stops.
-PATIENCE = 8
-# Consecutive torsional dense sets count as settled below this share of |Omega|.
-AREA_TOL = 0.01
+# Smallest nonzero damping of the rearrangement step.
+C_MIN = 1.0 / 64.0
 
 
 @dataclass(frozen=True, eq=False)
 class OptimizationTrace:
-    """Accepted iterates of a density optimization run.
-
-    The descent on mu_j records only new best values, so its sequence is
-    non-increasing; the torsional fixed point records every round.
-    """
+    """Accepted iterates of a density optimization run, each strictly better
+    than the one before, and the first-order gap of the final weight."""
 
     target: str
     iterates: tuple[tuple[Weight, float], ...]
     stop_reason: str
-    epsilon: float
-    resorted: bool = False  # mode re-identification fired at least once
+    gap: float
 
     @property
     def eigenvalues(self) -> list[float]:
@@ -104,123 +95,99 @@ def rearrange_max(fld: GridField, cfg: PlateConfig) -> Weight:
 
 
 def _same_sublevel(a: Weight, b: Weight) -> bool:
-    """Same dense set, threshold and tie fraction (symmetric in a and b)."""
+    """Same node values on the same grid: both sublevel weights put the same
+    cells in the dense phase, with the same tie value."""
     va, vb = a.variant, b.variant
-    if not (isinstance(va, Sublevel) and isinstance(vb, Sublevel)):
-        return False
-    return (va.threshold == vb.threshold
-            and va.tie_fraction == vb.tie_fraction
-            and np.array_equal(va.inside_mask(), vb.inside_mask()))
+    return (isinstance(va, Sublevel) and isinstance(vb, Sublevel)
+            and va.field.values.shape == vb.field.values.shape
+            and np.array_equal(va.node_values(), vb.node_values()))
 
 
 # ---------------------------------------------------------------------------
-# the rearrangement loop and its two targets
+# the damped rearrangement driver and its two objectives
 # ---------------------------------------------------------------------------
 
 def _search(target: str, cfg: PlateConfig, spectrum: HomSpectrum, parity: str,
-            n: int, j: int, w: Weight, grid: tuple[int, int], rearrange,
-            relaxation: float, epsilon: float, max_iters: int, record,
-            settled) -> OptimizationTrace:
-    """Bang-bang rearrangement iteration shared by the density searches.
+            j: int, w: Weight, grid: tuple[int, int], sign: float,
+            max_iters: int) -> OptimizationTrace:
+    """Damped bang-bang rearrangement on the j-th eigenvalue of one parity:
+    descent for sign = +1 (min-mu), ascent for sign = -1 (max-nu1).
 
-    Each round solves the weighted problem of one parity, follows the j-th
-    eigenvector by weighted overlap, and rearranges against a relaxed running
-    average of the eigenfunction's square. record(iterates, w, value) gets the
-    weight's own j-th eigenvalue, decides which values become iterates and
-    returns a stop reason or None; settled(w, w_next) says when two
-    consecutive dense sets count as equal. Every expansion and every solve of
-    a weight on the search grid reads the same grid tables, which the
-    spectrum keeps from the first of them (galerkin.grid_basis).
+    A step rearranges f = g + sign c s, with g = u_j^2 / max u_j^2 of the
+    current weight and s its dense share (p - alpha)/(beta - alpha) on the
+    grid: rearrange_max of f for sign = +1, rearrange_min for sign = -1. A
+    step is accepted only if it strictly improves the weight's own j-th
+    eigenvalue. The damping c starts at 0, becomes max(2c, C_MIN) after a
+    rejection and c/2 (0 below C_MIN) after an acceptance. Once c > 1 the
+    step can only return the current set, and the search has converged. A
+    step that returns the current weight, or the weight solved last, is
+    rejected without a solve; max_iters bounds the solves. Every expansion
+    and every solve of a weight on the search grid reads the same grid
+    tables, which the spectrum keeps from the first of them
+    (galerkin.grid_basis).
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    iterates: list[tuple[Weight, float]] = []
-    resorted = False
-    prev_vec: np.ndarray | None = None
-    g_field: np.ndarray | None = None
-
-    for _ in range(max_iters):
-        lam, coeffs, mass = solve_parity(w, spectrum, parity, n)
-        idx = j - 1
-        if prev_vec is not None and j > 1:
-            overlaps = np.abs(prev_vec @ mass.a @ coeffs)
-            closest = int(np.argmax(overlaps))
-            norm_sq = float(prev_vec @ mass.a @ prev_vec)
-            proj_sq = float(np.sum(overlaps[: j - 1] ** 2))
-            residual = math.sqrt(max(0.0, 1.0 - proj_sq / norm_sq))
-            if residual < 1e-6 or closest != idx:
-                # tracked mode slid into the lower block: follow it
-                idx = closest
-                resorted = True
-        stop = record(iterates, w, float(lam[j - 1]))
-        if stop:
+    n = min(spectrum.config.n_modes, len(spectrum.mu if parity == EVEN else spectrum.nu))
+    if j > n:
+        raise ValueError(f"j={j} exceeds the truncation {n}")
+    rearrange = rearrange_max if sign > 0 else rearrange_min
+    lam, coeffs, _ = solve_parity(w, spectrum, parity, n)
+    iterates = [(w, float(lam[j - 1]))]
+    solves, tried, c, stop, u_sq = 1, w, 0.0, CONVERGED, None   # tried: the last weight solved
+    while c <= 1.0:
+        if u_sq is None:   # a new weight: expand its u_j, sample p on the grid
+            u_sq = expand_field(spectrum, parity, coeffs[:, j - 1], grid).values ** 2
+            p = sample_field(lambda x, y: eval_weight(w, x, y), cfg, *grid).values
+        f = u_sq / u_sq.max() + sign * c * (p - cfg.alpha) / (cfg.beta - cfg.alpha)
+        w_next = rearrange(GridField(f - f.min(), cfg.ell), cfg)
+        if w_next.variant.degenerate:
+            stop = DEGENERATE
             break
+        better = False
+        if not (_same_sublevel(w, w_next) or _same_sublevel(tried, w_next)):
+            if solves == max_iters:
+                stop = MAX_ITERS
+                break
+            lam, coeffs_next, _ = solve_parity(w_next, spectrum, parity, n)
+            solves, tried = solves + 1, w_next
+            better = sign * (iterates[-1][1] - lam[j - 1]) > 0.0
+        if better:
+            w, coeffs, u_sq = w_next, coeffs_next, None
+            iterates.append((w, float(lam[j - 1])))
+            c = c / 2.0 if c / 2.0 >= C_MIN else 0.0
+        else:
+            c = max(2.0 * c, C_MIN)
+    # first-order gap: the relative change of lam_j, to first order, that the
+    # full rearrangement on the final u_j^2 would bring (int p u_j^2 = 1);
+    # + 0.0 writes an exact zero times -1 as 0.0, not -0.0
+    full = rearrange(GridField(u_sq, cfg.ell), cfg).variant
+    gap = sign * float(np.sum((full.node_values() - p) * u_sq)) * full.field.cell_area + 0.0
+    return OptimizationTrace(target, tuple(iterates), stop, gap)
 
-        prev_vec = coeffs[:, idx]
-        u = expand_field(spectrum, parity, prev_vec, grid)
-        u_sq = u.values ** 2
-        g_field = u_sq if g_field is None else (
-            (1.0 - relaxation) * g_field + relaxation * u_sq)
-        w_next = rearrange(GridField(g_field, cfg.ell, "even"), cfg)
-        stop = (DEGENERATE if w_next.variant.degenerate
-                else CONVERGED if settled(w, w_next) else None)
-        if stop:
-            break
-        w = w_next
-    else:
-        stop = MAX_ITERS
 
-    return OptimizationTrace(target=target, iterates=tuple(iterates),
-                             stop_reason=stop, epsilon=epsilon, resorted=resorted)
-
-
-def minimize_mu_j(j: int, cfg: PlateConfig, epsilon: float = 1e-4,
-                  max_iters: int = 100, initial: Weight | None = None,
-                  spectrum: HomSpectrum | None = None,
+def minimize_mu_j(j: int, cfg: PlateConfig, max_iters: int = 100,
+                  initial: Weight | None = None, spectrum: HomSpectrum | None = None,
                   grid: tuple[int, int] = (2400, 31)) -> OptimizationTrace:
-    """Alternating descent on the j-th longitudinal eigenvalue.
+    """Damped rearrangement descent on the j-th longitudinal eigenvalue,
+    from the uniform weight unless initial is given (see _search).
 
-    Each round re-aligns the dense phase with the superlevel set of a relaxed
-    running average (RELAXATION) of the j-th longitudinal eigenfunction
-    squared. The trace records the improving iterates (non-increasing by
-    construction); the loop keeps going through transient up-steps and stops
-    once a new best improves by less than epsilon, the weight repeats, or no
-    improvement arrives within PATIENCE rounds.
-
-    The working grid is finer than the general sublevel default: the iteration
-    can lock onto self-consistent band systems whose edges sit a cell or two
-    off the optimum, and the residual spread scales with the cell width.
+    The working grid is finer than the general sublevel default: the optimal
+    dense set is a band system whose edges the grid resolves to a cell.
     """
     if j < 1:
         raise ValueError(f"j must be >= 1, got {j}")
-    if not (math.isfinite(epsilon) and epsilon >= 0.0):
-        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     if spectrum is None:
         spectrum = build_spectrum(cfg)
-    n = min(spectrum.config.n_modes, len(spectrum.mu))
-    if j > n:
-        raise ValueError(f"j={j} exceeds the truncation {n}")
-    best, rounds_since_best = math.inf, 0
-
-    def record(iterates, w, value):
-        nonlocal best, rounds_since_best
-        if value < best * (1.0 - 1e-12):
-            improvement = (best - value) / value
-            iterates.append((w, value))
-            best, rounds_since_best = value, 0
-            return CONVERGED if improvement < epsilon else None
-        rounds_since_best += 1
-        return CONVERGED if rounds_since_best >= PATIENCE else None
-
-    return _search(f"min_mu_{j}", cfg, spectrum, EVEN, n, j,
-                   initial if initial is not None else make_uniform(cfg), grid,
-                   rearrange_max, RELAXATION, epsilon, max_iters, record, _same_sublevel)
+    return _search(f"min_mu_{j}", cfg, spectrum, EVEN, j,
+                   initial if initial is not None else make_uniform(cfg), grid, 1.0,
+                   max_iters)
 
 
 def make_pstar(cfg: PlateConfig, spectrum: HomSpectrum | None = None,
                grid: tuple[int, int] = (600, 31)) -> Weight:
     """Dense phase on the sublevel set of the first torsional eigenfunction
-    squared of the uniform plate (the trial weight of the fixed point)."""
+    squared of the uniform plate (the start of the torsional ascent)."""
     if spectrum is None:
         spectrum = build_spectrum(cfg)
     theta1 = spectrum.nu[0]
@@ -229,38 +196,16 @@ def make_pstar(cfg: PlateConfig, spectrum: HomSpectrum | None = None,
     return rearrange_min(fld, cfg)
 
 
-def symmetric_difference_area(a: Weight, b: Weight) -> float:
-    """Grid measure of the symmetric difference of two sublevel dense-phase sets."""
-    va, vb = a.variant, b.variant
-    if not (isinstance(va, Sublevel) and isinstance(vb, Sublevel)):
-        raise TypeError("both weights must be sublevel weights")
-    if va.field.values.shape != vb.field.values.shape:
-        raise ValueError("sublevel weights live on different grids")
-    return float(np.count_nonzero(va.inside_mask() ^ vb.inside_mask())) * va.field.cell_area
-
-
 def maximize_nu1_fixed_point(cfg: PlateConfig, max_iters: int = 100,
                              spectrum: HomSpectrum | None = None,
                              grid: tuple[int, int] = (600, 31)) -> OptimizationTrace:
-    """Fixed-point iteration for the first torsional eigenvalue.
-
-    Starts from the trial weight built on the uniform plate's first torsional
-    eigenfunction; each round re-thresholds the current first torsional
-    eigenfunction squared and records its eigenvalue. Stops when consecutive
-    dense-phase sets differ by less than AREA_TOL * |Omega|.
-    """
+    """Damped rearrangement ascent on the first torsional eigenvalue, from
+    the trial weight built on the uniform plate's first torsional
+    eigenfunction (see _search)."""
     if spectrum is None:
         spectrum = build_spectrum(cfg)
-    n = min(spectrum.config.n_modes, len(spectrum.nu))
-
-    def record(iterates, w, value):
-        iterates.append((w, value))
-
-    def settled(w, w_next):
-        return symmetric_difference_area(w, w_next) < AREA_TOL * cfg.area
-
-    return _search("max_nu1", cfg, spectrum, ODD, n, 1, make_pstar(cfg, spectrum, grid),
-                   grid, rearrange_min, 1.0, AREA_TOL, max_iters, record, settled)
+    return _search("max_nu1", cfg, spectrum, ODD, 1, make_pstar(cfg, spectrum, grid),
+                   grid, -1.0, max_iters)
 
 
 # ---------------------------------------------------------------------------

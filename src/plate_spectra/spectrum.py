@@ -225,6 +225,13 @@ def check_c0(cfg: PlateConfig) -> tuple[bool, float]:
     return holds, s_star
 
 
+def _require_c0(cfg: PlateConfig) -> None:
+    """Raise C0Violated in the degenerate resonant case excluded by the theory."""
+    holds, s_star = check_c0(cfg)
+    if not holds:
+        raise C0Violated(f"degenerate parameters: s* = {s_star} is an integer")
+
+
 # ---------------------------------------------------------------------------
 # profile evaluation (stable ratio forms)
 # ---------------------------------------------------------------------------
@@ -497,6 +504,9 @@ def _mode_lam(m: int, k: int, parity: str, cfg: PlateConfig) -> float:
         if not torsional_first_exists(m, cfg):
             raise NotAdmissible(
                 f"torsional k=1 mode does not exist for m={m} at these parameters")
+        # just above the existence threshold, where s* nears m, the determinant
+        # is rounding noise at m^2: refuse the plate as degenerate there
+        _require_c0(cfg)
         det = _det_odd_low
         lo, hi = _low_bracket(m, cfg)
     else:
@@ -520,7 +530,9 @@ def _mode_lam(m: int, k: int, parity: str, cfg: PlateConfig) -> float:
 
 
 def find_hom_eigenvalue(mode: Mode, cfg: PlateConfig) -> HomEigenpair:
-    """Locate one eigenvalue of the homogeneous plate and build its profile."""
+    """Locate one eigenvalue of the homogeneous plate and build its profile.
+    A torsional k = 1 mode raises C0Violated in the degenerate resonant case,
+    as build_spectrum does."""
     lam = _mode_lam(mode.m, mode.k, mode.parity, cfg)
     (pair,) = _make_pairs(np.array([mode.m]), np.array([mode.k]), np.array([lam]),
                           mode.parity, cfg)
@@ -612,9 +624,7 @@ def build_spectrum(cfg: PlateConfig, cap: int = 200) -> HomSpectrum:
     # the torsional window refuses a plate too narrow for it, before c0 (whose
     # s* is then too large to tell an integer from a fraction)
     m_t, m_b, j_b = _window(n, _band_bracket, 0, cfg)
-    holds, s_star = check_c0(cfg)
-    if not holds:
-        raise C0Violated(f"degenerate parameters: s* = {s_star} is an integer")
+    _require_c0(cfg)
 
     _, m_e, k_e = _window(n, _even_bracket, 1, cfg)
     m_low = m_t[_first_exists(m_t, cfg)]

@@ -512,7 +512,9 @@ def test_optimize_min_mu_1(tmp_path):
     assert meta["final_eigenvalue"] < 0.8
     lines = (tmp_path / "trace.jsonl").read_text().strip().split("\n")
     vals = [json.loads(ln)["eigenvalue"] for ln in lines]
-    assert all(b <= a for a, b in zip(vals, vals[1:]))
+    assert all(b < a for a, b in zip(vals, vals[1:]))
+    assert meta["iterations"] == len(vals)
+    assert math.isfinite(meta["gap"]) and meta["gap"] >= -1e-12
     assert (tmp_path / "final_weight.json").exists()
     assert (tmp_path / "field.csv").exists()
     assert (tmp_path / "sset.csv").exists()
@@ -587,10 +589,13 @@ def test_optimize_j_out_of_range(tmp_path):
 
 @pytest.mark.parametrize("epsilon", ["nan", "inf", "-1"])
 def test_optimize_rejects_bad_epsilon(tmp_path, epsilon):
-    # a NaN epsilon used to run to "converged" and write NaN into the meta JSON
+    # the damped search has no stop tolerance: --epsilon is no longer an
+    # option, so any value of it is a usage error that writes nothing
     proc = run_cli("optimize", "--target", "min-mu", "--epsilon", epsilon,
                    "--grid", "60", "31", "--out", str(tmp_path))
-    _assert_one_line_error(proc, 2, "epsilon must be finite")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "unrecognized arguments: --epsilon" in proc.stderr
     assert not (tmp_path / "optimize_meta.json").exists()
 
 

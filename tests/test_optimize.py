@@ -12,8 +12,7 @@ from plate_spectra.optimize import (OptimizationTrace, OptimizeError,
                                     default_study_weights, make_pstar,
                                     maximize_nu1_fixed_point, minimize_mu_j,
                                     mu_upper_bound, ratio_report_to_csv, ratio_study,
-                                    rearrange_max, rearrange_min,
-                                    symmetric_difference_area, trace_to_jsonl)
+                                    rearrange_max, rearrange_min, trace_to_jsonl)
 from plate_spectra.weights import (GridField, Sublevel, Weight, eval_weight,
                                    make_doublebar_p, make_pbar_j, make_uniform,
                                    sample_field, sin4_level_exact, validate,
@@ -112,7 +111,7 @@ def test_minimize_mu_1(ref_cfg, ref_spectrum):
     vals = tr.eigenvalues
     assert tr.stop_reason == "converged"
     assert vals[0] == pytest.approx(ref_spectrum.mu[0].lam, rel=1e-9)
-    assert all(b <= a * (1 + 1e-12) for a, b in zip(vals, vals[1:]))
+    assert all(b < a for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 0.80 * vals[0]
     # the final dense band sits around the centre, roughly (pi/4, 3*pi/4)
     v = tr.final_weight.variant
@@ -129,7 +128,7 @@ def test_minimize_mu_10_reaches_band_optimum(ref_cfg, ref_spectrum):
     assert tr.stop_reason == "converged"
     assert abs(tr.final_value - 7.28e3) / 7.28e3 < 0.02
     vals = tr.eigenvalues
-    assert all(b <= a * (1 + 1e-12) for a, b in zip(vals, vals[1:]))
+    assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
 def test_minimize_multistart_agreement(ref_cfg, ref_spectrum):
@@ -155,25 +154,47 @@ def _count_rounds(monkeypatch):
     return rounds
 
 
-def test_minimize_follows_mode_that_slides_down(ref_cfg, ref_spectrum, monkeypatch):
-    # a seeded x-band start whose tracked mode is re-identified by overlap: the
-    # search steers by the tracked eigenvector but records each weight's own
-    # mu_j, not the eigenvalue of the mode it follows
+def test_minimize_random_starts_reach_uniform_start_value(ref_cfg, ref_spectrum):
+    # 20 seeded band starts at 600x31 each end within 1% of the search from
+    # the uniform start, or below it: a converged search has not stalled
     rng = np.random.default_rng(7)
-    start = [random_band_weight(rng, ref_cfg) for _ in range(17)][-1]
-    assert type(start.variant).__name__ == "XBands"
-    rounds = _count_rounds(monkeypatch)
+    starts = [random_band_weight(rng, ref_cfg) for _ in range(20)]
     for j in (10, 12):
-        rounds.clear()
-        tr = minimize_mu_j(j, ref_cfg, spectrum=ref_spectrum, initial=start, grid=(600, 31))
-        # two new bests in the first two rounds, then PATIENCE = 8 rounds without one
-        assert (tr.stop_reason, tr.resorted, len(tr.iterates), len(rounds)) == (
-            "converged", True, 2, 10)
-        assert tr.final_value == solve_parity(tr.final_weight, ref_spectrum, "even", 30)[0][j - 1]
-        for w, value in tr.iterates:
-            assert value == solve_parity(w, ref_spectrum, "even", 30)[0][j - 1]
-        vals = tr.eigenvalues
-        assert all(b < a for a, b in zip(vals, vals[1:]))
+        best = minimize_mu_j(j, ref_cfg, spectrum=ref_spectrum, grid=(600, 31)).final_value
+        for i, start in enumerate(starts):
+            tr = minimize_mu_j(j, ref_cfg, spectrum=ref_spectrum, initial=start,
+                               grid=(600, 31))
+            assert tr.stop_reason == "converged"
+            assert tr.final_value <= 1.01 * best, (j, i, tr.final_value, best)
+            vals = tr.eigenvalues
+            assert all(b < a for a, b in zip(vals, vals[1:]))
+            assert math.isfinite(tr.gap) and tr.gap >= -1e-12
+    # each iterate records its own weight's mu_j: the 17th start is the one
+    # whose overlap-tracked mode once slid into the lower block
+    tr = minimize_mu_j(12, ref_cfg, spectrum=ref_spectrum, initial=starts[16], grid=(600, 31))
+    for w, value in tr.iterates:
+        assert value == solve_parity(w, ref_spectrum, "even", 30)[0][11]
+
+
+@pytest.mark.parametrize("grid", [(600, 31), (2400, 31)], ids=["600x31", "2400x31"])
+def test_reference_searches(ref_cfg, ref_spectrum, grid):
+    # the density-search benchmark's 13 targets on one grid, with its checks:
+    # no iteration cap, a strictly monotone trace, an admissible final weight
+    # that beats the uniform plate, and the two reference values to 2%
+    refs = {10: 7.28e3, None: 1.98e4}
+    for j in [*range(1, 13), None]:
+        if j is None:
+            tr = maximize_nu1_fixed_point(ref_cfg, spectrum=ref_spectrum, grid=grid)
+            vals, uniform = [-v for v in tr.eigenvalues], -ref_spectrum.nu[0].lam
+        else:
+            tr = minimize_mu_j(j, ref_cfg, spectrum=ref_spectrum, grid=grid)
+            vals, uniform = tr.eigenvalues, ref_spectrum.mu[j - 1].lam
+        assert tr.stop_reason != "max_iters", j
+        assert all(b < a for a, b in zip(vals, vals[1:])), j
+        assert validate(tr.final_weight, ref_cfg).passed, j
+        assert vals[-1] < uniform, j
+        if j in refs:
+            assert abs(tr.final_value - refs[j]) <= 0.02 * refs[j], j
 
 
 def test_one_grid_basis_per_search(ref_cfg, monkeypatch):
@@ -193,9 +214,10 @@ def test_one_grid_basis_per_search(ref_cfg, monkeypatch):
 
     monkeypatch.setattr(galerkin, "grid_basis", counted_basis)
     monkeypatch.setattr(galerkin, "_cell_trig", counted_trig)
-    cfg = PlateConfig(alpha=0.1, beta=3.0)  # a fixed point that takes 4 rounds
+    # min-mu j = 11 at 600x31 takes 6 solves, the ascent at alpha 0.1, beta 3 takes 5
+    cfg = PlateConfig(alpha=0.1, beta=3.0)
     for search, grid in (
-            (lambda: minimize_mu_j(3, ref_cfg, spectrum=build_spectrum(ref_cfg),
+            (lambda: minimize_mu_j(11, ref_cfg, spectrum=build_spectrum(ref_cfg),
                                    grid=(600, 31)), (600, 31)),
             (lambda: maximize_nu1_fixed_point(cfg, grid=(300, 15)), (300, 15))):
         bases.clear(), shifts.clear()
@@ -215,7 +237,8 @@ def test_minimize_from_start_on_another_grid(ref_cfg, ref_spectrum, monkeypatch)
     start = random_grid_weight(np.random.default_rng(5), ref_cfg, shape=(600, 31))
     tr = minimize_mu_j(4, ref_cfg, spectrum=ref_spectrum, initial=start, grid=(2400, 31))
     assert tr.iterates[0][0] is start
-    assert tr.final_value == pytest.approx(186.3119770143048, rel=1e-9)
+    # a local optimum 1e-5 above the uniform start's 186.31198 at 2400x31
+    assert tr.final_value == pytest.approx(186.31392230474154, rel=1e-6)
     grid_basis = galerkin.grid_basis
 
     def fresh_basis(spectrum, *key):
@@ -234,13 +257,10 @@ def test_minimize_validates_arguments(ref_cfg, ref_spectrum):
         minimize_mu_j(0, ref_cfg, spectrum=ref_spectrum)
     with pytest.raises(ValueError):
         minimize_mu_j(99, ref_cfg, spectrum=ref_spectrum)
-    for epsilon in (math.nan, math.inf, -math.inf, -1.0, -1e-300):
-        with pytest.raises(ValueError, match="epsilon"):
-            minimize_mu_j(1, ref_cfg, spectrum=ref_spectrum, epsilon=epsilon)
 
 
 # ---------------------------------------------------------------------------
-# torsional fixed point
+# torsional ascent
 # ---------------------------------------------------------------------------
 
 def test_fixed_point_trial_weight_value(ref_cfg, ref_spectrum):
@@ -253,16 +273,26 @@ def test_fixed_point_trial_weight_value(ref_cfg, ref_spectrum):
 
 
 def test_fixed_point_records_every_round(monkeypatch):
+    # every accepted round is an iterate holding its weight's own nu_1, and
+    # max_iters bounds the solves. The final value is pinned to 1e-6 only:
+    # it moves by about 1e-9 when mirror-tied cells swap with the last bits
+    # of the uniform-plate spectrum
     cfg = PlateConfig(alpha=0.1, beta=3.0)
     spec = build_spectrum(cfg)
     rounds = _count_rounds(monkeypatch)
     tr = maximize_nu1_fixed_point(cfg, spectrum=spec, grid=(300, 15))
-    assert (tr.stop_reason, len(tr.iterates), len(rounds)) == ("converged", 4, 4)
-    assert tr.epsilon == 0.01
-    assert tr.final_value == pytest.approx(84883.47608454083, rel=1e-9)
+    assert tr.stop_reason == "converged"
+    vals = tr.eigenvalues
+    assert len(vals) >= 2 and all(b > a for a, b in zip(vals, vals[1:]))
+    assert len(rounds) >= len(vals)
+    for w, value in tr.iterates:
+        assert value == solve_parity(w, spec, "odd", 30)[0][0]
+    assert tr.final_value == pytest.approx(84883.476085, rel=1e-6)
+    assert 0.0 <= tr.gap < 1e-3
     rounds.clear()
-    tr = maximize_nu1_fixed_point(cfg, max_iters=2, spectrum=spec, grid=(300, 15))
-    assert (tr.stop_reason, len(tr.iterates), len(rounds)) == ("max_iters", 2, 2)
+    short = maximize_nu1_fixed_point(cfg, max_iters=2, spectrum=spec, grid=(300, 15))
+    assert (short.stop_reason, len(rounds)) == ("max_iters", 2)
+    assert short.eigenvalues == vals[:len(short.iterates)]
 
 
 def test_fixed_point_first_update_is_close(ref_cfg, ref_spectrum):
@@ -271,8 +301,8 @@ def test_fixed_point_first_update_is_close(ref_cfg, ref_spectrum):
     from plate_spectra.galerkin import expand_field
     u = expand_field(ref_spectrum, "odd", coeffs[:, 0], (600, 31))
     w1 = rearrange_min(GridField(u.values ** 2, ref_cfg.ell, "even"), ref_cfg)
-    sd = symmetric_difference_area(pstar, w1)
-    assert sd < 0.05 * ref_cfg.area
+    moved = pstar.variant.inside_mask() ^ w1.variant.inside_mask()
+    assert np.count_nonzero(moved) < 0.05 * moved.size
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +408,12 @@ def test_trace_jsonl_bytes_match_encoder(ref_cfg, ref_spectrum):
     iterates = [(make_uniform(ref_cfg), 9.6e3)] + [
         (Weight(Sublevel(f, 0.0, ref_cfg.beta, ref_cfg.alpha, 0.5), ref_cfg.alpha,
                 ref_cfg.beta), 9e3 - i) for i, f in enumerate(fields)]
-    tr = OptimizationTrace("min_mu_10", tuple(iterates), "converged", 1e-4)
+    tr = OptimizationTrace("min_mu_10", tuple(iterates), "converged", 0.0)
     expected = "".join(json.dumps({"iteration": i, "eigenvalue": v,
                                    "weight": _without_values(w)}) + "\n"
                        for i, (w, v) in enumerate(tr.iterates))
     assert trace_to_jsonl(tr) == expected
-    assert trace_to_jsonl(OptimizationTrace("max_nu1", (), "converged", 0.01)) == ""
+    assert trace_to_jsonl(OptimizationTrace("max_nu1", (), "converged", 0.0)) == ""
 
 
 def test_ratio_csv_layout(ref_cfg, ref_spectrum):

@@ -162,6 +162,33 @@ def test_c0_violated_raises():
         build_spectrum(PlateConfig(ell=ell, sigma=sigma, n_modes=2))
 
 
+def _threshold_ell(sigma: float, m: int) -> float:
+    """ell at which the torsional k = 1 mode of m starts to exist, the ell
+    whose s* (check_c0) is m."""
+    q = (sigma / (2 - sigma)) ** 2
+    z = 1.0 / q
+    for _ in range(80):
+        z = math.tanh(z) / q
+    return z / (math.sqrt(2) * m)
+
+
+@pytest.mark.parametrize("sigma", [0.05, 0.2, 0.45])
+@pytest.mark.parametrize("m", [1, 3, 10])
+def test_single_torsional_mode_at_existence_threshold(sigma, m):
+    # just above the threshold the odd-low determinant is rounding noise at
+    # m^2; s* lies within 1e-9 of the integer m there, so the single-mode
+    # API refuses the plate as build_spectrum does instead of failing to
+    # isolate the root
+    ell0 = _threshold_ell(sigma, m)
+    for ell in (ell0 + 1e-9, ell0 * (1 + 1e-13), ell0 * (1 + 1e-15)):
+        cfg = PlateConfig(ell=ell, sigma=sigma, n_modes=2)
+        try:
+            pair = find_hom_eigenvalue(Mode(m, 1, "odd"), cfg)
+        except C0Violated:
+            continue
+        assert find_hom_eigenvalue(Mode(m, 1, "even"), cfg).lam < pair.lam < float(m) ** 4
+
+
 # ---------------------------------------------------------------------------
 # eigenfunctions
 # ---------------------------------------------------------------------------
