@@ -250,12 +250,17 @@ def cmd_eigs(args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
+    if args.target == "max-nu1" and args.j is not None:
+        raise CliError("--j applies to --target min-mu only", EXIT_CONFIG)
+    j = 1 if args.j is None else args.j
+    if args.sin4_compare and (args.target != "min-mu" or j < 2):
+        raise CliError("--sin4-compare needs --target min-mu with --j >= 2", EXIT_CONFIG)
     cfg = _config_from(args)
     spec = spectrum.build_spectrum(cfg)
     grid = tuple(args.grid)
     try:
         if args.target == "min-mu":
-            trace = optimize.minimize_mu_j(args.j, cfg, max_iters=args.max_iters,
+            trace = optimize.minimize_mu_j(j, cfg, max_iters=args.max_iters,
                                            spectrum=spec, grid=grid)
         else:
             trace = optimize.maximize_nu1_fixed_point(cfg, max_iters=args.max_iters,
@@ -281,8 +286,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         meta["tie_fraction"] = v.tie_fraction
         _atomic_write(out / "field.csv", _grid_csv(v.field))
         _atomic_write(out / "sset.csv", _grid_csv(v.field, mask=v.inside_mask()))
-    if args.sin4_compare and args.target == "min-mu" and args.j >= 2:
-        meta["sin4_threshold"] = weights.pj_sin4_threshold(args.j, cfg)
+    if args.sin4_compare:
+        meta["sin4_threshold"] = weights.pj_sin4_threshold(j, cfg)
         meta["sin4_threshold_exact"] = weights.sin4_level_exact(cfg)
     _atomic_write(out / "optimize_meta.json", json.dumps(meta, indent=2) + "\n")
     print(f"{trace.target}: {trace.stop_reason} after {len(trace.iterates)} iterates, "
@@ -375,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="run a density optimization")
     _add_common(p)
     p.add_argument("--target", choices=["min-mu", "max-nu1"], required=True)
-    p.add_argument("--j", type=int, default=1, help="eigenvalue index for min-mu")
+    p.add_argument("--j", type=int, help="eigenvalue index for min-mu (default 1)")
     p.add_argument("--max-iters", type=int, default=100, dest="max_iters")
     p.add_argument("--sin4-compare", action="store_true", dest="sin4_compare",
                    help="record the banded sin^4 threshold for comparison")

@@ -94,13 +94,14 @@ def rearrange_max(fld: GridField, cfg: PlateConfig) -> Weight:
                   cfg.alpha, cfg.beta)
 
 
-def _same_sublevel(a: Weight, b: Weight) -> bool:
-    """Same node values on the same grid: both sublevel weights put the same
-    cells in the dense phase, with the same tie value."""
-    va, vb = a.variant, b.variant
-    return (isinstance(va, Sublevel) and isinstance(vb, Sublevel)
-            and va.field.values.shape == vb.field.values.shape
-            and np.array_equal(va.node_values(), vb.node_values()))
+def _grid_values(w: Weight, grid: tuple[int, int], ell: float) -> np.ndarray | None:
+    """The node values of a sublevel weight on the search grid, else None: a
+    band weight, or a sublevel weight on another grid, is never what a step
+    returns."""
+    v = w.variant
+    if isinstance(v, Sublevel) and (v.field.nx, v.field.ny) == tuple(grid) and v.field.ell == ell:
+        return v.node_values()
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -118,12 +119,19 @@ def _search(target: str, cfg: PlateConfig, spectrum: HomSpectrum, parity: str,
     grid: rearrange_max of f for sign = +1, rearrange_min for sign = -1. A
     step is accepted only if it strictly improves the weight's own j-th
     eigenvalue. The damping c starts at 0, becomes max(2c, C_MIN) after a
-    rejection and c/2 (0 below C_MIN) after an acceptance. Once c > 1 the
-    step can only return the current set, and the search has converged. A
-    step that returns the current weight, or the weight solved last, is
-    rejected without a solve; max_iters bounds the solves. Every expansion
-    and every solve of a weight on the search grid reads the same grid
-    tables, which the spectrum keeps from the first of them
+    rejection and c/2 (0 below C_MIN) after an acceptance; c is 0 or a power
+    of two, so (sign c) s rounds like sign c (p - alpha)/(beta - alpha).
+
+    The search has converged when a step returns the current weight: raising
+    c adds to f at least as much on the dense cells as on the tie cells, and
+    there at least as much as on the light cells, so every level set of f
+    stays one and every larger c returns the current weight too. It has also
+    converged once c passes 1 with every step since the last acceptance
+    rejected. A step that returns the weight solved last is rejected without
+    a solve; max_iters bounds the solves. g, s and the node values of the
+    current and the last solved weight are built once per weight. Every
+    expansion and every solve of a weight on the search grid reads the same
+    grid tables, which the spectrum keeps from the first of them
     (galerkin.grid_basis).
     """
     if max_iters < 1:
@@ -134,26 +142,33 @@ def _search(target: str, cfg: PlateConfig, spectrum: HomSpectrum, parity: str,
     rearrange = rearrange_max if sign > 0 else rearrange_min
     lam, coeffs, _ = solve_parity(w, spectrum, parity, n)
     iterates = [(w, float(lam[j - 1]))]
-    solves, tried, c, stop, u_sq = 1, w, 0.0, CONVERGED, None   # tried: the last weight solved
+    cur = last = _grid_values(w, grid, cfg.ell)   # node values of w and of the last weight solved
+    solves, c, stop, u_sq = 1, 0.0, CONVERGED, None
     while c <= 1.0:
-        if u_sq is None:   # a new weight: expand its u_j, sample p on the grid
+        if u_sq is None:   # a new weight: expand its u_j, take p on the grid
             u_sq = expand_field(spectrum, parity, coeffs[:, j - 1], grid).values ** 2
-            p = sample_field(lambda x, y: eval_weight(w, x, y), cfg, *grid).values
-        f = u_sq / u_sq.max() + sign * c * (p - cfg.alpha) / (cfg.beta - cfg.alpha)
+            g = u_sq / u_sq.max()
+            p = cur if cur is not None else sample_field(
+                lambda x, y: eval_weight(w, x, y), cfg, *grid).values
+            s = (p - cfg.alpha) / (cfg.beta - cfg.alpha)
+        f = g + (sign * c) * s
         w_next = rearrange(GridField(f - f.min(), cfg.ell), cfg)
         if w_next.variant.degenerate:
             stop = DEGENERATE
             break
+        vals = w_next.variant.node_values()
+        if cur is not None and np.array_equal(cur, vals):
+            break   # a fixed point: every larger c returns w too
         better = False
-        if not (_same_sublevel(w, w_next) or _same_sublevel(tried, w_next)):
+        if last is None or not np.array_equal(last, vals):
             if solves == max_iters:
                 stop = MAX_ITERS
                 break
             lam, coeffs_next, _ = solve_parity(w_next, spectrum, parity, n)
-            solves, tried = solves + 1, w_next
+            solves, last = solves + 1, vals
             better = sign * (iterates[-1][1] - lam[j - 1]) > 0.0
         if better:
-            w, coeffs, u_sq = w_next, coeffs_next, None
+            w, coeffs, cur, u_sq = w_next, coeffs_next, vals, None
             iterates.append((w, float(lam[j - 1])))
             c = c / 2.0 if c / 2.0 >= C_MIN else 0.0
         else:

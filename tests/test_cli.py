@@ -530,6 +530,22 @@ def test_optimize_sin4_compare(tmp_path):
     assert abs(meta["sin4_threshold_exact"] - 0.25) < 1e-12
 
 
+@pytest.mark.parametrize("flags, needle", [
+    (("--target", "max-nu1", "--j", "0"), "--j applies to --target min-mu only"),
+    (("--target", "max-nu1", "--j", "3"), "--j applies to --target min-mu only"),
+    (("--target", "min-mu", "--j", "1", "--sin4-compare"), "--sin4-compare needs"),
+    (("--target", "min-mu", "--sin4-compare"), "--sin4-compare needs"),
+    (("--target", "max-nu1", "--sin4-compare"), "--sin4-compare needs"),
+], ids=["max-nu1-j0", "max-nu1-j3", "min-mu-j1-sin4", "min-mu-sin4", "max-nu1-sin4"])
+def test_optimize_refuses_ignored_flags(tmp_path, flags, needle):
+    # each of these flags used to be ignored: the run exited 0 and wrote no
+    # sin4_* keys, or searched on nu_1 whatever --j said
+    out = tmp_path / "out"
+    proc = run_cli("optimize", *flags, "--grid", "60", "31", "--out", str(out))
+    _assert_one_line_error(proc, 2, needle)
+    assert not out.exists()
+
+
 def test_optimize_max_nu1(tmp_path):
     proc = run_cli("optimize", "--target", "max-nu1", "--n-modes", "20",
                    "--grid", "300", "15", "--out", str(tmp_path))

@@ -7,7 +7,7 @@ import pytest
 from conftest import random_band_weight, random_grid_weight
 from oracles import mu_upper_bound_forms, rearrangement_value
 from plate_spectra import PlateConfig, build_spectrum
-from plate_spectra.galerkin import solve_parity
+from plate_spectra.galerkin import expand_field, solve_parity
 from plate_spectra.optimize import (OptimizationTrace, OptimizeError,
                                     default_study_weights, make_pstar,
                                     maximize_nu1_fixed_point, minimize_mu_j,
@@ -140,17 +140,18 @@ def test_minimize_multistart_agreement(ref_cfg, ref_spectrum):
     assert spread < 1e-3
 
 
-def _count_rounds(monkeypatch):
-    """Patch the solver the search loop calls; each call is one round."""
+def _count_rounds(monkeypatch, name="solve_parity"):
+    """Patch a function of optimize that the search loop calls, by default
+    the solver (each call is one round); the list grows by one per call."""
     from plate_spectra import optimize
     rounds = []
-    solve = optimize.solve_parity
+    fn = getattr(optimize, name)
 
     def counted(*args, **kwargs):
         rounds.append(1)
-        return solve(*args, **kwargs)
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(optimize, "solve_parity", counted)
+    monkeypatch.setattr(optimize, name, counted)
     return rounds
 
 
@@ -176,12 +177,32 @@ def test_minimize_random_starts_reach_uniform_start_value(ref_cfg, ref_spectrum)
         assert value == solve_parity(w, ref_spectrum, "even", 30)[0][11]
 
 
+def _steps_return_final(tr, cfg, spectrum, parity, j, grid):
+    """For c = 0, 1/64, ..., 1 in turn: whether the damped step from the
+    final weight of a search returns that weight."""
+    sign, rearr = (1.0, rearrange_max) if parity == "even" else (-1.0, rearrange_min)
+    p = tr.final_weight.variant.node_values()
+    coeffs = solve_parity(tr.final_weight, spectrum, parity, 30)[1]
+    u_sq = expand_field(spectrum, parity, coeffs[:, j - 1], grid).values ** 2
+    g, s = u_sq / u_sq.max(), (p - cfg.alpha) / (cfg.beta - cfg.alpha)
+    returned = []
+    for c in [0.0, *(2.0 ** -k for k in range(6, -1, -1))]:
+        f = g + sign * c * s
+        step = rearr(GridField(f - f.min(), cfg.ell), cfg)
+        returned.append(np.array_equal(step.variant.node_values(), p))
+    return returned
+
+
 @pytest.mark.parametrize("grid", [(600, 31), (2400, 31)], ids=["600x31", "2400x31"])
 def test_reference_searches(ref_cfg, ref_spectrum, grid):
     # the density-search benchmark's 13 targets on one grid, with its checks:
     # no iteration cap, a strictly monotone trace, an admissible final weight
-    # that beats the uniform plate, and the two reference values to 2%
+    # that beats the uniform plate, and the two reference values to 2%. The
+    # search stops at the first step that returns the current weight, on the
+    # premise that every larger damping returns it too: checked here on each
+    # final weight over the whole damping schedule
     refs = {10: 7.28e3, None: 1.98e4}
+    fixed_points = 0
     for j in [*range(1, 13), None]:
         if j is None:
             tr = maximize_nu1_fixed_point(ref_cfg, spectrum=ref_spectrum, grid=grid)
@@ -195,6 +216,25 @@ def test_reference_searches(ref_cfg, ref_spectrum, grid):
         assert vals[-1] < uniform, j
         if j in refs:
             assert abs(tr.final_value - refs[j]) <= 0.02 * refs[j], j
+        returned = _steps_return_final(tr, ref_cfg, ref_spectrum,
+                                       "odd" if j is None else "even", j or 1, grid)
+        if True in returned:
+            assert all(returned[returned.index(True):]), (j, returned)
+            fixed_points += 1
+    # 10 of the 13 searches at 600x31 end at a fixed point, 12 at 2400x31
+    assert fixed_points >= 10
+
+
+@pytest.mark.parametrize("grid", [(600, 31), (2400, 31)], ids=["600x31", "2400x31"])
+def test_search_stops_at_fixed_point(ref_cfg, ref_spectrum, grid, monkeypatch):
+    # from the uniform start, mu_1's first step is accepted and the next one
+    # returns it: two rearrangements in the loop and one for the gap. Running
+    # the damping on past 1 instead would take seven more
+    calls = _count_rounds(monkeypatch, "rearrange_max")
+    tr = minimize_mu_j(1, ref_cfg, spectrum=ref_spectrum, grid=grid)
+    assert tr.stop_reason == "converged"
+    assert len(tr.iterates) == 2
+    assert len(calls) == 3
 
 
 def test_one_grid_basis_per_search(ref_cfg, monkeypatch):
@@ -298,7 +338,6 @@ def test_fixed_point_records_every_round(monkeypatch):
 def test_fixed_point_first_update_is_close(ref_cfg, ref_spectrum):
     pstar = make_pstar(ref_cfg, ref_spectrum)
     nu, coeffs, _ = solve_parity(pstar, ref_spectrum, "odd", 30)
-    from plate_spectra.galerkin import expand_field
     u = expand_field(ref_spectrum, "odd", coeffs[:, 0], (600, 31))
     w1 = rearrange_min(GridField(u.values ** 2, ref_cfg.ell, "even"), ref_cfg)
     moved = pstar.variant.inside_mask() ^ w1.variant.inside_mask()
