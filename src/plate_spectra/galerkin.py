@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import PlateConfig
-from .numerics import QuadratureRule, SymMatrix, sym_eig
+from .numerics import QuadratureRule, sym_eig
 from .spectrum import EVEN, ODD, HomEigenpair, HomSpectrum, profile_raw
 from .weights import GridField, Sublevel, Weight, _in_intervals, cell_ys, sqrt_mass_integral
 
@@ -241,7 +241,7 @@ def grid_basis(spectrum: HomSpectrum, n: int, nx: int, ny: int, ell: float) -> G
     return memo[key]
 
 
-def assemble_mass(w: Weight, spectrum: HomSpectrum, parity: str, n: int) -> SymMatrix:
+def assemble_mass(w: Weight, spectrum: HomSpectrum, parity: str, n: int) -> np.ndarray:
     """Weighted mass matrix C_{nm} = int_Omega p z_n z_m for one parity.
 
     Band weights: each term coeff * chi_X(x) * chi_Y(y) of the density is an
@@ -256,7 +256,8 @@ def assemble_mass(w: Weight, spectrum: HomSpectrum, parity: str, n: int) -> SymM
     sums cost one (K, nx) @ (nx, ny) product. The y columns are then one
     contraction over the upper triangle's moment gathers (_contract), in
     blocks of its entries, so no temporary exceeds about 0.25 MB
-    (_BLOCK_BYTES) and none is (n, n, ny); SymMatrix mirrors the triangle.
+    (_BLOCK_BYTES) and none is (n, n, ny). The upper triangle is mirrored
+    once, so the matrix returned is exactly symmetric.
     The cosine table, the y profiles and the gather come from the
     spectrum's grid tables for n and the field's grid (grid_basis).
     """
@@ -292,7 +293,7 @@ def assemble_mass(w: Weight, spectrum: HomSpectrum, parity: str, n: int) -> SymM
 
     if not np.all(np.isfinite(mat)):
         raise QuadratureFailure("non-finite mass matrix entries")
-    return SymMatrix(mat)
+    return np.triu(mat) + np.triu(mat, 1).T
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +313,7 @@ def solve_parity(w: Weight, spectrum: HomSpectrum, parity: str, n: int):
     d = np.array([p.lam for p in pairs])
     c = assemble_mass(w, spectrum, parity, n)
     d_isqrt = 1.0 / np.sqrt(d)
-    m = SymMatrix(d_isqrt[:, None] * c.a * d_isqrt[None, :])
-    evals, vecs = sym_eig(m)
+    evals, vecs = sym_eig(d_isqrt[:, None] * c * d_isqrt[None, :])
     if evals[0] <= 0.0:
         raise SingularMass(f"weighted mass matrix not positive definite "
                            f"(smallest eigenvalue {evals[0]:.3e})")

@@ -237,39 +237,22 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 # dense symmetric eigensolver
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class SymMatrix:
-    """Dense symmetric matrix; symmetry is exact by construction."""
-
-    a: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise NonFinite("non-finite entries in SymMatrix")
-        # mirror the upper triangle so A is bitwise symmetric
-        sym = np.triu(a) + np.triu(a, 1).T
-        object.__setattr__(self, "a", sym)
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
-
-
-def sym_eig(matrix: SymMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def sym_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigen-decomposition of a symmetric matrix by LAPACK's symmetric solver
-    (``numpy.linalg.eigh``).
+    (``numpy.linalg.eigh``), reading only the upper triangle.
 
     Returns (eigenvalues ascending, eigenvectors as orthonormal columns).
     Deterministic sign convention: the largest-magnitude component of each
     eigenvector is positive (first index on ties).
     """
-    if not isinstance(matrix, SymMatrix):
-        matrix = SymMatrix(np.asarray(matrix, dtype=float))
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise NonFinite("non-finite matrix entries")
     try:
-        evals, vecs = np.linalg.eigh(matrix.a)
+        # eigh reads the lower triangle of a.T, which is a's upper triangle
+        evals, vecs = np.linalg.eigh(a.T)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"symmetric eigensolver failed: {exc}") from exc
     cols = np.arange(vecs.shape[1])

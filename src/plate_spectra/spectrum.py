@@ -9,13 +9,14 @@ y-even family, torsional modes the y-odd family.
 
 Every eigenvalue has an a-priori bracket in s = sqrt(lam) (the torsional one
 below m^4 shares the longitudinal Lambda_(m,1)'s), or, torsional above m^4, a
-band that a fixed grid scans for sign changes; determinants, brackets and
-scans take arrays of modes.  build_spectrum takes each parity's candidates
-from one window builder over the brackets and solves all of them in one
-batched ITP solve (numerics.find_roots, about a dozen determinant calls for
-all brackets, against 45 for bisection); find_hom_eigenvalue takes one mode's
-determinant and bracket or scan hit from the same builders and solves it with
-numerics.find_root, which takes the same steps and stops at the same width.
+band that a fixed grid scans for sign changes (a grid zero ends the one
+bracket it bounds); determinants, brackets and scans take arrays of modes.
+build_spectrum takes each parity's candidates from one window builder over
+the brackets and solves all of them in one batched ITP solve
+(numerics.find_roots, about a dozen determinant calls for all brackets,
+against 45 for bisection); find_hom_eigenvalue takes one mode's determinant
+and bracket from the same builders and solves it with numerics.find_root,
+which takes the same steps and stops at the same width.
 
 Eigenfunction profiles come from one array kernel, profile_raw, whose m, lam
 and y broadcast: it evaluates many modes of one parity at many points, each
@@ -460,26 +461,23 @@ def _odd_high_grid(m: np.ndarray, j: np.ndarray, cfg: PlateConfig) -> np.ndarray
 
 def _hits(s: np.ndarray, vals: np.ndarray):
     """Sign changes of vals along scan rows s, in row-major order, as
-    (row, lo, hi, zero): zero marks a grid point lo where vals vanishes,
-    otherwise [lo, hi] brackets a sign change."""
-    v0, v1 = vals[:, :-1], vals[:, 1:]
-    zero = v0 == 0.0
-    row, col = np.nonzero(zero | ((v0 < 0.0) != (v1 < 0.0)))
-    return row, s[row, col], s[row, col + 1], zero[row, col]
+    (row, lo, hi): [lo, hi] brackets a sign change.  A grid zero counts as
+    positive, so a simple root on it ends exactly one bracket, which the
+    root finders return exactly."""
+    row, col = np.nonzero((vals[:, :-1] < 0.0) != (vals[:, 1:] < 0.0))
+    return row, s[row, col], s[row, col + 1]
 
 
 def _high_scan(m, j, cfg: PlateConfig):
-    """_hits of the odd-high determinant on the band grids of (m, j), without
-    grid zeros at s <= m^2 (the trivial zero c = 0).  Rows are scanned in
-    blocks of _SCAN_BLOCK, so that the temporaries stay small."""
+    """_hits of the odd-high determinant on the band grids of (m, j), scanned
+    in blocks of _SCAN_BLOCK rows so that the temporaries stay small."""
     m, j = np.broadcast_arrays(m, j)
     parts = []
     for i in range(0, m.size, _SCAN_BLOCK):
         mb = m[i:i + _SCAN_BLOCK]
         s = _odd_high_grid(mb, j[i:i + _SCAN_BLOCK], cfg)
-        row, lo, hi, zero = _hits(s, _det_odd_high(s, mb[:, None], cfg.sigma, cfg.ell))
-        keep = ~zero | (lo > (mb * mb)[row])
-        parts.append((row[keep] + i, lo[keep], hi[keep], zero[keep]))
+        row, lo, hi = _hits(s, _det_odd_high(s, mb[:, None], cfg.sigma, cfg.ell))
+        parts.append((row + i, lo, hi))
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
@@ -493,10 +491,8 @@ def _low_bracket(m, cfg: PlateConfig):
 
 
 def _mode_lam(m: int, k: int, parity: str, cfg: PlateConfig) -> float:
-    """Eigenvalue of the mode (m, k) of one parity, from the bracket or scan
-    hit and the determinant that build_spectrum batches, solved by find_root
-    (a scan hit on a grid zero is the eigenvalue itself)."""
-    zero = False
+    """Eigenvalue of the mode (m, k) of one parity, from the bracket and the
+    determinant that build_spectrum batches, solved by find_root."""
     if parity == EVEN:
         det = _det_even_low if k == 1 else _det_even_high
         lo, hi = _even_bracket(m, k, cfg)
@@ -514,16 +510,16 @@ def _mode_lam(m: int, k: int, parity: str, cfg: PlateConfig) -> float:
         # blocks of k - 1 bands are scanned until k - 1 roots have shown up
         det, want = _det_odd_high, k - 1
         for j in range(0, 100000, k - 1):
-            _, lo, hi, zero = _high_scan(m, np.arange(j, j + k - 1), cfg)
+            _, lo, hi = _high_scan(m, np.arange(j, j + k - 1), cfg)
             if lo.size >= want:
-                lo, hi, zero = lo[want - 1], hi[want - 1], zero[want - 1]
+                lo, hi = lo[want - 1], hi[want - 1]
                 break
             want -= lo.size
         else:
             raise RootIsolationFailure(f"could not isolate torsional ({m},{k})")
     try:
-        s = float(lo) if zero else find_root(lambda s: det(s, m, cfg.sigma, cfg.ell),
-                                             Bracket(float(lo), float(hi)), tol_rel=_TOL_REL)
+        s = find_root(lambda s: det(s, m, cfg.sigma, cfg.ell),
+                      Bracket(float(lo), float(hi)), tol_rel=_TOL_REL)
     except NoSignChange as exc:
         raise RootIsolationFailure(f"no sign change for the {parity} mode ({m},{k})") from exc
     return s * s
@@ -630,20 +626,19 @@ def build_spectrum(cfg: PlateConfig, cap: int = 200) -> HomSpectrum:
     m_low = m_t[_first_exists(m_t, cfg)]
     first = k_e == 1
     m1, m2, k2 = m_e[first], m_e[~first], k_e[~first]
-    row, lo, hi, zero = _high_scan(m_b, j_b, cfg)
+    row, lo, hi = _high_scan(m_b, j_b, cfg)
+    m_high = m_b[row]
     s1, s2, s_low, s_high = _solve([(_det_even_low, m1, *_even_bracket(m1, 1, cfg)),
                                     (_det_even_high, m2, *_even_bracket(m2, k2, cfg)),
                                     (_det_odd_low, m_low, *_low_bracket(m_low, cfg)),
-                                    (_det_odd_high, m_b[row[~zero]], lo[~zero], hi[~zero])],
+                                    (_det_odd_high, m_high, lo, hi)],
                                    cfg)
     lam_e = np.empty(m_e.size)
     lam_e[first], lam_e[~first] = s1 * s1, s2 * s2
 
-    m_high = m_b[row]
     k_high = 2 + np.arange(row.size) - np.searchsorted(m_high, m_high)
     m_o, k_o = np.concatenate([m_low, m_high]), np.concatenate([np.ones_like(m_low), k_high])
-    s_o = np.concatenate([s_low, lo])   # a scan hit on a grid zero is the eigenvalue itself
-    s_o[m_low.size:][~zero] = s_high
+    s_o = np.concatenate([s_low, s_high])
 
     mu = _lowest(n, m_e, k_e, lam_e, EVEN, cfg)
     nu = _lowest(n, m_o, k_o, s_o * s_o, ODD, cfg)

@@ -20,6 +20,7 @@ from plate_spectra.galerkin import merged_eigenvalues, solve_weighted, weyl_diag
 from plate_spectra.optimize import (default_study_weights, minimize_mu_j,
                                     mu_upper_bound, ratio_study, rearrange_max,
                                     rearrange_min)
+from plate_spectra.reference import TORSIONAL_FIRST_THRESHOLD
 from plate_spectra.spectrum import (Mode, NotAdmissible, build_spectrum, check_c0,
                                     find_hom_eigenvalue, torsional_first_exists)
 from plate_spectra.weights import (GridField, make_uniform, pj_sin4_threshold,
@@ -79,14 +80,15 @@ def test_criterion_2_structural_constants(ref_cfg, ref_spectrum):
     assert ref_spectrum.j0 == 10
     holds, s_star = check_c0(ref_cfg)
     assert holds
-    assert math.floor(s_star) == 2734
-    assert abs(s_star - 2734.5) < 1.0
-    assert not torsional_first_exists(2734, ref_cfg)
-    assert torsional_first_exists(2735, ref_cfg)
+    m = TORSIONAL_FIRST_THRESHOLD
+    assert math.floor(s_star) == m
+    assert abs(s_star - (m + 0.5)) < 1.0
+    assert not torsional_first_exists(m, ref_cfg)
+    assert torsional_first_exists(m + 1, ref_cfg)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     _pass(2, f"j0=10, s*={s_star:.2f} (non-integer), existence flips at "
-             f"2734/2735 ({elapsed:.3f}s < 1s)")
+             f"{m}/{m + 1} ({elapsed:.3f}s < 1s)")
 
 
 def test_criterion_3_weighted_table(ref_cfg, ref_spectrum, study_report):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import MidpointRule, bisect_roots, integrate_1d, integrate_2d
 from plate_spectra.numerics import (_ITP_N0, Bracket, NonFinite, NoSignChange,
-                                    QuadratureRule, SymMatrix, find_root, find_roots,
+                                    QuadratureRule, find_root, find_roots,
                                     sym_eig)
 
 
@@ -76,6 +76,7 @@ def test_find_roots_matches_find_root_per_bracket():
     want = [find_root(lambda x: float(f(x, r)), Bracket(a, b), tol_rel=1e-13)
             for r, a, b in zip(roots, lo, hi)]
     assert got.tolist() == want
+    assert got[1] == -1.0 and got[2] == -1.0  # an endpoint root comes back exactly
     assert np.all(np.abs(got - roots) <= 1e-12 * np.maximum(1.0, np.abs(roots)))
 
 
@@ -285,7 +286,7 @@ def test_sym_eig_diagonal():
 def test_sym_eig_vs_companion_oracle():
     rng = np.random.default_rng(11)
     a = rng.normal(size=(8, 8))
-    a = SymMatrix(a + a.T).a
+    a = a + a.T
     vals, vecs = sym_eig(a)
     oracle = np.sort(np.roots(_char_poly_coeffs(a)).real)
     assert np.allclose(vals, oracle, rtol=1e-8, atol=1e-8)
@@ -302,7 +303,7 @@ def test_sym_eig_trace_and_frobenius():
     rng = np.random.default_rng(5)
     for n in (4, 12, 25):
         a = rng.normal(size=(n, n))
-        a = SymMatrix(a + a.T).a
+        a = a + a.T
         vals, _ = sym_eig(a)
         assert abs(np.trace(a) - vals.sum()) <= 1e-10 * max(1.0, abs(np.trace(a)))
         fro2 = np.linalg.norm(a) ** 2
@@ -314,7 +315,7 @@ def test_sym_eig_graded_diagonal():
     d = np.geomspace(1e-8, 1.0, 12)
     rng = np.random.default_rng(1)
     q = np.linalg.qr(rng.normal(size=(12, 12)))[0]
-    a = SymMatrix(q @ np.diag(d) @ q.T).a
+    a = q @ np.diag(d) @ q.T
     vals, _ = sym_eig(a)
     assert np.allclose(vals, d, rtol=1e-8)
 
@@ -328,8 +329,13 @@ def test_sym_eig_deterministic():
     assert np.array_equal(v1[0], v2[0]) and np.array_equal(v1[1], v2[1])
 
 
-def test_sym_matrix_mirrors_upper_triangle():
-    a = np.array([[1.0, 2.0], [99.0, 3.0]])
-    m = SymMatrix(a)
-    assert m.a[1, 0] == 2.0 and m.a[0, 1] == 2.0
-    assert np.array_equal(m.a, m.a.T)
+def test_sym_eig_reads_upper_triangle():
+    # the eigensolve sees only the upper triangle: these are the eigenpairs
+    # of its mirror, bit for bit
+    got = sym_eig(np.array([[1.0, 2.0], [99.0, 3.0]]))
+    want = sym_eig(np.array([[1.0, 2.0], [2.0, 3.0]]))
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    with pytest.raises(ValueError):
+        sym_eig(np.ones((2, 3)))
+    with pytest.raises(NonFinite):  # checked in both triangles
+        sym_eig(np.array([[1.0, 2.0], [np.nan, 3.0]]))

@@ -70,7 +70,7 @@ def _grid_call(spec, kind, parity, n, w, coeffs, grid):
             return [gs.mu_p, gs.nu_p, gs.a_coeffs, gs.b_coeffs]
         if kind == "solve_parity":
             lam, vecs, mass = solve_parity(w, spec, parity, n)
-            return [lam, vecs, mass.a]
+            return [lam, vecs, mass]
         return [expand_field(spec, parity, coeffs, grid).values]
     except SingularMass as exc:
         return str(exc)

@@ -6,7 +6,7 @@ import pytest
 from oracles import bisect_roots, h2_energy, integrate_2d, normalization
 from plate_spectra import PlateConfig
 from plate_spectra import spectrum
-from plate_spectra.numerics import NonFinite, QuadratureRule, find_roots
+from plate_spectra.numerics import Bracket, NonFinite, QuadratureRule, find_root, find_roots
 from plate_spectra.spectrum import (C0Violated, BranchMismatch, Mode, NotAdmissible,
                                     build_spectrum, characteristic_det, check_c0,
                                     eval_eigenfunction, find_hom_eigenvalue, profile_values,
@@ -266,6 +266,18 @@ def test_scan_window_completeness(ref_cfg, ref_spectrum):
     wider = build_spectrum(ref_cfg.with_(n_modes=40))
     assert [p.lam for p in wider.mu[:30]] == [p.lam for p in ref_spectrum.mu]
     assert [p.lam for p in wider.nu[:30]] == [p.lam for p in ref_spectrum.nu]
+
+
+@pytest.mark.parametrize("vals", [[-1.0, 0.0, 1.0, 2.0], [1.0, 0.0, -1.0, -2.0]])
+def test_scan_zero_ends_one_bracket(ref_cfg, vals):
+    # a simple crossing through a grid zero is one sign change, bracketed with
+    # the zero as an end, and both root finders return that end exactly
+    s = np.array([[10.0, 11.0, 12.0, 13.0]])
+    row, lo, hi = spectrum._hits(s, np.array([vals]))
+    assert row.tolist() == [0] and 11.0 in (lo[0], hi[0])
+    det = lambda x, m, sigma, ell: np.interp(x, s[0], vals)
+    assert spectrum._solve([(det, row + 1, lo, hi)], ref_cfg)[0].tolist() == [11.0]
+    assert find_root(lambda x: float(det(x, 1, 0.0, 0.0)), Bracket(lo[0], hi[0])) == 11.0
 
 
 def test_spectrum_mixed_branch_ordering():
