@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -61,9 +62,10 @@ def _fmt(x: float) -> str:
     return FLOAT_FMT % x
 
 
-# Grid CSVs are built from 16-byte cells: the separator that precedes the
-# number, "-" or a NUL, two NULs and the 12 characters "d.dddddde+XX" of
-# FLOAT_FMT as three 4-character words. The NULs are dropped at the end.
+# A grid CSV is written into one byte buffer in which every number has a
+# fixed slot. A number is the 12 characters "d.dddddde+XX" of FLOAT_FMT % |v|,
+# three 4-character words copied as one 12-byte item, after a minus sign where
+# it has one.
 def _words(strings) -> np.ndarray:
     return np.frombuffer("".join(strings).encode("ascii"), dtype=np.uint32)
 
@@ -85,66 +87,130 @@ _LEAD, _TAIL = _digit_words()
 _EXP = _words(f"e{e:+03d}" for e in range(-99, 100))                  # "e+XX"
 _POW10 = np.array([float(f"1e{6 - e}") for e in range(-99, 100)])    # 10**(6-e), rounded
 _ROWS_PER_BLOCK = 256   # x rows formatted at a time, which bounds the temporaries
+_HEAD = b"x,y,value"
 
 
-def _cells(values: np.ndarray, sep: str) -> np.ndarray:
-    """sep + FLOAT_FMT % v for every v, as NUL-padded 16-byte cells (dtype V16).
+def _bodies(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """FLOAT_FMT % |v| for every v as 12-byte items (dtype V12), and the mask
+    of the values whose text those items are not.
 
     A value of magnitude in [1e-98, 1e99) with e = floor(log10|v|) is scaled
     to y = |v| * 10**(6 - e) in [1e6, 1e7]. The scale factor and the product
     are each correctly rounded, so y lies within 3e-9 of the exact scaled
     value, and rint(y) holds the seven digits FLOAT_FMT prints (the exact
     binary value correctly rounded) unless y is within 1e-7 of a .5 tie.
-    Near-ties, subnormals, 3-digit exponents and non-finite values are
-    formatted one by one with FLOAT_FMT.
+    Near-ties, subnormals, 3-digit exponents and non-finite values are left
+    to FLOAT_FMT one by one; +-0 is "0.000000e+00".
     """
     v = np.asarray(values, dtype=float)
     a = np.abs(v)
     fast = (a >= 1e-98) & (a < 1e99)
-    e = np.floor(np.log10(np.where(fast, a, 1.0))).astype(np.intp)
-    y = np.where(fast, a, 0.0) * _POW10[e + 99]
+    a = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    y = a * _POW10[e + 99]
     r = np.rint(y)
     # where log10 rounds across a power of ten, r falls outside [1e6, 1e7]
     ok = fast & (np.abs(y - r) < 0.5 - 1e-7) & (r >= 1e6) & (r <= 1e7)
+    r = np.where(ok, r, 0.0)                       # +-0 prints as digits 0, e+00
     carry = r == 1e7                               # 9.9999996 prints as 1.000000e+01
-    digits = np.where(ok, r - 9e6 * carry, 0.0).astype(np.intp)
-    e = np.where(ok, e + carry, 0)                 # +-0 prints as digits 0, e+00
-    out = np.empty(v.shape + (4,), dtype=np.uint32)
-    out[..., 0] = np.where(np.signbit(v), *_words([sep + "-\0\0", sep + "\0\0\0"]))
-    out[..., 1] = _LEAD[digits // 10000]
-    out[..., 2] = _TAIL[digits % 10000]
-    out[..., 3] = _EXP[e + 99]
-    cells = out.view("V16")[..., 0]
-    slow = ~ok & (v != 0)
-    if slow.any():
-        cells[slow] = np.array([(sep + FLOAT_FMT % x).encode("ascii") for x in v[slow]],
-                               dtype="S16").view("V16")
-    return cells
+    r = np.where(carry, 1e6, r)
+    e += carry
+    lead = np.floor(r * 1e-4)                      # exact: r is an integer below 2**53
+    out = np.empty(v.shape + (3,), dtype=np.uint32)
+    out[..., 0] = _LEAD[lead.astype(np.intp)]
+    out[..., 1] = _TAIL[(r - lead * 1e4).astype(np.intp)]
+    out[..., 2] = _EXP[e + 99]
+    return out.view("V12")[..., 0], ~ok & (v != 0)
+
+
+def _slot_width(v: np.ndarray) -> int:
+    """An upper bound on len(FLOAT_FMT % x) over the x in v: 12, one more for
+    a minus sign and one more for a 3-digit exponent (or a magnitude just
+    below 1e100, which may round up to one)."""
+    a = np.abs(v)
+    wide = (a >= 9.999999e99) | ((a < 1e-99) & (a != 0))
+    return 12 + bool(np.signbit(v).any()) + bool(wide.any())
+
+
+def _tokens(values: np.ndarray, ny: int):
+    """_put's body, neg and slow for FLOAT_FMT % v. Values of shape (n, 1)
+    stand for every one of the ny columns."""
+    body, slow = _bodies(values)
+    neg = np.signbit(values)
+    text = ([(i, j, FLOAT_FMT % values[i, j]) for i, j in zip(*np.nonzero(slow))]
+            if slow.any() else [])
+    if values.shape[1] == 1:
+        text = [(i, j, t) for i, _, t in text for j in range(ny)]
+        body, neg = (np.broadcast_to(t, (len(values), ny)) for t in (body, neg))
+    return body, neg, text
+
+
+def _put(rows: np.ndarray, runs, ends, width: int, row0: int, body: np.ndarray,
+         neg, slow) -> None:
+    """Write into each slot of `width` bytes that ends at offset ends[j] of
+    rows[row0 + i] and holds "0.000000e+00" after NULs: body[i, j] at the
+    start of its last 12 bytes (a 12-byte number or a 1-byte leading digit),
+    a minus sign before it where neg[i, j] is set, and for each (i, j, text)
+    in slow the whole slot as text after NULs. Each run (cols, step) names
+    columns whose slots lie step bytes apart."""
+    block = rows[row0:]
+    for cols, step in runs:
+        def slots(dtype, back):
+            return np.ndarray((len(body), cols.stop - cols.start), dtype, block,
+                              ends[cols.start] - back, (rows.shape[1], step))
+        slots(body.dtype, 12)[...] = body[:, cols]
+        if width > 12:
+            np.copyto(slots(np.uint8, 13), np.uint8(ord("-")), where=neg[:, cols])
+    for i, j, text in slow:
+        slot = text.rjust(width, "\0").encode("ascii")
+        block[i, ends[j] - width:ends[j]] = np.frombuffer(slot, dtype=np.uint8)
 
 
 def _grid_csv(field: weights.GridField, mask=None) -> str:
     """x,y,value lines on the field's grid, x outermost, every number as
     FLOAT_FMT. With a boolean mask of the grid's shape, the value column is its
-    0/1 indicator instead of the field's values."""
-    if mask is not None:
-        if mask.shape != field.values.shape:
-            raise ValueError(f"mask shape {mask.shape} differs from the grid's "
-                             f"{field.values.shape}")
-        zero, one = _cells(np.array([0.0, 1.0]), ",")
-    xs = _cells(field.xs, "\n")
-    ys = _cells(field.ys, ",")
-    # each line starts with its newline: "x,y,value" "\nx,y,v" ... "\n"
-    parts = ["x,y,value"]
-    for i in range(0, field.nx, _ROWS_PER_BLOCK):
-        rows = slice(i, i + _ROWS_PER_BLOCK)
-        block = np.empty((len(xs[rows]), field.ny, 3), dtype="V16")
-        block[..., 0] = xs[rows, None]
-        block[..., 1] = ys
-        block[..., 2] = (np.where(mask[rows], one, zero) if mask is not None
-                         else _cells(field.values[rows], ","))
-        parts.append(block.tobytes().translate(None, b"\0").decode("ascii"))
-    parts.append("\n")
-    return "".join(parts)
+    0/1 indicator instead of the field's values.
+
+    Every row of x is ny lines of the same layout: the x and value slots are
+    as wide as the widest x and value text, the y texts exact. The file is
+    built in one buffer, from a row that every row starts as a copy of, and
+    the padding NULs, which only signed or 3-digit-exponent x or value
+    columns need, are dropped at the end.
+    """
+    if mask is not None and mask.shape != field.values.shape:
+        raise ValueError(f"mask shape {mask.shape} differs from the grid's "
+                         f"{field.values.shape}")
+    nx, ny = field.values.shape
+    ys = [FLOAT_FMT % y for y in field.ys]
+    wx = _slot_width(field.xs)
+    wv = 12 if mask is not None else _slot_width(field.values)
+    lines = [1 + wx + 1 + len(y) + 1 + wv for y in ys]     # "\n" x "," y "," value
+    row_bytes = sum(lines)
+    v_ends = list(itertools.accumulate(lines))
+    x_ends = [end - n + 1 + wx for end, n in zip(v_ends, lines)]
+    runs, j = [], 0
+    for step, group in itertools.groupby(lines):
+        k = len(list(group))
+        runs.append((slice(j, j + k), step))
+        j += k
+    buf = np.empty(len(_HEAD) + nx * row_bytes + 1, dtype=np.uint8)
+    buf[:len(_HEAD)] = np.frombuffer(_HEAD, dtype=np.uint8)
+    buf[-1] = ord("\n")
+    rows = buf[len(_HEAD):-1].reshape(nx, row_bytes)
+    zero = FLOAT_FMT % 0.0
+    pad_x, pad_v = zero.rjust(wx, "\0"), zero.rjust(wv, "\0")
+    row = "".join("\n" + pad_x + "," + y + "," + pad_v for y in ys)
+    rows[...] = np.frombuffer(row.encode("ascii"), dtype=np.uint8)
+    _put(rows, runs, x_ends, wx, 0, *_tokens(field.xs[:, None], ny))
+    for i in range(0, nx, _ROWS_PER_BLOCK):
+        block = slice(i, i + _ROWS_PER_BLOCK)
+        if mask is None:
+            _put(rows, runs, v_ends, wv, i, *_tokens(field.values[block], ny))
+        else:   # 1.000000e+00 differs from 0.000000e+00 in its leading digit
+            digit = np.where(mask[block], np.uint8(ord("1")), np.uint8(ord("0")))
+            _put(rows, runs, v_ends, wv, i, digit, None, ())
+    text = str(memoryview(buf), "ascii")
+    return text if max(wx, wv) == 12 else text.replace("\0", "")
 
 
 def _config_from(args: argparse.Namespace) -> PlateConfig:

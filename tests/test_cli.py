@@ -154,6 +154,39 @@ def test_grid_csv_matches_per_cell_formatting_property(values, ell):
     assert_same_text(_grid_csv(fld), per_cell_csv(fld, values))
 
 
+# the values the digit kernel does not format itself, and the signed zeros
+_HARD = np.concatenate([_TIES, -_TIES, [0.0, -0.0, 5e-324, -5e-324, 1e-310,
+                                        -2.2250738585072014e-308, 1e-100, -9.9999996e99,
+                                        1.7976931348623157e308, -1e-300, 1e250]])
+
+
+@pytest.mark.parametrize("nx", [600, 2400])
+def test_grid_csv_matches_per_cell_formatting_across_blocks(nx):
+    # the writer formats a few hundred rows at a time: the hard values sit in
+    # every block, at block edges and in every column, among values of both
+    # signs and exponents from -40 to 40
+    rng = np.random.default_rng(nx)
+    values = rng.normal(size=(nx, 31)) * 10.0 ** rng.integers(-40, 41, size=(nx, 31))
+    rows = np.linspace(0, nx - 1, _HARD.size).astype(int)
+    rows[:6] = [255, 256, 257, 511, 512, 513]
+    values[rows, np.arange(_HARD.size) * 7 % 31] = _HARD
+    fld = GridField(values, 0.01)
+    assert_same_text(_grid_csv(fld), per_cell_csv(fld, values))
+
+
+def test_grid_csv_nonnegative_field_across_blocks():
+    # no negative value and no 3-digit exponent: every value slot is exactly
+    # 12 characters wide, as for the optimizer's fields
+    rng = np.random.default_rng(7)
+    values = np.abs(rng.normal(size=(2400, 31))) * 10.0 ** rng.integers(-90, 90, size=(2400, 31))
+    ties = _TIES[(_TIES >= 1e-99) & (_TIES < 9.9e99)]
+    values[np.linspace(0, 2399, ties.size).astype(int), np.arange(ties.size) % 31] = ties
+    values[::97, 3] = 0.0
+    assert values[values > 0].min() >= 1e-99 and values.max() < 9.9e99
+    fld = GridField(values, math.pi / 150)
+    assert_same_text(_grid_csv(fld), per_cell_csv(fld, values))
+
+
 @pytest.mark.parametrize("shape", [(4, 3), (37, 9), (600, 31)])
 def test_grid_csv_mask_matches_indicator_field(shape):
     rng = np.random.default_rng(shape[0])
