@@ -213,11 +213,15 @@ def _grid_csv(field: weights.GridField, mask=None) -> str:
     return text if max(wx, wv) == 12 else text.replace("\0", "")
 
 
-def _config_from(args: argparse.Namespace) -> PlateConfig:
+def _grid_from(args: argparse.Namespace) -> tuple[int, int]:
     nx, ny = args.grid
     if nx < 4 or ny < 3 or ny % 2 == 0:
         raise CliError(f"grid must be at least 4 x 3 with odd NY, got {nx} {ny}",
                        EXIT_CONFIG)
+    return nx, ny
+
+
+def _config_from(args: argparse.Namespace) -> PlateConfig:
     try:
         return PlateConfig(ell=args.ell, sigma=args.sigma, alpha=args.alpha,
                            beta=args.beta, n_modes=args.n_modes)
@@ -280,6 +284,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_eigs(args: argparse.Namespace) -> int:
+    grid = _grid_from(args)
     cfg = _config_from(args)
     w = _load_weight(args.weight, cfg)
     spec = spectrum.build_spectrum(cfg)
@@ -307,7 +312,7 @@ def cmd_eigs(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise CliError(f"reconstruct index must be an integer: {idx!r}",
                            EXIT_CONFIG) from exc
-        fld = galerkin.reconstruct(gs, spec, (parity, idx), tuple(args.grid))
+        fld = galerkin.reconstruct(gs, spec, (parity, idx), grid)
         name = f"eigenfunction_{parity}_{idx}.csv"
         _atomic_write(out / name, _grid_csv(fld))
         written.append(name)
@@ -321,19 +326,16 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     j = 1 if args.j is None else args.j
     if args.sin4_compare and (args.target != "min-mu" or j < 2):
         raise CliError("--sin4-compare needs --target min-mu with --j >= 2", EXIT_CONFIG)
+    grid = _grid_from(args)
     cfg = _config_from(args)
-    spec = spectrum.build_spectrum(cfg)
-    grid = tuple(args.grid)
     try:
         if args.target == "min-mu":
-            trace = optimize.minimize_mu_j(j, cfg, max_iters=args.max_iters,
-                                           spectrum=spec, grid=grid)
+            trace = optimize.minimize_mu_j(j, cfg, max_iters=args.max_iters, grid=grid)
         else:
             trace = optimize.maximize_nu1_fixed_point(cfg, max_iters=args.max_iters,
-                                                      spectrum=spec, grid=grid)
+                                                      grid=grid)
     except galerkin.SingularMass as exc:
         raise _too_coarse(grid, cfg.n_modes, exc) from exc
-    del spec  # frees the search's grid tables before the outputs are written
     out = Path(args.out)
     final = trace.final_weight
     _atomic_write(out / "trace.jsonl", optimize.trace_to_jsonl(trace))
@@ -362,15 +364,15 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_ratio_table(args: argparse.Namespace) -> int:
+    grid = _grid_from(args)
     cfg = _config_from(args)
     if cfg.n_modes < 12:
         raise CliError("ratio table needs n_modes >= 12", EXIT_CONFIG)
     spec = spectrum.build_spectrum(cfg)
-    grid = tuple(args.grid)
     n = max(min(cfg.n_modes, 30), spectrum.known_j0(spec))
     try:
         report = optimize.ratio_study(optimize.default_study_weights(cfg, spec, grid),
-                                      cfg, spec, n=n)
+                                      spec, n=n)
     except galerkin.SingularMass as exc:
         raise _too_coarse(grid, n, exc) from exc
     out = Path(args.out)
@@ -417,8 +419,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta", type=float, default=1.5, help="upper density bound")
     p.add_argument("--n-modes", type=int, default=30, dest="n_modes",
                    help="basis truncation per parity")
-    p.add_argument("--grid", type=int, nargs=2, default=(600, 31),
-                   metavar=("NX", "NY"), help="cell grid for field output")
     p.add_argument("--out", type=str, default=".", help="output directory")
 
 
@@ -457,6 +457,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weyl", action="store_true",
                    help="append the asymptotic-growth diagnostic")
     p.set_defaults(fn=cmd_ratio_table)
+
+    for name in ("eigs", "optimize", "ratio-table"):   # the commands that read a grid
+        sub.choices[name].add_argument("--grid", type=int, nargs=2, default=(600, 31),
+                                       metavar=("NX", "NY"), help="cell grid for field output")
     return ap
 
 

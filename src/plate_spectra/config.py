@@ -2,7 +2,25 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
+
+import numpy as np
+
+
+def _mode_numbers(**nums) -> tuple[int, ...]:
+    """Mode numbers, or the mode count n_modes, as plain ints; ValueError unless
+    each is an integer >= 1.  numpy integers pass, as for operator.index; floats
+    do not, and neither do bools, which operator.index would read as 0 or 1."""
+    try:
+        got = tuple(x if type(x) is int else -1 if isinstance(x, (bool, np.bool_))
+                    else int(operator.index(x)) for x in nums.values())
+        if min(got) >= 1:
+            return got
+    except TypeError:
+        pass
+    raise ValueError("mode numbers must be integers >= 1, got "
+                     + ", ".join(f"{name}={x!r}" for name, x in nums.items()))
 
 
 @dataclass(frozen=True)
@@ -30,8 +48,8 @@ class PlateConfig:
                 f"density bounds must satisfy 0 < alpha < 1 < beta < inf, got "
                 f"alpha={self.alpha}, beta={self.beta}"
             )
-        if self.n_modes < 1:
-            raise ValueError(f"n_modes must be >= 1, got {self.n_modes}")
+        (n_modes,) = _mode_numbers(n_modes=self.n_modes)
+        object.__setattr__(self, "n_modes", n_modes)
 
     @property
     def area(self) -> float:

@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import PlateConfig
-from .numerics import QuadratureRule, sym_eig
+from .numerics import _BLOCK_BYTES, QuadratureRule, sym_eig
 from .spectrum import EVEN, ODD, HomEigenpair, HomSpectrum, profile_raw
 from .weights import GridField, Sublevel, Weight, _in_intervals, cell_ys, sqrt_mass_integral
 
@@ -146,10 +146,6 @@ def _cell_trig(nx: int, freqs: np.ndarray, shift: int = 0) -> np.ndarray:
     return period[idx]
 
 
-# bytes of each (entries, ny) temporary of _contract
-_BLOCK_BYTES = 1 << 18
-
-
 def _contract(mom: np.ndarray, profs: np.ndarray, gather) -> np.ndarray:
     """Upper triangle of C_ab = sum_j profs[a, j] profs[b, j]
     (mom[|m_a - m_b|, j] - mom[m_a + m_b, j]), in the order of np.triu_indices.
@@ -229,15 +225,15 @@ class GridBasis:
         return _cell_trig(self.even.nx, np.arange(k_max + 1))
 
 
-def grid_basis(spectrum: HomSpectrum, n: int, nx: int, ny: int, ell: float) -> GridBasis:
-    """The spectrum's grid tables for the first n modes on the nx by ny grid of
-    half-width ell. Its memo keeps only the most recent (n, nx, ny, ell)."""
-    key = (n, nx, ny, ell)
+def grid_basis(spectrum: HomSpectrum, n: int, nx: int, ny: int) -> GridBasis:
+    """The spectrum's grid tables for the first n modes on the nx by ny cell
+    grid of its plate. Its memo keeps only the most recent (n, nx, ny)."""
+    key = (n, nx, ny)
     memo = spectrum.grid_tables
     if key not in memo:
         memo.clear()
-        memo[key] = GridBasis(ParityTables(spectrum.mu[:n], nx, ny, ell),
-                              ParityTables(spectrum.nu[:n], nx, ny, ell))
+        memo[key] = GridBasis(ParityTables(spectrum.mu[:n], nx, ny, spectrum.config.ell),
+                              ParityTables(spectrum.nu[:n], nx, ny, spectrum.config.ell))
     return memo[key]
 
 
@@ -249,8 +245,8 @@ def assemble_mass(w: Weight, spectrum: HomSpectrum, parity: str, n: int) -> np.n
     y matrix is a quadrature with the band edges as breakpoints. Each
     distinct interval set is integrated once per call.
 
-    Sublevel weights are integrated with the midpoint rule on their own grid
-    through cosine moments:
+    Sublevel weights are integrated with the midpoint rule on their own grid,
+    whose cells are those of the spectrum's plate, through cosine moments:
     sum_i sin(m_a x_i) sin(m_b x_i) w_ij = (Mom[|m_a - m_b|, j] - Mom[m_a + m_b, j]) / 2
     with Mom = cos(k x) @ (cell area * weight) for k = 0..2 max m, so the x
     sums cost one (K, nx) @ (nx, ny) product. The y columns are then one
@@ -267,7 +263,7 @@ def assemble_mass(w: Weight, spectrum: HomSpectrum, parity: str, n: int) -> np.n
 
     if isinstance(v, Sublevel):
         f = v.field
-        basis = grid_basis(spectrum, n, f.nx, f.ny, f.ell)
+        basis = grid_basis(spectrum, n, f.nx, f.ny)
         tables = basis.parity(parity)
         cell_w = (0.5 * f.cell_area) * v.node_values()               # (nx, ny)
         k = 2 * int(tables.m.max()) + 1
@@ -342,9 +338,8 @@ def expand_field(spectrum: HomSpectrum, parity: str, coeffs: np.ndarray,
     The sines and y profiles come from the spectrum's grid tables for
     coeffs.size and grid (grid_basis).
     """
-    ell = spectrum.config.ell
-    tables = grid_basis(spectrum, coeffs.size, *grid, ell).parity(parity)
-    return GridField((coeffs[:, None] * tables.sines).T @ tables.profiles, ell, parity)
+    tables = grid_basis(spectrum, coeffs.size, *grid).parity(parity)
+    return GridField((coeffs[:, None] * tables.sines).T @ tables.profiles, tables.ell, parity)
 
 
 def reconstruct(gs: GalerkinSpectrum, spectrum: HomSpectrum, which: tuple[str, int],

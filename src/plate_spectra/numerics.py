@@ -30,6 +30,10 @@ class NoConvergence(NumericsError):
     """Iteration cap exceeded."""
 
 
+# bytes of each temporary of a blocked array pass (mass contraction, torsional scan)
+_BLOCK_BYTES = 1 << 18
+
+
 # ---------------------------------------------------------------------------
 # root finding
 # ---------------------------------------------------------------------------

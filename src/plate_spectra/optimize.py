@@ -94,12 +94,12 @@ def rearrange_max(fld: GridField, cfg: PlateConfig) -> Weight:
                   cfg.alpha, cfg.beta)
 
 
-def _grid_values(w: Weight, grid: tuple[int, int], ell: float) -> np.ndarray | None:
+def _grid_values(w: Weight, grid: tuple[int, int]) -> np.ndarray | None:
     """The node values of a sublevel weight on the search grid, else None: a
     band weight, or a sublevel weight on another grid, is never what a step
     returns."""
     v = w.variant
-    if isinstance(v, Sublevel) and (v.field.nx, v.field.ny) == tuple(grid) and v.field.ell == ell:
+    if isinstance(v, Sublevel) and (v.field.nx, v.field.ny) == tuple(grid):
         return v.node_values()
     return None
 
@@ -108,9 +108,8 @@ def _grid_values(w: Weight, grid: tuple[int, int], ell: float) -> np.ndarray | N
 # the damped rearrangement driver and its two objectives
 # ---------------------------------------------------------------------------
 
-def _search(target: str, cfg: PlateConfig, spectrum: HomSpectrum, parity: str,
-            j: int, w: Weight, grid: tuple[int, int], sign: float,
-            max_iters: int) -> OptimizationTrace:
+def _search(target: str, spectrum: HomSpectrum, parity: str, j: int, w: Weight,
+            grid: tuple[int, int], sign: float, max_iters: int) -> OptimizationTrace:
     """Damped bang-bang rearrangement on the j-th eigenvalue of one parity:
     descent for sign = +1 (min-mu), ascent for sign = -1 (max-nu1).
 
@@ -132,17 +131,18 @@ def _search(target: str, cfg: PlateConfig, spectrum: HomSpectrum, parity: str,
     current and the last solved weight are built once per weight. Every
     expansion and every solve of a weight on the search grid reads the same
     grid tables, which the spectrum keeps from the first of them
-    (galerkin.grid_basis).
+    (galerkin.grid_basis). The plate is spectrum.config.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    n = min(spectrum.config.n_modes, len(spectrum.mu if parity == EVEN else spectrum.nu))
+    cfg = spectrum.config
+    n = min(cfg.n_modes, len(spectrum.mu if parity == EVEN else spectrum.nu))
     if j > n:
         raise ValueError(f"j={j} exceeds the truncation {n}")
     rearrange = rearrange_max if sign > 0 else rearrange_min
     lam, coeffs, _ = solve_parity(w, spectrum, parity, n)
     iterates = [(w, float(lam[j - 1]))]
-    cur = last = _grid_values(w, grid, cfg.ell)   # node values of w and of the last weight solved
+    cur = last = _grid_values(w, grid)   # node values of w and of the last weight solved
     solves, c, stop, u_sq = 1, 0.0, CONVERGED, None
     while c <= 1.0:
         if u_sq is None:   # a new weight: expand its u_j, take p on the grid
@@ -182,44 +182,37 @@ def _search(target: str, cfg: PlateConfig, spectrum: HomSpectrum, parity: str,
 
 
 def minimize_mu_j(j: int, cfg: PlateConfig, max_iters: int = 100,
-                  initial: Weight | None = None, spectrum: HomSpectrum | None = None,
+                  initial: Weight | None = None,
                   grid: tuple[int, int] = (2400, 31)) -> OptimizationTrace:
-    """Damped rearrangement descent on the j-th longitudinal eigenvalue,
-    from the uniform weight unless initial is given (see _search).
+    """Damped rearrangement descent on the j-th longitudinal eigenvalue of
+    the plate cfg, from the uniform weight unless initial is given (see _search).
 
     The working grid is finer than the general sublevel default: the optimal
     dense set is a band system whose edges the grid resolves to a cell.
     """
     if j < 1:
         raise ValueError(f"j must be >= 1, got {j}")
-    if spectrum is None:
-        spectrum = build_spectrum(cfg)
-    return _search(f"min_mu_{j}", cfg, spectrum, EVEN, j,
+    return _search(f"min_mu_{j}", build_spectrum(cfg), EVEN, j,
                    initial if initial is not None else make_uniform(cfg), grid, 1.0,
                    max_iters)
 
 
-def make_pstar(cfg: PlateConfig, spectrum: HomSpectrum | None = None,
-               grid: tuple[int, int] = (600, 31)) -> Weight:
+def make_pstar(spectrum: HomSpectrum, grid: tuple[int, int] = (600, 31)) -> Weight:
     """Dense phase on the sublevel set of the first torsional eigenfunction
     squared of the uniform plate (the start of the torsional ascent)."""
-    if spectrum is None:
-        spectrum = build_spectrum(cfg)
-    theta1 = spectrum.nu[0]
+    cfg, theta1 = spectrum.config, spectrum.nu[0]
     fld = sample_field(lambda x, y: eval_eigenfunction(theta1, x, y) ** 2,
                        cfg, grid[0], grid[1], parity="even")
     return rearrange_min(fld, cfg)
 
 
 def maximize_nu1_fixed_point(cfg: PlateConfig, max_iters: int = 100,
-                             spectrum: HomSpectrum | None = None,
                              grid: tuple[int, int] = (600, 31)) -> OptimizationTrace:
-    """Damped rearrangement ascent on the first torsional eigenvalue, from
-    the trial weight built on the uniform plate's first torsional
-    eigenfunction (see _search)."""
-    if spectrum is None:
-        spectrum = build_spectrum(cfg)
-    return _search("max_nu1", cfg, spectrum, ODD, 1, make_pstar(cfg, spectrum, grid),
+    """Damped rearrangement ascent on the first torsional eigenvalue of the
+    plate cfg, from the trial weight built on the uniform plate's first
+    torsional eigenfunction (see _search)."""
+    spectrum = build_spectrum(cfg)
+    return _search("max_nu1", spectrum, ODD, 1, make_pstar(spectrum, grid),
                    grid, -1.0, max_iters)
 
 
@@ -312,24 +305,25 @@ class RatioReport:
 def default_study_weights(cfg: PlateConfig, spectrum: HomSpectrum,
                           grid: tuple[int, int] = (600, 31)) -> list[tuple[str, Weight]]:
     """The six benchmark densities: uniform, banded, torsional-optimal trial,
-    mid-line band, edge-loaded band, and the cross combination."""
+    mid-line band, edge-loaded band, and the cross combination. ValueError
+    unless spectrum was built for the plate cfg, at any truncation."""
+    if cfg != spectrum.config.with_(n_modes=cfg.n_modes):
+        raise ValueError(f"the spectrum's plate {spectrum.config} differs from {cfg}")
     j0 = spectrum.j0
     return [
         ("uniform", make_uniform(cfg)),
         (f"pbar{j0}", make_pbar_j(j0, cfg)),
-        ("pstar", make_pstar(cfg, spectrum, grid)),
+        ("pstar", make_pstar(spectrum, grid)),
         ("pbreve", make_breve_p(cfg)),
         ("pdoublebar", make_doublebar_p(cfg)),
         ("ptilde", make_tilde_p(cfg, j=j0)),
     ]
 
 
-def ratio_study(weights: list[tuple[str, Weight]], cfg: PlateConfig,
-                spectrum: HomSpectrum | None = None, n: int = 30) -> RatioReport:
-    """Tabulate mu_1..mu_12, nu_1, nu_2 and the ratio nu_1/mu_j0 per weight."""
-    if spectrum is None:
-        spectrum = build_spectrum(cfg.with_(n_modes=max(cfg.n_modes, n)))
-    j0 = known_j0(spectrum)
+def ratio_study(weights: list[tuple[str, Weight]], spectrum: HomSpectrum,
+                n: int = 30) -> RatioReport:
+    """Tabulate mu_1..mu_12, nu_1, nu_2 and nu_1/mu_j0 per weight on spectrum.config."""
+    cfg, j0 = spectrum.config, known_j0(spectrum)
     if n < 12 or j0 > n:
         raise ValueError(f"need truncation >= max(12, j0={j0}), got {n}")
     rows = []

@@ -28,14 +28,13 @@ modes of a parity in one array pass.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
 import numpy as np
 
-from .config import PlateConfig
-from .numerics import Bracket, NoSignChange, NonFinite, find_root, find_roots
+from .config import PlateConfig, _mode_numbers
+from .numerics import _BLOCK_BYTES, Bracket, NoSignChange, NonFinite, find_root, find_roots
 
 
 class SpectrumError(Exception):
@@ -65,21 +64,6 @@ ODD = "odd"
 EVEN_LOW = "even-low"    # lam < m^4, cosh/cosh profile
 EVEN_HIGH = "even-high"  # lam > m^4, cosh/cos profile
 ODD_BRANCH = "odd"       # sinh/sin above m^4, sinh/sinh below
-
-
-def _mode_numbers(**nums) -> tuple[int, ...]:
-    """The mode numbers as plain ints; ValueError unless each is an integer
-    >= 1.  numpy integers pass, as for operator.index; floats do not, and
-    neither do bools, which operator.index would read as 0 or 1."""
-    try:
-        got = tuple(x if type(x) is int else -1 if isinstance(x, (bool, np.bool_))
-                    else int(operator.index(x)) for x in nums.values())
-        if min(got) >= 1:
-            return got
-    except TypeError:
-        pass
-    raise ValueError("mode numbers must be integers >= 1, got "
-                     + ", ".join(f"{name}={x!r}" for name, x in nums.items()))
 
 
 @dataclass(frozen=True)
@@ -410,7 +394,6 @@ def _norm_consts(m: np.ndarray, lam: np.ndarray, parity: str, cfg: PlateConfig) 
 _SCAN_POINTS = 65
 _EDGE = 1e-9
 _TOL_REL = 1e-13
-_SCAN_BLOCK = 16
 # Largest m a window may reach; the torsional window's grows like pi / (2 ell),
 # so a plate narrower than about ell = 1.6e-6 is refused before any allocation.
 _MAX_TORSIONAL_M = 10 ** 6
@@ -470,12 +453,13 @@ def _hits(s: np.ndarray, vals: np.ndarray):
 
 def _high_scan(m, j, cfg: PlateConfig):
     """_hits of the odd-high determinant on the band grids of (m, j), scanned
-    in blocks of _SCAN_BLOCK rows so that the temporaries stay small."""
+    in blocks of rows whose (rows, _SCAN_POINTS) temporaries stay within
+    _BLOCK_BYTES."""
     m, j = np.broadcast_arrays(m, j)
-    parts = []
-    for i in range(0, m.size, _SCAN_BLOCK):
-        mb = m[i:i + _SCAN_BLOCK]
-        s = _odd_high_grid(mb, j[i:i + _SCAN_BLOCK], cfg)
+    step, parts = _BLOCK_BYTES // (8 * _SCAN_POINTS), []
+    for i in range(0, m.size, step):
+        mb = m[i:i + step]
+        s = _odd_high_grid(mb, j[i:i + step], cfg)
         row, lo, hi = _hits(s, _det_odd_high(s, mb[:, None], cfg.sigma, cfg.ell))
         parts.append((row + i, lo, hi))
     return tuple(np.concatenate(p) for p in zip(*parts))

@@ -59,7 +59,7 @@ def _pass(num: int, msg: str) -> None:
 @pytest.fixture(scope="module")
 def study_report(ref_cfg, ref_spectrum):
     weights = default_study_weights(ref_cfg, ref_spectrum)
-    return weights, ratio_study(weights, ref_cfg, ref_spectrum, n=30)
+    return weights, ratio_study(weights, ref_spectrum, n=30)
 
 
 def test_criterion_1_reference_table(ref_cfg):
@@ -203,7 +203,7 @@ def test_criterion_7_monotone_descent(ref_cfg, ref_spectrum):
                  random_band_weight(rng, ref_cfg)]
         finals = []
         for init in inits:
-            tr = minimize_mu_j(j, ref_cfg, spectrum=ref_spectrum, initial=init)
+            tr = minimize_mu_j(j, ref_cfg, initial=init)
             vals = tr.eigenvalues
             assert all(b < a for a, b in zip(vals, vals[1:])), \
                 f"j={j}: non-monotone trace {vals}"

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from plate_spectra import PlateConfig, build_spectrum
+from plate_spectra import PlateConfig
 from plate_spectra.cli import _atomic_write, _grid_csv, build_parser, main
 from plate_spectra.optimize import maximize_nu1_fixed_point, minimize_mu_j, rearrange_min
 from plate_spectra.weights import (GridField, make_breve_p, make_uniform, sample_field,
@@ -206,9 +206,8 @@ def test_optimize_grid_csvs_match_final_weight(tmp_path, target):
                    "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     cfg = PlateConfig()
-    spec = build_spectrum(cfg)
-    tr = (maximize_nu1_fixed_point(cfg, spectrum=spec, grid=(60, 31)) if target == ["max-nu1"]
-          else minimize_mu_j(3, cfg, spectrum=spec, grid=(60, 31)))
+    tr = (maximize_nu1_fixed_point(cfg, grid=(60, 31)) if target == ["max-nu1"]
+          else minimize_mu_j(3, cfg, grid=(60, 31)))
     fld = tr.final_weight.variant.field
     assert_same_text((tmp_path / "field.csv").read_text(), per_cell_csv(fld, fld.values))
     f = json.loads((tmp_path / "final_weight.json").read_text())["parameters"]["field"]
@@ -646,6 +645,20 @@ def test_optimize_rejects_bad_epsilon(tmp_path, epsilon):
     assert "Traceback" not in proc.stderr
     assert "unrecognized arguments: --epsilon" in proc.stderr
     assert not (tmp_path / "optimize_meta.json").exists()
+
+
+def test_grid_only_on_commands_that_read_it(tmp_path, capsys):
+    # spectrum reads no grid, so --grid is unknown there, as any other option
+    # it does not take; it used to check a grid it never read
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--grid", "600", "31", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --grid 600 31" in capsys.readouterr().err
+    assert not (tmp_path / "table1.csv").exists()
+    for cmd in (["eigs", "--weight", str(tmp_path / "w.json")],
+                ["optimize", "--target", "max-nu1"], ["ratio-table"]):
+        assert main([*cmd, "--grid", "4", "2", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: grid must be at least 4 x 3 with odd NY, got 4 2\n"
 
 
 def test_rejects_even_grid(tmp_path):

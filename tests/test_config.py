@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from plate_spectra import PlateConfig
@@ -29,6 +30,19 @@ def test_config_validation():
         PlateConfig(beta=math.inf)
     with pytest.raises(ValueError):
         PlateConfig(n_modes=0)
+
+
+@pytest.mark.parametrize("n_modes", [30.0, True, np.True_, "30", 0, -3])
+def test_config_n_modes_must_be_an_integer(n_modes):
+    # n_modes follows the rule of the mode numbers: 30.0 used to pass and then
+    # fail inside build_spectrum with a TypeError, and True to build one mode
+    with pytest.raises(ValueError, match="^mode numbers must be integers >= 1, got n_modes="):
+        PlateConfig(n_modes=n_modes)
+
+
+def test_config_numpy_integer_n_modes():
+    cfg = PlateConfig(n_modes=np.int64(12))
+    assert type(cfg.n_modes) is int and cfg == PlateConfig(n_modes=12)
 
 
 def test_config_with(ref_cfg):

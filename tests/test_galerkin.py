@@ -52,7 +52,7 @@ def test_uniform_mass_is_identity(ref_cfg, ref_spectrum):
 def test_mass_matrix_symmetric_exactly(ref_cfg, ref_spectrum):
     # a band, a cross and a sublevel weight: each assembly path mirrors once
     for w in (make_pbar_j(10, ref_cfg), make_tilde_p(ref_cfg),
-              make_pstar(ref_cfg, ref_spectrum)):
+              make_pstar(ref_spectrum)):
         c = assemble_mass(w, ref_spectrum, "even", 20)
         assert type(c) is np.ndarray and np.array_equal(c, c.T)
 
@@ -77,7 +77,7 @@ def test_band_assembly_vs_brute_force(ref_cfg, ref_spectrum):
 
 def test_sublevel_assembly_vs_brute_force(ref_cfg, ref_spectrum):
     # the column-by-column contraction against a direct sum over the field's cells
-    w = make_pstar(ref_cfg, ref_spectrum, (120, 15))
+    w = make_pstar(ref_spectrum, (120, 15))
     f = w.variant.field
     n = 8
     c = assemble_mass(w, ref_spectrum, "even", n)
@@ -162,7 +162,7 @@ def test_cell_trig_tables_vs_long_double(spectrum_n100):
     # cos(k x_i) and sin(m x_i) at nx = 600 for k = 0..200 and m = 1..100;
     # evaluating np.cos(k * x_i) in double is off by up to 1.6e-13 here
     nx = 600
-    basis = grid_basis(spectrum_n100, 100, nx, 31, spectrum_n100.config.ell)
+    basis = grid_basis(spectrum_n100, 100, nx, 31)
     k = np.arange(basis.cos_table.shape[1], dtype=np.longdouble)
     m = np.array([p.mode.m for p in spectrum_n100.mu[:100]], dtype=np.longdouble)
     assert k.size == 201 and m.max() == 100
@@ -345,7 +345,7 @@ def test_grid_basis_results_bitwise_equal(narrow_spectrum_n100, n, grid):
                 @ _profiles_on(pairs, w.variant.field.ys))
         assert np.array_equal(expand_field(spec, parity, coeffs, grid).values, want)
     k = [2 * max(p.mode.m for p in pairs) + 1 for pairs in (spec.mu[:n], spec.nu[:n])]
-    assert grid_basis(spec, n, *grid, spec.config.ell).cos_table.shape == (grid[0], max(k))
+    assert grid_basis(spec, n, *grid).cos_table.shape == (grid[0], max(k))
     if n == 100:
         assert k == [129, 157]
 
@@ -386,10 +386,10 @@ def test_grid_tables_built_once_and_only_when_read(ref_cfg, monkeypatch):
     # another grid replaces the memo's one entry
     expand_field(spec, "odd", np.ones(12), (60, 3))
     assert built() == ([3 * 60], [3])
-    assert list(spec.grid_tables) == [(12, 60, 3, ref_cfg.ell)]
+    assert list(spec.grid_tables) == [(12, 60, 3)]
     solve_weighted(w, spec, 12)
     assert built() == ([0], [15, 15])
-    assert list(spec.grid_tables) == [(12, *grid, ref_cfg.ell)]
+    assert list(spec.grid_tables) == [(12, *grid)]
 
 
 # ---------------------------------------------------------------------------

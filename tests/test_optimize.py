@@ -107,7 +107,7 @@ def test_rearrangement_optimality_oracle(ref_cfg):
 # ---------------------------------------------------------------------------
 
 def test_minimize_mu_1(ref_cfg, ref_spectrum):
-    tr = minimize_mu_j(1, ref_cfg, spectrum=ref_spectrum)
+    tr = minimize_mu_j(1, ref_cfg)
     vals = tr.eigenvalues
     assert tr.stop_reason == "converged"
     assert vals[0] == pytest.approx(ref_spectrum.mu[0].lam, rel=1e-9)
@@ -124,7 +124,7 @@ def test_minimize_mu_1(ref_cfg, ref_spectrum):
 
 
 def test_minimize_mu_10_reaches_band_optimum(ref_cfg, ref_spectrum):
-    tr = minimize_mu_j(10, ref_cfg, spectrum=ref_spectrum)
+    tr = minimize_mu_j(10, ref_cfg)
     assert tr.stop_reason == "converged"
     assert abs(tr.final_value - 7.28e3) / 7.28e3 < 0.02
     vals = tr.eigenvalues
@@ -134,7 +134,7 @@ def test_minimize_mu_10_reaches_band_optimum(ref_cfg, ref_spectrum):
 def test_minimize_multistart_agreement(ref_cfg, ref_spectrum):
     rng = np.random.default_rng(31)
     inits = [None, random_band_weight(rng, ref_cfg), random_band_weight(rng, ref_cfg)]
-    finals = [minimize_mu_j(5, ref_cfg, spectrum=ref_spectrum, initial=w).final_value
+    finals = [minimize_mu_j(5, ref_cfg, initial=w).final_value
               for w in inits]
     spread = (max(finals) - min(finals)) / min(finals)
     assert spread < 1e-3
@@ -161,9 +161,9 @@ def test_minimize_random_starts_reach_uniform_start_value(ref_cfg, ref_spectrum)
     rng = np.random.default_rng(7)
     starts = [random_band_weight(rng, ref_cfg) for _ in range(20)]
     for j in (10, 12):
-        best = minimize_mu_j(j, ref_cfg, spectrum=ref_spectrum, grid=(600, 31)).final_value
+        best = minimize_mu_j(j, ref_cfg, grid=(600, 31)).final_value
         for i, start in enumerate(starts):
-            tr = minimize_mu_j(j, ref_cfg, spectrum=ref_spectrum, initial=start,
+            tr = minimize_mu_j(j, ref_cfg, initial=start,
                                grid=(600, 31))
             assert tr.stop_reason == "converged"
             assert tr.final_value <= 1.01 * best, (j, i, tr.final_value, best)
@@ -172,7 +172,7 @@ def test_minimize_random_starts_reach_uniform_start_value(ref_cfg, ref_spectrum)
             assert math.isfinite(tr.gap) and tr.gap >= -1e-12
     # each iterate records its own weight's mu_j: the 17th start is the one
     # whose overlap-tracked mode once slid into the lower block
-    tr = minimize_mu_j(12, ref_cfg, spectrum=ref_spectrum, initial=starts[16], grid=(600, 31))
+    tr = minimize_mu_j(12, ref_cfg, initial=starts[16], grid=(600, 31))
     for w, value in tr.iterates:
         assert value == solve_parity(w, ref_spectrum, "even", 30)[0][11]
 
@@ -205,10 +205,10 @@ def test_reference_searches(ref_cfg, ref_spectrum, grid):
     fixed_points = 0
     for j in [*range(1, 13), None]:
         if j is None:
-            tr = maximize_nu1_fixed_point(ref_cfg, spectrum=ref_spectrum, grid=grid)
+            tr = maximize_nu1_fixed_point(ref_cfg, grid=grid)
             vals, uniform = [-v for v in tr.eigenvalues], -ref_spectrum.nu[0].lam
         else:
-            tr = minimize_mu_j(j, ref_cfg, spectrum=ref_spectrum, grid=grid)
+            tr = minimize_mu_j(j, ref_cfg, grid=grid)
             vals, uniform = tr.eigenvalues, ref_spectrum.mu[j - 1].lam
         assert tr.stop_reason != "max_iters", j
         assert all(b < a for a, b in zip(vals, vals[1:])), j
@@ -231,7 +231,7 @@ def test_search_stops_at_fixed_point(ref_cfg, ref_spectrum, grid, monkeypatch):
     # returns it: two rearrangements in the loop and one for the gap. Running
     # the damping on past 1 instead would take seven more
     calls = _count_rounds(monkeypatch, "rearrange_max")
-    tr = minimize_mu_j(1, ref_cfg, spectrum=ref_spectrum, grid=grid)
+    tr = minimize_mu_j(1, ref_cfg, grid=grid)
     assert tr.stop_reason == "converged"
     assert len(tr.iterates) == 2
     assert len(calls) == 3
@@ -257,14 +257,13 @@ def test_one_grid_basis_per_search(ref_cfg, monkeypatch):
     # min-mu j = 11 at 600x31 takes 6 solves, the ascent at alpha 0.1, beta 3 takes 5
     cfg = PlateConfig(alpha=0.1, beta=3.0)
     for search, grid in (
-            (lambda: minimize_mu_j(11, ref_cfg, spectrum=build_spectrum(ref_cfg),
-                                   grid=(600, 31)), (600, 31)),
+            (lambda: minimize_mu_j(11, ref_cfg, grid=(600, 31)), (600, 31)),
             (lambda: maximize_nu1_fixed_point(cfg, grid=(300, 15)), (300, 15))):
         bases.clear(), shifts.clear()
         search()
         # the uniform start of min-mu is a band weight and reads no grid tables
         assert len(bases) > 4
-        assert {key for key, _ in bases} == {(30, *grid, ref_cfg.ell)}
+        assert {key for key, _ in bases} == {(30, *grid)}
         assert all(basis is bases[0][1] for _, basis in bases)
         assert sorted(shifts) == [0, 3 * grid[0]]
 
@@ -275,7 +274,7 @@ def test_minimize_from_start_on_another_grid(ref_cfg, ref_spectrum, monkeypatch)
     # path that builds every table per call
     from plate_spectra import galerkin
     start = random_grid_weight(np.random.default_rng(5), ref_cfg, shape=(600, 31))
-    tr = minimize_mu_j(4, ref_cfg, spectrum=ref_spectrum, initial=start, grid=(2400, 31))
+    tr = minimize_mu_j(4, ref_cfg, initial=start, grid=(2400, 31))
     assert tr.iterates[0][0] is start
     # a local optimum 1e-5 above the uniform start's 186.31198 at 2400x31
     assert tr.final_value == pytest.approx(186.31392230474154, rel=1e-6)
@@ -286,7 +285,7 @@ def test_minimize_from_start_on_another_grid(ref_cfg, ref_spectrum, monkeypatch)
         return grid_basis(spectrum, *key)
 
     monkeypatch.setattr(galerkin, "grid_basis", fresh_basis)
-    ref = minimize_mu_j(4, ref_cfg, spectrum=ref_spectrum, initial=start, grid=(2400, 31))
+    ref = minimize_mu_j(4, ref_cfg, initial=start, grid=(2400, 31))
     assert (tr.stop_reason, tr.eigenvalues) == (ref.stop_reason, ref.eigenvalues)
     assert np.array_equal(tr.final_weight.variant.node_values(),
                           ref.final_weight.variant.node_values())
@@ -294,9 +293,9 @@ def test_minimize_from_start_on_another_grid(ref_cfg, ref_spectrum, monkeypatch)
 
 def test_minimize_validates_arguments(ref_cfg, ref_spectrum):
     with pytest.raises(ValueError):
-        minimize_mu_j(0, ref_cfg, spectrum=ref_spectrum)
+        minimize_mu_j(0, ref_cfg)
     with pytest.raises(ValueError):
-        minimize_mu_j(99, ref_cfg, spectrum=ref_spectrum)
+        minimize_mu_j(99, ref_cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +303,7 @@ def test_minimize_validates_arguments(ref_cfg, ref_spectrum):
 # ---------------------------------------------------------------------------
 
 def test_fixed_point_trial_weight_value(ref_cfg, ref_spectrum):
-    tr = maximize_nu1_fixed_point(ref_cfg, spectrum=ref_spectrum)
+    tr = maximize_nu1_fixed_point(ref_cfg)
     assert tr.stop_reason == "converged"
     # the trial weight already sits within 2% of the benchmark value
     assert abs(tr.eigenvalues[0] - 1.98e4) / 1.98e4 < 0.02
@@ -320,7 +319,7 @@ def test_fixed_point_records_every_round(monkeypatch):
     cfg = PlateConfig(alpha=0.1, beta=3.0)
     spec = build_spectrum(cfg)
     rounds = _count_rounds(monkeypatch)
-    tr = maximize_nu1_fixed_point(cfg, spectrum=spec, grid=(300, 15))
+    tr = maximize_nu1_fixed_point(cfg, grid=(300, 15))
     assert tr.stop_reason == "converged"
     vals = tr.eigenvalues
     assert len(vals) >= 2 and all(b > a for a, b in zip(vals, vals[1:]))
@@ -330,13 +329,13 @@ def test_fixed_point_records_every_round(monkeypatch):
     assert tr.final_value == pytest.approx(84883.476085, rel=1e-6)
     assert 0.0 <= tr.gap < 1e-3
     rounds.clear()
-    short = maximize_nu1_fixed_point(cfg, max_iters=2, spectrum=spec, grid=(300, 15))
+    short = maximize_nu1_fixed_point(cfg, max_iters=2, grid=(300, 15))
     assert (short.stop_reason, len(rounds)) == ("max_iters", 2)
     assert short.eigenvalues == vals[:len(short.iterates)]
 
 
 def test_fixed_point_first_update_is_close(ref_cfg, ref_spectrum):
-    pstar = make_pstar(ref_cfg, ref_spectrum)
+    pstar = make_pstar(ref_spectrum)
     nu, coeffs, _ = solve_parity(pstar, ref_spectrum, "odd", 30)
     u = expand_field(ref_spectrum, "odd", coeffs[:, 0], (600, 31))
     w1 = rearrange_min(GridField(u.values ** 2, ref_cfg.ell, "even"), ref_cfg)
@@ -379,7 +378,7 @@ def test_periodic_form_rejects_nonperiodic_weight(ref_cfg):
 # ---------------------------------------------------------------------------
 
 def test_ratio_study_uniform_row(ref_cfg, ref_spectrum):
-    report = ratio_study([("uniform", make_uniform(ref_cfg))], ref_cfg, ref_spectrum)
+    report = ratio_study([("uniform", make_uniform(ref_cfg))], ref_spectrum)
     assert report.j0 == 10
     row = report.rows[0]
     assert abs(row.ratio - 1.14) / 1.14 < 0.02
@@ -391,7 +390,7 @@ def test_ratio_study_rejects_invalid_weight(ref_cfg, ref_spectrum):
     bad = Weight(XBands(((0.5, 1.0),), ref_cfg.beta, ref_cfg.alpha),
                  ref_cfg.alpha, ref_cfg.beta)
     with pytest.raises(OptimizeError):
-        ratio_study([("bad", bad)], ref_cfg, ref_spectrum)
+        ratio_study([("bad", bad)], ref_spectrum)
 
 
 def test_default_study_weights_all_admissible(ref_cfg, ref_spectrum):
@@ -400,6 +399,35 @@ def test_default_study_weights_all_admissible(ref_cfg, ref_spectrum):
         "uniform", "pbar10", "pstar", "pbreve", "pdoublebar", "ptilde"]
     for _, w in study:
         assert validate(w, ref_cfg).passed
+
+
+def test_study_weights_refuse_another_plates_spectrum(ref_cfg, ref_spectrum):
+    # pstar comes from the spectrum and the band weights from the config: with
+    # the spectrum of pi/150 and a config at pi/75 they used to describe two
+    # plates. Another truncation of the same plate is the same plate
+    with pytest.raises(ValueError, match="differs from"):
+        default_study_weights(PlateConfig(ell=math.pi / 75), build_spectrum(PlateConfig()))
+    with pytest.raises(ValueError, match="differs from"):
+        default_study_weights(ref_cfg.with_(sigma=0.3), ref_spectrum)
+    study = default_study_weights(ref_cfg, build_spectrum(ref_cfg.with_(n_modes=40)))
+    assert all(validate(w, ref_cfg).passed for _, w in study)
+
+
+def test_one_plate_source_per_function():
+    # a public optimize function takes the plate config or the spectrum built
+    # from it, never both (default_study_weights checks that the two agree),
+    # and the grid tables take their cells from the spectrum's plate
+    import inspect
+    from plate_spectra import galerkin, optimize
+    both = []
+    for name, fn in inspect.getmembers(optimize, inspect.isfunction):
+        if fn.__module__ != optimize.__name__ or name.startswith("_"):
+            continue
+        notes = [str(p.annotation) for p in inspect.signature(fn).parameters.values()]
+        if any("PlateConfig" in a for a in notes) and any("HomSpectrum" in a for a in notes):
+            both.append(name)
+    assert both == ["default_study_weights"]
+    assert list(inspect.signature(galerkin.grid_basis).parameters) == ["spectrum", "n", "nx", "ny"]
 
 
 def _without_values(w):
@@ -416,7 +444,7 @@ def test_trace_jsonl_roundtrip(ref_cfg, ref_spectrum):
     # the last trace line holds the final weight's parameters and
     # final_weight.json (weight_to_json) its phase map: together they give
     # back the final weight's node values and inside mask
-    tr = minimize_mu_j(1, ref_cfg, spectrum=ref_spectrum)
+    tr = minimize_mu_j(1, ref_cfg)
     records = [json.loads(line) for line in trace_to_jsonl(tr).splitlines()]
     assert [r["eigenvalue"] for r in records] == [v for _, v in tr.iterates]
     assert records[-1]["weight"] == _without_values(tr.final_weight)
@@ -457,7 +485,7 @@ def test_trace_jsonl_bytes_match_encoder(ref_cfg, ref_spectrum):
 
 def test_ratio_csv_layout(ref_cfg, ref_spectrum):
     report = ratio_study([("uniform", make_uniform(ref_cfg)),
-                          ("pbar10", make_pbar_j(10, ref_cfg))], ref_cfg, ref_spectrum)
+                          ("pbar10", make_pbar_j(10, ref_cfg))], ref_spectrum)
     csv = ratio_report_to_csv(report)
     lines = csv.strip().split("\n")
     assert lines[0] == "quantity,uniform,pbar10"
@@ -469,7 +497,7 @@ def test_cross_effect_ordering(ref_cfg, ref_spectrum):
     # the torsional-optimal trial weight beats both band combinations on the ratio
     study = dict(default_study_weights(ref_cfg, ref_spectrum))
     report = ratio_study([("pstar", study["pstar"]), ("pbar10", study["pbar10"]),
-                          ("ptilde", study["ptilde"])], ref_cfg, ref_spectrum)
+                          ("ptilde", study["ptilde"])], ref_spectrum)
     by_label = {r.label: r.ratio for r in report.rows}
     assert by_label["pstar"] > by_label["pbar10"]
     assert by_label["pstar"] > by_label["ptilde"]
@@ -477,6 +505,6 @@ def test_cross_effect_ordering(ref_cfg, ref_spectrum):
 
 def test_minimize_rejects_zero_iterations(ref_cfg, ref_spectrum):
     with pytest.raises(ValueError):
-        minimize_mu_j(1, ref_cfg, spectrum=ref_spectrum, max_iters=0)
+        minimize_mu_j(1, ref_cfg, max_iters=0)
     with pytest.raises(ValueError):
-        maximize_nu1_fixed_point(ref_cfg, spectrum=ref_spectrum, max_iters=0)
+        maximize_nu1_fixed_point(ref_cfg, max_iters=0)

@@ -14,9 +14,9 @@ from plate_spectra.weights import (TILDE_Y_RETENTION, Cross, GridField, Sublevel
                                    _band_centers, eval_weight,
                                    make_breve_p, make_doublebar_p, make_pbar_j,
                                    make_tilde_p, make_uniform, pj_sin4_threshold,
-                                   sample_field, sin4_level_exact, sublevel_split,
-                                   threshold_for_area, validate, weight_from_json,
-                                   weight_to_json)
+                                   sample_field, sin4_level_exact, sqrt_mass_integral,
+                                   sublevel_split, threshold_for_area, validate,
+                                   weight_from_json, weight_to_json)
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +144,26 @@ def test_eval_half_open_convention(ref_cfg):
                ref_cfg.alpha, ref_cfg.beta)
     assert eval_weight(w, 1.0, 0.0) == ref_cfg.beta   # closed on the left
     assert eval_weight(w, 2.0, 0.0) == ref_cfg.alpha  # open on the right
+
+
+def test_sqrt_mass_integral_grid_weight(ref_cfg):
+    # the grid branch: x bands whose edges are cell edges, sampled at the cell
+    # centres, give the band weight's closed form, and a uniform grid weight
+    # gives |Omega|
+    nx, ny = 60, 31
+    edges = ((6 * math.pi / nx, 18 * math.pi / nx), (36 * math.pi / nx, 45 * math.pi / nx))
+    bands = Weight(XBands(edges, 48.0 / 35.0, 0.8), ref_cfg.alpha, ref_cfg.beta)
+    assert validate(bands, ref_cfg).passed
+    fld = sample_field(lambda x, y: eval_weight(bands, x, y), ref_cfg, nx, ny, parity="even")
+    grid = Weight(Sublevel(fld, 1.0, 0.8, 48.0 / 35.0), ref_cfg.alpha, ref_cfg.beta)
+    assert np.array_equal(grid.variant.node_values(), fld.values)
+    assert np.count_nonzero(fld.values > 1.0) == 21 * ny
+    assert sqrt_mass_integral(grid, ref_cfg) == pytest.approx(
+        sqrt_mass_integral(bands, ref_cfg), rel=1e-12, abs=0.0)
+    uniform = Weight(Sublevel(GridField(np.ones((nx, ny)), ref_cfg.ell), 0.0, ref_cfg.beta, 1.0),
+                     ref_cfg.alpha, ref_cfg.beta)
+    assert np.all(uniform.variant.node_values() == 1.0)
+    assert sqrt_mass_integral(uniform, ref_cfg) == pytest.approx(ref_cfg.area, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
