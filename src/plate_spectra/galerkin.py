@@ -37,7 +37,8 @@ import numpy as np
 from .config import PlateConfig
 from .numerics import _BLOCK_BYTES, QuadratureRule, sym_eig
 from .spectrum import EVEN, ODD, HomEigenpair, HomSpectrum, profile_raw
-from .weights import GridField, Sublevel, Weight, _in_intervals, cell_ys, sqrt_mass_integral
+from .weights import (GridField, Sublevel, Weight, _in_intervals, cell_ys, plate_mismatch,
+                      sqrt_mass_integral)
 
 
 class GalerkinError(Exception):
@@ -256,8 +257,12 @@ def assemble_mass(w: Weight, spectrum: HomSpectrum, parity: str, n: int) -> np.n
     once, so the matrix returned is exactly symmetric.
     The cosine table, the y profiles and the gather come from the
     spectrum's grid tables for n and the field's grid (grid_basis).
+    ValueError when the weight was declared on another plate (plate_mismatch).
     """
     v = w.variant
+    mismatch = plate_mismatch(v, spectrum.config.ell)
+    if mismatch:
+        raise ValueError(f"weight does not fit the spectrum's plate: {mismatch}")
     pairs = _pairs(spectrum, parity, n)
     mat = np.zeros((n, n))
 

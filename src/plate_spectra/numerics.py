@@ -1,13 +1,11 @@
-"""Numerical kernels: bracketed ITP root finding for one bracket
-(``find_root``) or for an array of brackets at once (``find_roots``), both
-taking the same steps and stopping at the same relative width, Gauss-Legendre
+"""Numerical kernels: bracketed ITP root finding on an array of brackets at
+once (``find_roots``; ``find_root`` is its one-bracket call), Gauss-Legendre
 quadrature with breakpoints (reference rules cached per order), and the dense
 symmetric eigensolve (LAPACK ``eigh``).
 """
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -62,75 +60,23 @@ class Bracket:
             raise ValueError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
 
 
-def _n_max(width, tol):
-    """Bisection's step count to reach width tol, ceil(log2(width / tol)), plus
-    _ITP_N0; exact through frexp, for scalars or arrays."""
-    frac, exp = np.frexp(width / tol)
-    return exp - (frac == 0.5) + _ITP_N0
-
-
-def find_root(f: Callable[[float], float], bracket: Bracket,
+def find_root(f: Callable[[np.ndarray], np.ndarray], bracket: Bracket,
               tol_rel: float = 1e-12) -> float:
-    """Root of f on the bracket by ITP, to relative width tol_rel.
-
-    Stops once hi - lo <= tol_rel * max(1, |lo|, |hi|) (of the given bracket)
-    and returns the midpoint; an exact zero is returned at once.  Takes at
-    most _ITP_N0 + 1 steps more than bisection, and the same steps as
-    find_roots on a one-bracket array.  The sign condition f(lo)*f(hi) < 0 is
-    verified at solve time.
-    """
-    lo, hi = float(bracket.lo), float(bracket.hi)
-    flo, fhi = float(f(lo)), float(f(hi))
-    if not (math.isfinite(flo) and math.isfinite(fhi)):
-        raise NonFinite(f"f non-finite at bracket endpoints: f({lo})={flo}, f({hi})={fhi}")
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo < 0.0) == (fhi < 0.0):
-        raise NoSignChange(f"f({lo})={flo} and f({hi})={fhi} have the same sign")
-
-    tol = tol_rel * max(1.0, abs(lo), abs(hi))
-    half = 0.5 * tol
-    k1 = _ITP_K1 / (hi - lo)
-    n_max = int(_n_max(hi - lo, tol))
-    j = 0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # interval at floating point resolution
-        w = hi - lo
-        x_f = lo + w * (flo / (flo - fhi))
-        d = mid - x_f
-        sign = (d > 0.0) - (d < 0.0)
-        delta = k1 * (w * w)
-        x_t = x_f + sign * delta if delta <= abs(d) else mid
-        r = math.ldexp(half, n_max - j) - 0.5 * w
-        x = x_t if abs(x_t - mid) <= r else mid - sign * r
-        x = min(max(x, lo + half), hi - half)
-        if not lo < x < hi:
-            x = mid
-        fx = float(f(x))
-        if not math.isfinite(fx):
-            raise NonFinite(f"f({x}) = {fx}")
-        if fx == 0.0:
-            return x
-        if (fx < 0.0) == (flo < 0.0):
-            lo, flo = x, fx
-        else:
-            hi, fhi = x, fx
-        j += 1
-    return 0.5 * (lo + hi)
+    """find_roots on the one bracket: f takes and returns arrays."""
+    return float(find_roots(f, [bracket.lo], [bracket.hi], tol_rel)[0])
 
 
 def find_roots(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
                tol_rel: float = 1e-12) -> np.ndarray:
-    """find_root on every bracket [lo[i], hi[i]] at once.
+    """Roots of f on every bracket [lo[i], hi[i]] at once, by ITP.
 
-    Each bracket takes find_root's ITP steps and stopping rule, so the result
-    equals find_root's bitwise; f is called once per step, on the array of
-    all trial points (a converged bracket's is its midpoint), so the count of
-    calls is that of the slowest bracket.
+    A bracket stops once hi - lo <= tol_rel * max(1, |lo|, |hi|) (of the given
+    bracket) and returns its midpoint; an exact zero is returned at once.  No
+    bracket takes more than _ITP_N0 + 1 steps over bisection, and the sign
+    condition f(lo) * f(hi) < 0 is verified at solve time.  f is called once
+    per step, on the array of all trial points (a converged bracket's is its
+    midpoint), so the count of calls is that of the slowest bracket; brackets
+    do not interact, so each root is the one a one-bracket solve returns.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
@@ -150,9 +96,11 @@ def find_roots(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.nda
     tol = tol_rel * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
     half = 0.5 * tol
     k1 = _ITP_K1 / (hi - lo)
-    n_max = _n_max(hi - lo, tol)
-    # an endpoint root closes its bracket (the lower one first, as in find_root);
-    # a nonzero fhi keeps the closed bracket's interpolant finite
+    # bisection's step count ceil(log2(width / tol)), exact through frexp
+    frac, exp = np.frexp((hi - lo) / tol)
+    n_max = exp - (frac == 0.5) + _ITP_N0
+    # an endpoint root closes its bracket (the lower one first); a nonzero fhi
+    # keeps the closed bracket's interpolant finite
     hi = np.where(flo == 0.0, lo, hi)
     fhi = np.where(flo == 0.0, -1.0, fhi)
     lo = np.where(fhi == 0.0, hi, lo)

@@ -16,7 +16,7 @@ the brackets and solves all of them in one batched ITP solve
 (numerics.find_roots, about a dozen determinant calls for all brackets,
 against 45 for bisection); find_hom_eigenvalue takes one mode's determinant
 and bracket from the same builders and solves it with numerics.find_root,
-which takes the same steps and stops at the same width.
+the same ITP on a one-bracket array.
 
 Eigenfunction profiles come from one array kernel, profile_raw, whose m, lam
 and y broadcast: it evaluates many modes of one parity at many points, each
@@ -199,14 +199,20 @@ def _first_exists(m, cfg: PlateConfig):
 def check_c0(cfg: PlateConfig) -> tuple[bool, float]:
     """Solve tanh(sqrt(2) s ell) = (sigma/(2-sigma))^2 sqrt(2) s ell for s > 0.
 
-    Returns (holds, s_star): holds is True when s_star is not an integer
-    (within 1e-9); an integer s_star is the degenerate resonant case.
+    Returns (holds, s_star): holds is True when s_star is finite and not an
+    integer (within 1e-9); an integer s_star is the degenerate resonant case.
     """
     q = (cfg.sigma / (2.0 - cfg.sigma)) ** 2
-    # in z = sqrt(2) s ell: tanh(z) = q z, unique positive root since q < 1
-    z0 = find_root(lambda z: math.tanh(z) - q * z, Bracket(1e-8, 2.0 / q), tol_rel=1e-14)
-    s_star = z0 / (math.sqrt(2.0) * cfg.ell)
-    holds = abs(s_star - round(s_star)) > 1e-9
+    if q == 0.0:  # sigma so small that q underflows: s* is out of range
+        return False, math.inf
+    # in z = sqrt(2) s ell: tanh(z) = q z has one positive root, above 8.9 as
+    # q <= 1/9; there z -> tanh(z) / q contracts by sech(z)^2 / q < 1e-6, so
+    # three steps from 1/q reach it to rounding
+    z = 1.0 / q
+    for _ in range(3):
+        z = math.tanh(z) / q
+    s_star = z / (math.sqrt(2.0) * cfg.ell)
+    holds = math.isfinite(s_star) and abs(s_star - round(s_star)) > 1e-9
     return holds, s_star
 
 
@@ -214,7 +220,8 @@ def _require_c0(cfg: PlateConfig) -> None:
     """Raise C0Violated in the degenerate resonant case excluded by the theory."""
     holds, s_star = check_c0(cfg)
     if not holds:
-        raise C0Violated(f"degenerate parameters: s* = {s_star} is an integer")
+        why = "is an integer" if math.isfinite(s_star) else "is out of floating point range"
+        raise C0Violated(f"degenerate parameters: s* = {s_star} {why}")
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +393,11 @@ def _norm_consts(m: np.ndarray, lam: np.ndarray, parity: str, cfg: PlateConfig) 
 # indices: build_spectrum sets up the brackets of every mode of both parities
 # and solves them in one batched ITP solve (find_roots), while
 # find_hom_eigenvalue runs the same builders for one mode and solves its one
-# bracket with find_root.  Both take the same ITP steps and stop once a
-# bracket is at most _TOL_REL * max(1, |lo|, |hi|) wide (in s = sqrt(lam)),
-# returning its midpoint; neither takes more than five steps over bisection's
-# count, and the determinants' simple roots take about a dozen.
+# bracket with find_root, which is find_roots on a one-bracket array.  A
+# bracket stops once it is at most _TOL_REL * max(1, |lo|, |hi|) wide (in
+# s = sqrt(lam)), returning its midpoint, so a mode gets the same root either
+# way; no bracket takes more than five steps over bisection's count, and the
+# determinants' simple roots take about a dozen.
 
 _SCAN_POINTS = 65
 _EDGE = 1e-9

@@ -137,8 +137,9 @@ class Bands:
 
     ell is the plate half-width the y-intervals were declared for. It only
     bounds the intervals, goes into the JSON spec and is checked against the
-    plate in validate; all arithmetic takes its geometry from the PlateConfig.
-    Weights without y-intervals declare no geometry.
+    plate (plate_mismatch) in validate and in the mass assembly; all
+    arithmetic takes its geometry from the PlateConfig. Weights without
+    y-intervals declare no geometry.
     """
 
     x_intervals: tuple[Interval, ...]
@@ -295,6 +296,15 @@ def sqrt_mass_integral(w: Weight, cfg: PlateConfig) -> float:
     return float(np.sum(np.sqrt(v.node_values()))) * v.field.cell_area
 
 
+def plate_mismatch(v: Variant, ell: float) -> str:
+    """Why the variant does not fit the plate of half-width ell, or "" when
+    its declared ell is within 1e-9 ell of it or it declares none."""
+    declared = v.ell if isinstance(v, Bands) else v.field.ell
+    if declared is None or abs(declared - ell) <= 1e-9 * ell:
+        return ""
+    return f"declared ell {declared!r} differs from the plate's ell {ell!r}"
+
+
 @dataclass(frozen=True)
 class MembershipReport:
     bounds_violation: float
@@ -310,7 +320,6 @@ def validate(w: Weight, cfg: PlateConfig) -> MembershipReport:
     v = w.variant
     if isinstance(v, Bands):
         values = [v.inside, v.outside]
-        declared = v.ell
         ivs = sorted(v.y_intervals)
         mirrored = sorted((-b, -a) for a, b in ivs)
         sym = max((max(abs(a1 - a2), abs(b1 - b2))
@@ -318,18 +327,15 @@ def validate(w: Weight, cfg: PlateConfig) -> MembershipReport:
     else:
         nv = v.node_values()
         values = [float(nv.min()), float(nv.max())]
-        declared = v.field.ell
         sym = _parity_residual(nv, "even")
     lo, hi = min(values), max(values)
     bounds = max(0.0, w.alpha - lo, cfg.alpha - lo, hi - w.beta, hi - cfg.beta)
-    geometry_ok = declared is None or abs(declared - cfg.ell) <= 1e-9 * cfg.ell
+    geometry = plate_mismatch(v, cfg.ell)
 
     mass = mean_density(w, cfg) - 1.0
 
-    passed = geometry_ok and bounds <= 1e-12 and sym <= 1e-10 and abs(mass) <= 1e-6
-    detail = []
-    if not geometry_ok:
-        detail.append(f"declared ell {declared!r} differs from the plate's ell {cfg.ell!r}")
+    passed = not geometry and bounds <= 1e-12 and sym <= 1e-10 and abs(mass) <= 1e-6
+    detail = [geometry] if geometry else []
     if bounds > 1e-12:
         detail.append(f"bounds violated by {bounds:.3e}")
     if sym > 1e-10:

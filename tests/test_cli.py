@@ -310,6 +310,16 @@ def test_spectrum_rejects_tiny_ell_before_c0(tmp_path):
     assert not (tmp_path / "table1.csv").exists()
 
 
+@pytest.mark.parametrize("sigma", ["1e-200", "1e-160"])
+def test_spectrum_tiny_sigma_is_one_line_c0_error(tmp_path, sigma):
+    # q = (sigma / (2 - sigma))^2 underflows to 0 (1e-200) or leaves 1/q out of
+    # range (1e-160); these used to end in a ZeroDivisionError traceback and
+    # in "f non-finite at bracket endpoints"
+    proc = run_cli("spectrum", "--sigma", sigma, "--out", str(tmp_path))
+    _assert_one_line_error(proc, 5, "s* = inf is out of floating point range")
+    assert not (tmp_path / "table1.csv").exists()
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 

@@ -12,9 +12,9 @@ from plate_spectra.galerkin import (_cell_trig, _contract, _profiles_on, _x_matr
                                     solve_weighted, weyl_diagnostic)
 from plate_spectra.optimize import default_study_weights, make_pstar
 from plate_spectra.spectrum import build_spectrum, eval_eigenfunction, profile_values
-from plate_spectra.weights import (Cross, Weight, XBands, eval_weight, make_breve_p,
-                                   make_pbar_j, make_tilde_p, make_uniform,
-                                   sqrt_mass_integral)
+from plate_spectra.weights import (Cross, GridField, Sublevel, Weight, XBands, YBands,
+                                   eval_weight, make_breve_p, make_pbar_j, make_tilde_p,
+                                   make_uniform, sqrt_mass_integral)
 
 
 def sig3(x: float) -> str:
@@ -192,6 +192,24 @@ def test_uniform_solve_echoes_spectrum(ref_cfg, ref_spectrum):
     nu1 = np.array([p.lam for p in ref_spectrum.nu])
     assert np.abs(gs.mu_p / mu1 - 1.0).max() < 1e-10
     assert np.abs(gs.nu_p / nu1 - 1.0).max() < 1e-10
+
+
+def test_weight_declared_on_another_plate_is_refused(ref_cfg, ref_spectrum):
+    # the assembly lays a grid weight's cells and a band weight's bands on the
+    # spectrum's plate; declared at 2 ell, a uniform grid weight used to give
+    # mu_1 = 0.48 and half-width y-bands mu_1 = 0.64, against 0.96, with no error
+    wide = 2.0 * ref_cfg.ell
+    grid = Sublevel(GridField(np.zeros((600, 31)), wide), 0.0, 1.0, 1.0)
+    bands = YBands(((-0.5 * wide, 0.5 * wide),), ref_cfg.beta, ref_cfg.alpha, wide)
+    for v in (grid, bands):
+        w = Weight(v, ref_cfg.alpha, ref_cfg.beta)
+        with pytest.raises(ValueError, match="declared ell"):
+            solve_weighted(w, ref_spectrum)
+    # within validate's 1e-9 relative tolerance the weight is on the plate
+    mu_1 = [solve_weighted(Weight(Sublevel(GridField(np.zeros((600, 31)), ell), 0.0, 1.0, 1.0),
+                                  ref_cfg.alpha, ref_cfg.beta), ref_spectrum, n=4).mu_p[0]
+            for ell in (ref_cfg.ell, ref_cfg.ell * (1.0 + 1e-10))]
+    assert mu_1[1] == pytest.approx(mu_1[0], rel=1e-9)
 
 
 def test_banded_weight_reference_values(ref_cfg, ref_spectrum):

@@ -28,7 +28,7 @@ def test_find_root_odd_function():
 def test_find_root_tanh_vs_fixed_point_oracle():
     # root of tanh(z) - z/81 on [80, 82]; independent oracle: iterate
     # z <- 81 tanh(z), a contraction near the root
-    r = find_root(lambda z: math.tanh(z) - z / 81.0, Bracket(80.0, 82.0))
+    r = find_root(lambda z: np.tanh(z) - z / 81.0, Bracket(80.0, 82.0))
     z = 80.0
     for _ in range(60):
         z = 81.0 * math.tanh(z)
@@ -62,8 +62,8 @@ def test_find_root_bracket_refinement_idempotent():
 
 
 def test_find_roots_matches_find_root_per_bracket():
-    # the batched bisection takes find_root's steps on every bracket, so it
-    # returns the same floats, including at exact zeros and endpoint roots
+    # brackets do not interact: a batch of 40 brackets returns the floats of
+    # 40 one-bracket calls, including at exact zeros and endpoint roots
     rng = np.random.default_rng(11)
     shift = rng.uniform(-3.0, 3.0, 40)
     lo = shift - rng.uniform(0.1, 2.0, 40)
@@ -73,7 +73,7 @@ def test_find_roots_matches_find_root_per_bracket():
     roots = np.array([0.0, -1.0, -1.0, *shift[3:]])
     f = lambda x, r: np.sin(x - r) * (2.0 + np.cos(x))
     got = find_roots(lambda x: f(x, roots), lo, hi, tol_rel=1e-13)
-    want = [find_root(lambda x: float(f(x, r)), Bracket(a, b), tol_rel=1e-13)
+    want = [find_root(lambda x: f(x, r), Bracket(a, b), tol_rel=1e-13)
             for r, a, b in zip(roots, lo, hi)]
     assert got.tolist() == want
     assert got[1] == -1.0 and got[2] == -1.0  # an endpoint root comes back exactly
@@ -145,7 +145,7 @@ def _smooth(kind: int, root: float, a: float, b: float):
        st.sampled_from([1e-14, 1e-13, 1e-12, 1e-9, 1e-6]))
 def test_find_root_matches_bisection_oracle(cases, tol_rel):
     # on brackets of smooth functions the ITP root lies within tol of the
-    # bisection oracle's, and the batched solve equals find_root bitwise
+    # bisection oracle's, and the batched solve equals one-bracket solves bitwise
     fs = [_smooth(kind, root, a, b) for kind, root, a, b, _, _ in cases]
     lo = np.array([root - wl / a for _, root, a, _, wl, _ in cases])
     hi = np.array([root + wr / a for _, root, a, _, _, wr in cases])

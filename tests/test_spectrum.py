@@ -162,6 +162,38 @@ def test_c0_violated_raises():
         build_spectrum(PlateConfig(ell=ell, sigma=sigma, n_modes=2))
 
 
+def test_build_spectrum_calls_no_one_bracket_solve(ref_cfg, monkeypatch):
+    # the eigenvalues come from one batched solve and s* from check_c0's fixed
+    # point, so a build pays for no one-bracket ITP solve
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_spectrum called find_root")
+
+    monkeypatch.setattr(spectrum, "find_root", refuse)
+    for cfg in (ref_cfg, ref_cfg.with_(n_modes=100)):
+        assert len(build_spectrum(cfg).nu) == cfg.n_modes
+
+
+_C0_SIGMAS = np.concatenate([np.geomspace(1e-4, 0.05, 200, endpoint=False),
+                             np.linspace(0.05, 0.4999, 300)])
+
+
+@pytest.mark.parametrize("ell", [1e-3, math.pi / 150, 1.0, 50.0])
+def test_check_c0_root_to_rounding(ell):
+    # s* solves tanh(z) = q z, z = sqrt(2) s* ell, to a few ulps of q z, and its
+    # verdict and threshold are those of an ITP root of the same equation
+    q_all = (_C0_SIGMAS / (2.0 - _C0_SIGMAS)) ** 2
+    z_itp = find_roots(lambda z: np.tanh(z) - q_all * z, np.full(q_all.size, 1e-8),
+                       2.0 / q_all, tol_rel=1e-14)
+    for sigma, z_ref in zip(_C0_SIGMAS.tolist(), z_itp.tolist()):
+        holds, s_star = check_c0(PlateConfig(ell=ell, sigma=sigma))
+        q = (sigma / (2.0 - sigma)) ** 2
+        z = s_star * math.sqrt(2.0) * ell
+        assert abs(math.tanh(z) - q * z) <= 6.0 * math.ulp(q * z), (sigma, s_star)
+        s_ref = z_ref / (math.sqrt(2.0) * ell)
+        assert holds == (abs(s_ref - round(s_ref)) > 1e-9), (sigma, s_star, s_ref)
+        assert math.floor(s_star) == math.floor(s_ref), (sigma, s_star, s_ref)
+
+
 def _threshold_ell(sigma: float, m: int) -> float:
     """ell at which the torsional k = 1 mode of m starts to exist, the ell
     whose s* (check_c0) is m."""
@@ -277,7 +309,7 @@ def test_scan_zero_ends_one_bracket(ref_cfg, vals):
     assert row.tolist() == [0] and 11.0 in (lo[0], hi[0])
     det = lambda x, m, sigma, ell: np.interp(x, s[0], vals)
     assert spectrum._solve([(det, row + 1, lo, hi)], ref_cfg)[0].tolist() == [11.0]
-    assert find_root(lambda x: float(det(x, 1, 0.0, 0.0)), Bracket(lo[0], hi[0])) == 11.0
+    assert find_root(lambda x: det(x, 1, 0.0, 0.0), Bracket(lo[0], hi[0])) == 11.0
 
 
 def test_spectrum_mixed_branch_ordering():
