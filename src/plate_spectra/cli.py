@@ -287,9 +287,23 @@ def cmd_eigs(args: argparse.Namespace) -> int:
     grid = _grid_from(args)
     cfg = _config_from(args)
     w = _load_weight(args.weight, cfg)
+    which = None
+    if args.reconstruct:
+        parity, idx = args.reconstruct
+        if parity not in ("even", "odd"):
+            raise CliError(f"reconstruct parity must be 'even' or 'odd', "
+                           f"got {parity!r}", EXIT_CONFIG)
+        try:
+            which = (parity, int(idx))
+        except ValueError as exc:
+            raise CliError(f"reconstruct index must be an integer: {idx!r}",
+                           EXIT_CONFIG) from exc
     spec = spectrum.build_spectrum(cfg)
     try:
         gs = galerkin.solve_weighted(w, spec)
+        # the eigenvector solve of one parity; its eigenvalues can differ from
+        # the values-only solve's in the last bits, and so can its verdict
+        fld = None if which is None else galerkin.reconstruct(w, spec, which, grid)
     except galerkin.SingularMass as exc:
         # admissible, but sampled too coarsely to resolve the basis
         raise CliError(f"weight file {args.weight} cannot be solved at n_modes="
@@ -302,18 +316,8 @@ def cmd_eigs(args: argparse.Namespace) -> int:
         lines.append(f"{i},odd,{_fmt(v)}")
     _atomic_write(out / "eigenvalues.csv", "\n".join(lines) + "\n")
     written = ["eigenvalues.csv"]
-    if args.reconstruct:
-        parity, idx = args.reconstruct
-        if parity not in ("even", "odd"):
-            raise CliError(f"reconstruct parity must be 'even' or 'odd', "
-                           f"got {parity!r}", EXIT_CONFIG)
-        try:
-            idx = int(idx)
-        except ValueError as exc:
-            raise CliError(f"reconstruct index must be an integer: {idx!r}",
-                           EXIT_CONFIG) from exc
-        fld = galerkin.reconstruct(gs, spec, (parity, idx), grid)
-        name = f"eigenfunction_{parity}_{idx}.csv"
+    if fld is not None:
+        name = f"eigenfunction_{which[0]}_{which[1]}.csv"
         _atomic_write(out / name, _grid_csv(fld))
         written.append(name)
     print(f"wrote {', '.join(written)} in {out}")

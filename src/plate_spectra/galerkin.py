@@ -55,17 +55,11 @@ class SingularMass(GalerkinError):
 
 @dataclass(frozen=True, eq=False)
 class GalerkinSpectrum:
-    """Weighted eigenvalues and eigenvector coefficients, per parity.
-
-    Coefficient columns are orthonormal in the weighted L2 inner product:
-    a_i^T C a_j = delta_ij, so reconstructed eigenfunctions have unit
-    weighted norm.
-    """
+    """Weighted eigenvalues of both parities at one truncation, ascending.
+    Eigenvector coefficients come from solve_parity only."""
 
     mu_p: np.ndarray
     nu_p: np.ndarray
-    a_coeffs: np.ndarray  # (N, N), column i = i-th longitudinal eigenvector
-    b_coeffs: np.ndarray
     truncation: int
 
 
@@ -301,35 +295,48 @@ def assemble_mass(w: Weight, spectrum: HomSpectrum, parity: str, n: int) -> np.n
 # solve
 # ---------------------------------------------------------------------------
 
-def solve_parity(w: Weight, spectrum: HomSpectrum, parity: str, n: int):
-    """Eigenvalues, coefficient columns and the weighted mass matrix C for one
-    parity.
+def _scaled_eig(w: Weight, spectrum: HomSpectrum, parity: str, n: int, vectors: bool):
+    """Eigenvalues lam(p) ascending for one parity, from the transformed
+    symmetric problem M b = (1/lam) b with M = D^{-1/2} C D^{-1/2}, solved by
+    LAPACK's symmetric eigensolver (``sym_eig``).
 
-    The transformed symmetric problem M b = (1/lam) b with
-    M = D^{-1/2} C D^{-1/2} is solved by LAPACK's symmetric eigensolver
-    (``sym_eig``); coefficient columns are rescaled to be orthonormal in the
-    weighted inner product.
+    Returns (lam, the columns b in lam's order or None without vectors,
+    D^{-1/2}, C). SingularMass unless M is positive definite.
     """
     pairs = _pairs(spectrum, parity, n)
     d = np.array([p.lam for p in pairs])
     c = assemble_mass(w, spectrum, parity, n)
     d_isqrt = 1.0 / np.sqrt(d)
-    evals, vecs = sym_eig(d_isqrt[:, None] * c * d_isqrt[None, :])
+    evals, vecs = sym_eig(d_isqrt[:, None] * c * d_isqrt[None, :], vectors=vectors)
     if evals[0] <= 0.0:
         raise SingularMass(f"weighted mass matrix not positive definite "
                            f"(smallest eigenvalue {evals[0]:.3e})")
-    lam = 1.0 / evals[::-1]
-    coeffs = (d_isqrt[:, None] * vecs[:, ::-1]) * np.sqrt(lam)[None, :]
+    return 1.0 / evals[::-1], None if vecs is None else vecs[:, ::-1], d_isqrt, c
+
+
+def solve_parity(w: Weight, spectrum: HomSpectrum, parity: str, n: int):
+    """Eigenvalues, coefficient columns and the weighted mass matrix C for one
+    parity: the only solve that computes eigenvectors.
+
+    The coefficient columns are the transformed problem's eigenvectors
+    (_scaled_eig) rescaled to be orthonormal in the weighted inner product,
+    a_i^T C a_j = delta_ij, so reconstructed eigenfunctions have unit
+    weighted norm.
+    """
+    lam, vecs, d_isqrt, c = _scaled_eig(w, spectrum, parity, n, vectors=True)
+    coeffs = (d_isqrt[:, None] * vecs) * np.sqrt(lam)[None, :]
     return lam, coeffs, c
 
 
 def solve_weighted(w: Weight, spectrum: HomSpectrum, n: int | None = None) -> GalerkinSpectrum:
-    """Weighted eigenvalues mu_n(p), nu_n(p) at truncation n (both parities)."""
+    """Weighted eigenvalues mu_n(p), nu_n(p) at truncation n (both parities),
+    from one values-only eigensolve per parity. They can differ from
+    solve_parity's in the last bits (``sym_eig``)."""
     if n is None:
         n = spectrum.config.n_modes
-    mu_p, a, _ = solve_parity(w, spectrum, EVEN, n)
-    nu_p, b, _ = solve_parity(w, spectrum, ODD, n)
-    return GalerkinSpectrum(mu_p=mu_p, nu_p=nu_p, a_coeffs=a, b_coeffs=b, truncation=n)
+    mu_p = _scaled_eig(w, spectrum, EVEN, n, vectors=False)[0]
+    nu_p = _scaled_eig(w, spectrum, ODD, n, vectors=False)[0]
+    return GalerkinSpectrum(mu_p=mu_p, nu_p=nu_p, truncation=n)
 
 
 # ---------------------------------------------------------------------------
@@ -347,17 +354,20 @@ def expand_field(spectrum: HomSpectrum, parity: str, coeffs: np.ndarray,
     return GridField((coeffs[:, None] * tables.sines).T @ tables.profiles, tables.ell, parity)
 
 
-def reconstruct(gs: GalerkinSpectrum, spectrum: HomSpectrum, which: tuple[str, int],
+def reconstruct(w: Weight, spectrum: HomSpectrum, which: tuple[str, int],
                 grid: tuple[int, int] = (600, 31)) -> GridField:
-    """Evaluate the truncated eigenfunction (parity, index) on a cell grid.
+    """Evaluate the truncated eigenfunction (parity, index) of the weight w on
+    a cell grid, at the truncation spectrum.config.n_modes.
 
-    index is 1-based within its parity. The output field carries the parity
-    of the reconstructed eigenfunction (exact on the symmetric grid).
+    index is 1-based within its parity. Only that parity is solved, with
+    eigenvectors (solve_parity). The output field carries the parity of the
+    reconstructed eigenfunction (exact on the symmetric grid).
     """
     parity, index = which
-    if not 1 <= index <= gs.truncation:
-        raise ValueError(f"index {index} outside 1..{gs.truncation}")
-    coeffs = (gs.a_coeffs if parity == EVEN else gs.b_coeffs)[:, index - 1]
+    n = spectrum.config.n_modes
+    if not 1 <= index <= n:
+        raise ValueError(f"index {index} outside 1..{n}")
+    coeffs = solve_parity(w, spectrum, parity, n)[1][:, index - 1]
     return expand_field(spectrum, parity, coeffs, grid)
 
 

@@ -1,7 +1,7 @@
 """Numerical kernels: bracketed ITP root finding on an array of brackets at
 once (``find_roots``; ``find_root`` is its one-bracket call), Gauss-Legendre
 quadrature with breakpoints (reference rules cached per order), and the dense
-symmetric eigensolve (LAPACK ``eigh``).
+symmetric eigensolve (LAPACK ``eigh``, or ``eigvalsh`` for eigenvalues only).
 """
 from __future__ import annotations
 
@@ -189,13 +189,20 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 # dense symmetric eigensolver
 # ---------------------------------------------------------------------------
 
-def sym_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a symmetric matrix by LAPACK's symmetric solver
-    (``numpy.linalg.eigh``), reading only the upper triangle.
+def sym_eig(matrix: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """Eigen-decomposition of a symmetric matrix by LAPACK's symmetric solver,
+    reading only the upper triangle.
 
     Returns (eigenvalues ascending, eigenvectors as orthonormal columns).
     Deterministic sign convention: the largest-magnitude component of each
     eigenvector is positive (first index on ties).
+
+    With vectors=False only the eigenvalues are computed
+    (``numpy.linalg.eigvalsh``), about half the work of ``numpy.linalg.eigh``
+    at n = 100, and (eigenvalues, None) is returned. LAPACK reaches them by
+    another tridiagonal eigensolver, so they can differ from the vector
+    path's in the last bits (up to 3.5e-11 relative, on the smallest
+    eigenvalue of a 100-mode weighted solve's scaled mass matrix).
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -203,7 +210,9 @@ def sym_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(a)):
         raise NonFinite("non-finite matrix entries")
     try:
-        # eigh reads the lower triangle of a.T, which is a's upper triangle
+        # both read the lower triangle of a.T, which is a's upper triangle
+        if not vectors:
+            return np.linalg.eigvalsh(a.T), None
         evals, vecs = np.linalg.eigh(a.T)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"symmetric eigensolver failed: {exc}") from exc

@@ -41,6 +41,11 @@ def _length(intervals: tuple[Interval, ...]) -> float:
 # grid fields (cell-center sampling, midpoint measure)
 # ---------------------------------------------------------------------------
 
+def cell_xs(nx: int) -> np.ndarray:
+    """x of the centres of nx equal cells across (0, pi)."""
+    return (np.arange(nx) + 0.5) * (math.pi / nx)
+
+
 def cell_ys(ny: int, ell: float) -> np.ndarray:
     """y of the centres of ny equal cells across (-ell, ell), exactly
     antisymmetric: ys[::-1] == -ys bit for bit."""
@@ -86,7 +91,7 @@ class GridField:
 
     @property
     def xs(self) -> np.ndarray:
-        return (np.arange(self.nx) + 0.5) * (math.pi / self.nx)
+        return cell_xs(self.nx)
 
     @property
     def ys(self) -> np.ndarray:
@@ -118,8 +123,7 @@ def sample_field(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
                  cfg: PlateConfig, nx: int = 600, ny: int = 31,
                  parity: str | None = None) -> GridField:
     """Sample fn(x, y) on the cell-center grid."""
-    tmp = GridField(np.zeros((nx, ny)), cfg.ell)
-    vals = np.asarray(fn(tmp.xs[:, None], tmp.ys[None, :]), dtype=float)
+    vals = np.asarray(fn(cell_xs(nx)[:, None], cell_ys(ny, cfg.ell)[None, :]), dtype=float)
     return GridField(np.broadcast_to(vals, (nx, ny)).copy(), cfg.ell, parity)
 
 
@@ -230,7 +234,6 @@ class Sublevel:
         out = np.where(v <= self.threshold, self.inside, self.outside)
         tie = v == self.threshold
         if np.any(tie):
-            out = out.copy()
             out[tie] = self.outside + self.tie_fraction * (self.inside - self.outside)
         return out
 

@@ -277,6 +277,32 @@ def test_eigs_inadmissible_weight(tmp_path):
     assert "admissibility" in proc.stderr
 
 
+def test_eigs_reconstruct_singular_mass(tmp_path, monkeypatch, capsys):
+    # --reconstruct solves its parity again, with eigenvectors, and that solve
+    # can find the mass matrix singular where the values-only one did not: the
+    # same one-line weight error, written before any output
+    from plate_spectra import galerkin
+
+    def singular(*args, **kwargs):
+        raise galerkin.SingularMass("weighted mass matrix not positive definite "
+                                    "(smallest eigenvalue -1.000e-17)")
+
+    wfile = tmp_path / "u.json"
+    wfile.write_text(weight_to_json(make_uniform(PlateConfig())))
+    monkeypatch.setattr(galerkin, "solve_parity", singular)
+    out = tmp_path / "out"
+    code = main(["eigs", "--weight", str(wfile), "--n-modes", "12", "--out", str(out),
+                 "--reconstruct", "odd", "1", "--grid", "40", "11"])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert len(err.strip().splitlines()) == 1
+    assert f"weight file {wfile} cannot be solved at n_modes=12" in err
+    assert not out.exists()
+    # without --reconstruct, solve_parity is not called
+    assert main(["eigs", "--weight", str(wfile), "--n-modes", "12", "--out", str(out)]) == 0
+    assert (out / "eigenvalues.csv").exists()
+
+
 def _assert_one_line_error(proc, code, needle):
     assert proc.returncode == code, proc.stdout + proc.stderr
     assert "Traceback" not in proc.stderr

@@ -9,7 +9,8 @@ from oracles import (MidpointRule, h2_energy, integrate_2d, mass_matrix_by_colum
                      weighted_l2_sq, x_matrix_per_entry)
 from plate_spectra.galerkin import (_cell_trig, _contract, _profiles_on, _x_matrix, assemble_mass,
                                     expand_field, grid_basis, merged_eigenvalues, reconstruct,
-                                    solve_weighted, weyl_diagnostic)
+                                    solve_parity, solve_weighted, weyl_diagnostic)
+from plate_spectra.numerics import sym_eig
 from plate_spectra.optimize import default_study_weights, make_pstar
 from plate_spectra.spectrum import build_spectrum, eval_eigenfunction, profile_values
 from plate_spectra.weights import (Cross, GridField, Sublevel, Weight, XBands, YBands,
@@ -224,8 +225,9 @@ def test_banded_weight_reference_values(ref_cfg, ref_spectrum):
 def test_coefficients_weighted_orthonormal(ref_cfg, ref_spectrum):
     w = make_pbar_j(10, ref_cfg)
     c = assemble_mass(w, ref_spectrum, "even", 30)
-    gs = solve_weighted(w, ref_spectrum)
-    gram = gs.a_coeffs.T @ c @ gs.a_coeffs
+    _, a, mass = solve_parity(w, ref_spectrum, "even", 30)
+    assert np.array_equal(mass, c)
+    gram = a.T @ c @ a
     assert np.abs(gram - np.eye(30)).max() < 1e-8
 
 
@@ -249,43 +251,88 @@ def test_truncation_monotone(ref_cfg, ref_spectrum):
     assert np.all(lo.nu_p >= hi.nu_p[:20] * (1 - 1e-9))
 
 
+@pytest.mark.parametrize("n", [30, 100])
+def test_values_only_solve_matches_eigenvector_solve(n):
+    # solve_weighted's values-only eigensolve reaches the eigenvalues by
+    # another LAPACK path than solve_parity's; they differ in the last bits
+    # only (3.5e-11 relative at most, on the largest lambda at n = 100)
+    cfg = PlateConfig(n_modes=n)
+    spec = build_spectrum(cfg)
+    ws = [w for _, w in default_study_weights(cfg, spec)]
+    ws.append(random_grid_weight(np.random.default_rng(n), cfg, shape=(600, 31)))
+    for w in ws:
+        gs = solve_weighted(w, spec)
+        assert gs.truncation == n
+        for parity, lam in (("even", gs.mu_p), ("odd", gs.nu_p)):
+            want = solve_parity(w, spec, parity, n)[0]
+            assert lam.shape == want.shape == (n,)
+            assert np.abs(lam / want - 1.0).max() <= 1e-10
+
+
+def test_solve_weighted_computes_no_eigenvectors(ref_cfg, ref_spectrum, monkeypatch):
+    from plate_spectra import galerkin
+    asked = []
+
+    def recorded(matrix, vectors=True):
+        asked.append(vectors)
+        return sym_eig(matrix, vectors)
+
+    monkeypatch.setattr(galerkin, "sym_eig", recorded)
+    solve_weighted(make_pbar_j(10, ref_cfg), ref_spectrum)
+    assert asked == [False, False]
+    solve_parity(make_pbar_j(10, ref_cfg), ref_spectrum, "odd", 30)
+    assert asked == [False, False, True]
+
+
 # ---------------------------------------------------------------------------
 # reconstruction
 # ---------------------------------------------------------------------------
 
 def test_reconstruct_single_mode(ref_cfg, ref_spectrum):
-    gs = solve_weighted(make_uniform(ref_cfg), ref_spectrum)
-    fld = reconstruct(gs, ref_spectrum, ("even", 1), (150, 31))
+    fld = reconstruct(make_uniform(ref_cfg), ref_spectrum, ("even", 1), (150, 31))
     direct = eval_eigenfunction(ref_spectrum.mu[0], fld.xs[:, None], fld.ys[None, :])
     assert np.abs(fld.values - direct).max() < 1e-10
 
 
 def test_reconstruct_parity(ref_cfg, ref_spectrum):
-    gs = solve_weighted(make_pbar_j(10, ref_cfg), ref_spectrum)
-    odd = reconstruct(gs, ref_spectrum, ("odd", 3), (100, 31))
+    w = make_pbar_j(10, ref_cfg)
+    odd = reconstruct(w, ref_spectrum, ("odd", 3), (100, 31))
     assert odd.parity == "odd"
     assert np.abs(odd.values + odd.values[:, ::-1]).max() < 1e-10
-    even = reconstruct(gs, ref_spectrum, ("even", 4), (100, 31))
+    even = reconstruct(w, ref_spectrum, ("even", 4), (100, 31))
     assert np.abs(even.values - even.values[:, ::-1]).max() < 1e-10
+
+
+def test_reconstruct_is_expand_field_of_solve_parity(ref_cfg, ref_spectrum):
+    w = random_grid_weight(np.random.default_rng(8), ref_cfg, shape=(120, 15))
+    for parity, index in (("even", 1), ("odd", 3), ("even", 30)):
+        coeffs = solve_parity(w, ref_spectrum, parity, 30)[1][:, index - 1]
+        want = expand_field(ref_spectrum, parity, coeffs, (100, 31))
+        got = reconstruct(w, ref_spectrum, (parity, index), (100, 31))
+        assert got.parity == want.parity == parity
+        assert got.values.tobytes() == want.values.tobytes()
+    for index in (0, 31):
+        with pytest.raises(ValueError, match="outside 1..30"):
+            reconstruct(w, ref_spectrum, ("even", index))
 
 
 def test_reconstructed_weighted_norm(ref_cfg, ref_spectrum):
     w = make_pbar_j(10, ref_cfg)
-    gs = solve_weighted(w, ref_spectrum)
+    a = solve_parity(w, ref_spectrum, "even", 30)[1]
     pairs = list(ref_spectrum.mu[:30])
-    val = weighted_l2_sq(pairs, gs.a_coeffs[:, 9], w, ref_cfg)
+    val = weighted_l2_sq(pairs, a[:, 9], w, ref_cfg)
     assert abs(val - 1.0) < 1e-6
 
 
 def test_rayleigh_quotient_of_reconstruction(ref_cfg, ref_spectrum):
     w = make_pbar_j(10, ref_cfg)
-    gs = solve_weighted(w, ref_spectrum)
+    mu_p, a, _ = solve_parity(w, ref_spectrum, "even", 30)
     pairs = list(ref_spectrum.mu[:30])
     for idx in (0, 9):
-        coeffs = gs.a_coeffs[:, idx]
+        coeffs = a[:, idx]
         quotient = h2_energy(pairs, coeffs, ref_cfg) / weighted_l2_sq(
             pairs, coeffs, w, ref_cfg)
-        assert abs(quotient - gs.mu_p[idx]) <= 1e-4 * gs.mu_p[idx]
+        assert abs(quotient - mu_p[idx]) <= 1e-4 * mu_p[idx]
 
 
 def test_sublevel_weighted_norm_is_mass_form(ref_cfg, ref_spectrum):
@@ -397,8 +444,10 @@ def test_grid_tables_built_once_and_only_when_read(ref_cfg, monkeypatch):
     first = solve_weighted(w, spec, 12)
     assert built() == ([0], [15, 15])
     second = solve_weighted(w, spec, 12)
+    coeffs = [solve_parity(w, spec, "even", 12)[1] for _ in range(2)]
     assert built() == ([], [])
-    assert np.array_equal(first.a_coeffs, second.a_coeffs)
+    assert np.array_equal(first.mu_p, second.mu_p) and np.array_equal(first.nu_p, second.nu_p)
+    assert np.array_equal(*coeffs)
     expand_field(spec, "odd", np.ones(12), grid)
     assert built() == ([3 * 120], [])
     # another grid replaces the memo's one entry

@@ -335,7 +335,17 @@ def test_sym_eig_reads_upper_triangle():
     got = sym_eig(np.array([[1.0, 2.0], [99.0, 3.0]]))
     want = sym_eig(np.array([[1.0, 2.0], [2.0, 3.0]]))
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-    with pytest.raises(ValueError):
-        sym_eig(np.ones((2, 3)))
-    with pytest.raises(NonFinite):  # checked in both triangles
-        sym_eig(np.array([[1.0, 2.0], [np.nan, 3.0]]))
+    # and so does the values-only solve, here with a lower triangle of noise
+    rng = np.random.default_rng(9)
+    upper = np.triu(rng.normal(size=(12, 12)))
+    sym = upper + np.triu(upper, 1).T
+    noisy = upper + np.tril(rng.normal(size=(12, 12)), -1)
+    vals, vecs = sym_eig(noisy, vectors=False)
+    assert vecs is None
+    assert vals.tobytes() == sym_eig(sym, vectors=False)[0].tobytes()
+    assert np.abs(vals - sym_eig(sym)[0]).max() <= 1e-12 * np.abs(vals).max()
+    for vectors in (True, False):
+        with pytest.raises(ValueError):
+            sym_eig(np.ones((2, 3)), vectors=vectors)
+        with pytest.raises(NonFinite):  # checked in both triangles
+            sym_eig(np.array([[1.0, 2.0], [np.nan, 3.0]]), vectors=vectors)

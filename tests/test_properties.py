@@ -67,7 +67,7 @@ def _grid_call(spec, kind, parity, n, w, coeffs, grid):
     try:
         if kind == "solve_weighted":
             gs = solve_weighted(w, spec, n)
-            return [gs.mu_p, gs.nu_p, gs.a_coeffs, gs.b_coeffs]
+            return [gs.mu_p, gs.nu_p]
         if kind == "solve_parity":
             lam, vecs, mass = solve_parity(w, spec, parity, n)
             return [lam, vecs, mass]
