@@ -218,14 +218,21 @@ def test_optimize_grid_csvs_match_final_weight(tmp_path, target):
 
 
 def test_reference_csv_bytes_match_golden(tmp_path):
-    # the golden files pin the reference-configuration output across code changes
+    # the golden files pin the reference-configuration output across code changes;
+    # the wide plate's first 12 + 12 modes take all four determinant branches
+    # (even and odd, each below and above m^4), the reference plate's only two
     here = Path(__file__).parent
-    for cmd, names in (("spectrum", ["table1.csv"]),
-                       ("ratio-table", ["ratio_table.csv", "ratio_table_deviation.csv"])):
-        proc = run_cli(cmd, "--out", str(tmp_path))
+    for i, (args, files) in enumerate((
+            (["spectrum"], {"table1.csv": "golden_table1.csv"}),
+            (["spectrum", "--ell", "50", "--sigma", "0.45"],
+             {"table1.csv": "golden_table1_ell50_sigma045.csv"}),
+            (["ratio-table"], {"ratio_table.csv": "golden_ratio_table.csv",
+                               "ratio_table_deviation.csv": "golden_ratio_table_deviation.csv"}))):
+        out = tmp_path / str(i)
+        proc = run_cli(*args, "--out", str(out))
         assert proc.returncode == 0, proc.stderr
-        for name in names:
-            assert (tmp_path / name).read_bytes() == (here / f"golden_{name}").read_bytes()
+        for name, golden in files.items():
+            assert (out / name).read_bytes() == (here / golden).read_bytes(), golden
 
 
 def test_eigs_uniform_echo(tmp_path):
