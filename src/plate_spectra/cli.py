@@ -462,9 +462,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="append the asymptotic-growth diagnostic")
     p.set_defaults(fn=cmd_ratio_table)
 
-    for name in ("eigs", "optimize", "ratio-table"):   # the commands that read a grid
+    for name, what in (("eigs", "cell grid of the --reconstruct eigenfunction"),
+                       ("optimize", "cell grid of the density search and its field output"),
+                       ("ratio-table", "cell grid on which pstar is sampled")):
         sub.choices[name].add_argument("--grid", type=int, nargs=2, default=(600, 31),
-                                       metavar=("NX", "NY"), help="cell grid for field output")
+                                       metavar=("NX", "NY"), help=what)
     return ap
 
 

@@ -3,9 +3,10 @@
 Separated solutions u = profile(y) * sin(m x) of the clamped-free biharmonic
 eigenproblem satisfy profile'''' - 2 m^2 profile'' + m^4 profile = lam * profile
 together with the free-edge conditions at y = +-ell. Imposing those conditions
-on the two-parameter even (resp. odd) solution family yields, per branch, a
-2x2 determinant whose zeros are the eigenvalues. Longitudinal modes are the
-y-even family, torsional modes the y-odd family.
+on the two-parameter even (resp. odd) solution family yields one determinant
+per parity, branch from lam: its form changes at lam = m^4, and each trial
+value takes the form of its own side.  Its zeros are the eigenvalues.
+Longitudinal modes are the y-even family, torsional modes the y-odd family.
 
 Every eigenvalue has an a-priori bracket in s = sqrt(lam) (the torsional one
 below m^4 shares the longitudinal Lambda_(m,1)'s), or, torsional above m^4, a
@@ -14,9 +15,9 @@ bracket it bounds); determinants, brackets and scans take arrays of modes.
 build_spectrum takes each parity's candidates from one window builder over
 the brackets and solves all of them in one batched ITP solve
 (numerics.find_roots, about a dozen determinant calls for all brackets,
-against 45 for bisection); find_hom_eigenvalue takes one mode's determinant
-and bracket from the same builders and solves it with numerics.find_root,
-the same ITP on a one-bracket array.
+against 45 for bisection); find_hom_eigenvalue takes one mode's bracket
+from the same builders and solves its parity's determinant there with
+numerics.find_root, the same ITP on a one-bracket array.
 
 Eigenfunction profiles come from one array kernel, profile_raw, whose m, lam
 and y broadcast: it evaluates many modes of one parity at many points, each
@@ -41,10 +42,6 @@ class SpectrumError(Exception):
     pass
 
 
-class BranchMismatch(SpectrumError):
-    """lam lies on the wrong side of m^4 for the requested branch."""
-
-
 class NotAdmissible(SpectrumError):
     """The requested mode does not exist for these parameters."""
 
@@ -59,11 +56,6 @@ class C0Violated(SpectrumError):
 
 EVEN = "even"
 ODD = "odd"
-
-# branch names for the characteristic determinant
-EVEN_LOW = "even-low"    # lam < m^4, cosh/cosh profile
-EVEN_HIGH = "even-high"  # lam > m^4, cosh/cos profile
-ODD_BRANCH = "odd"       # sinh/sin above m^4, sinh/sinh below
 
 
 @dataclass(frozen=True)
@@ -117,7 +109,7 @@ class HomSpectrum:
 # ---------------------------------------------------------------------------
 # characteristic determinants
 # ---------------------------------------------------------------------------
-# All determinants are scaled by the positive factor 1/(cosh(c_bar ell) *
+# Both determinants are scaled by the positive factor 1/(cosh(c_bar ell) *
 # cosh(c ell)) (hyperbolic parts only), which keeps them finite for any lam
 # while preserving zeros and sign changes.  s = sqrt(lam) and m may be scalars
 # or broadcastable arrays.
@@ -129,53 +121,45 @@ def _terms(s, m, sigma: float):
     return np.sqrt(s + m * m), np.sqrt(np.abs(s - m * m)), s + a, s - a
 
 
-def _det_even_low(s, m, sigma: float, ell: float):
-    cbar, c, p, q = _terms(s, m, sigma)
-    return cbar * q * q * np.tanh(cbar * ell) - c * p * p * np.tanh(c * ell)
+def _det(s, m, parity: str, sigma: float, ell: float):
+    """Free-edge determinant of one parity at s = sqrt(lam).  Each element
+    takes the form of its own side of m^2 (_side_det), and each form is
+    evaluated only on its own elements; at s = m^2, where c = 0, the two
+    agree: c_bar q^2 tanh(c_bar ell) (even) or 0 (odd)."""
+    terms = _terms(s, m, sigma)
+    high = np.asarray(s > m * m)
+    n_high = np.count_nonzero(high)
+    if n_high in (0, high.size):    # one side throughout, as in the torsional scan
+        return _side_det(*terms, parity, n_high > 0, ell)
+    out = np.empty(high.shape)
+    for on_high, sel in ((True, high), (False, ~high)):
+        out[sel] = _side_det(*(t[sel] for t in terms), parity, on_high, ell)
+    return out
 
 
-def _det_even_high(s, m, sigma: float, ell: float):
-    cbar, c, p, q = _terms(s, m, sigma)
-    return (cbar * q * q * np.tanh(cbar * ell) * np.cos(c * ell)
-            + c * p * p * np.sin(c * ell))
-
-
-def _det_odd_low(s, m, sigma: float, ell: float):
-    cbar, c, p, q = _terms(s, m, sigma)
-    return cbar * q * q * np.tanh(c * ell) - c * p * p * np.tanh(cbar * ell)
-
-
-def _det_odd_high(s, m, sigma: float, ell: float):
-    cbar, c, p, q = _terms(s, m, sigma)
+def _side_det(cbar, c, p, q, parity: str, high: bool, ell: float):
+    """The determinant from _terms on elements of one side of m^2: below it
+    in tanh(c ell), above it in sin(c ell) and cos(c ell)."""
+    if parity == EVEN and not high:
+        return cbar * q * q * np.tanh(cbar * ell) - c * p * p * np.tanh(c * ell)
+    if parity == EVEN:
+        return (cbar * q * q * np.tanh(cbar * ell) * np.cos(c * ell)
+                + c * p * p * np.sin(c * ell))
+    if not high:
+        return cbar * q * q * np.tanh(c * ell) - c * p * p * np.tanh(cbar * ell)
     return (cbar * q * q * np.sin(c * ell)
             - c * p * p * np.tanh(cbar * ell) * np.cos(c * ell))
 
 
-def characteristic_det(lam: float, m: int, branch: str, cfg: PlateConfig) -> float:
-    """Free-edge boundary determinant at trial eigenvalue lam.
-
-    branch selects the solution family: 'even-low' (lam < m^4), 'even-high'
-    (lam > m^4) or 'odd' (either side of m^4, dispatched on lam).
-    """
+def characteristic_det(lam: float, m: int, parity: str, cfg: PlateConfig) -> float:
+    """Free-edge boundary determinant of one parity ('even' or 'odd') at trial
+    eigenvalue lam, in the form of lam's side of m^4."""
     (m,) = _mode_numbers(m=m)
-    if lam <= 0:
-        raise ValueError(f"lam must be positive, got {lam}")
-    m4 = float(m) ** 4
-    if lam == m4:
-        raise BranchMismatch(f"lam = m^4 = {m4} is a branch point")
-    if branch == EVEN_LOW:
-        if lam > m4:
-            raise BranchMismatch(f"lam={lam} > m^4={m4} on the even-low branch")
-        det = _det_even_low
-    elif branch == EVEN_HIGH:
-        if lam < m4:
-            raise BranchMismatch(f"lam={lam} < m^4={m4} on the even-high branch")
-        det = _det_even_high
-    elif branch == ODD_BRANCH:
-        det = _det_odd_low if lam < m4 else _det_odd_high
-    else:
-        raise ValueError(f"unknown branch {branch!r}")
-    return float(det(math.sqrt(lam), m, cfg.sigma, cfg.ell))
+    if parity not in (EVEN, ODD):
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam}")
+    return float(_det(math.sqrt(lam), m, parity, cfg.sigma, cfg.ell))
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +394,8 @@ _MAX_TORSIONAL_M = 10 ** 6
 def _even_bracket(m, k, cfg: PlateConfig):
     """Bracket in s of the longitudinal eigenvalue Lambda_(m,k).
 
-    k = 1: between sqrt(1 - sigma^2) m^2 and m^2 (even-low determinant);
-    k >= 2: c ell in ((k - 3/2) pi, (k - 1) pi) (even-high determinant).
+    k = 1: between sqrt(1 - sigma^2) m^2 and m^2 (below m^4);
+    k >= 2: c ell in ((k - 3/2) pi, (k - 1) pi) (above m^4).
     """
     sigma, ell, mm = cfg.sigma, cfg.ell, m * m
     c_lo = (k - 1.5) * math.pi / ell
@@ -460,7 +444,7 @@ def _hits(s: np.ndarray, vals: np.ndarray):
 
 
 def _high_scan(m, j, cfg: PlateConfig):
-    """_hits of the odd-high determinant on the band grids of (m, j), scanned
+    """_hits of the odd determinant on the band grids of (m, j), scanned
     in blocks of rows whose (rows, _SCAN_POINTS) temporaries stay within
     _BLOCK_BYTES."""
     m, j = np.broadcast_arrays(m, j)
@@ -468,14 +452,14 @@ def _high_scan(m, j, cfg: PlateConfig):
     for i in range(0, m.size, step):
         mb = m[i:i + step]
         s = _odd_high_grid(mb, j[i:i + step], cfg)
-        row, lo, hi = _hits(s, _det_odd_high(s, mb[:, None], cfg.sigma, cfg.ell))
+        row, lo, hi = _hits(s, _det(s, mb[:, None], ODD, cfg.sigma, cfg.ell))
         parts.append((row + i, lo, hi))
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def _low_bracket(m, cfg: PlateConfig):
     """Bracket in s of the torsional eigenvalue below m^4, in Lambda_(m,1)'s
-    interval above it: the odd-low determinant is the even-low one less
+    interval above it: below m^4 the odd determinant is the even one less
     (tanh(c_bar ell) - tanh(c ell)) (c_bar q^2 + c p^2) > 0, so it is negative
     at _even_bracket(m, 1)'s lower end, and positive at the largest float below
     m^2 (the root nears m^2 at the threshold) iff torsional_first_exists."""
@@ -483,10 +467,9 @@ def _low_bracket(m, cfg: PlateConfig):
 
 
 def _mode_lam(m: int, k: int, parity: str, cfg: PlateConfig) -> float:
-    """Eigenvalue of the mode (m, k) of one parity, from the bracket and the
-    determinant that build_spectrum batches, solved by find_root."""
+    """Eigenvalue of the mode (m, k) of one parity, from the bracket that
+    build_spectrum batches, solved by find_root."""
     if parity == EVEN:
-        det = _det_even_low if k == 1 else _det_even_high
         lo, hi = _even_bracket(m, k, cfg)
     elif k == 1:
         if not torsional_first_exists(m, cfg):
@@ -495,12 +478,11 @@ def _mode_lam(m: int, k: int, parity: str, cfg: PlateConfig) -> float:
         # just above the existence threshold, where s* nears m, the determinant
         # is rounding noise at m^2: refuse the plate as degenerate there
         _require_c0(cfg)
-        det = _det_odd_low
         lo, hi = _low_bracket(m, cfg)
     else:
         # a band holds one root except near the k = 1 existence threshold, so
         # blocks of k - 1 bands are scanned until k - 1 roots have shown up
-        det, want = _det_odd_high, k - 1
+        want = k - 1
         for j in range(0, 100000, k - 1):
             _, lo, hi = _high_scan(m, np.arange(j, j + k - 1), cfg)
             if lo.size >= want:
@@ -510,7 +492,7 @@ def _mode_lam(m: int, k: int, parity: str, cfg: PlateConfig) -> float:
         else:
             raise RootIsolationFailure(f"could not isolate torsional ({m},{k})")
     try:
-        s = find_root(lambda s: det(s, m, cfg.sigma, cfg.ell),
+        s = find_root(lambda s: _det(s, m, parity, cfg.sigma, cfg.ell),
                       Bracket(float(lo), float(hi)), tol_rel=_TOL_REL)
     except NoSignChange as exc:
         raise RootIsolationFailure(f"no sign change for the {parity} mode ({m},{k})") from exc
@@ -574,15 +556,15 @@ def _window(n: int, bracket, i_first: int, cfg: PlateConfig):
 
 
 def _solve(groups, cfg: PlateConfig) -> list[np.ndarray]:
-    """Roots s of (det, m, lo, hi) bracket groups, by one batched ITP solve:
+    """Roots s of (parity, m, lo, hi) bracket groups, by one batched ITP solve:
     f evaluates every group's determinant on its slice of the trial points,
     so each step costs one determinant call per group."""
     edges = np.cumsum([0] + [g[1].size for g in groups])
     parts = list(zip(groups, edges[:-1], edges[1:]))
 
     def f(s: np.ndarray) -> np.ndarray:
-        return np.concatenate([det(s[a:b], m, cfg.sigma, cfg.ell)
-                               for (det, m, _, _), a, b in parts if b > a])
+        return np.concatenate([_det(s[a:b], m, parity, cfg.sigma, cfg.ell)
+                               for (parity, m, _, _), a, b in parts])
 
     try:
         s = find_roots(f, np.concatenate([g[2] for g in groups]),
@@ -616,23 +598,15 @@ def build_spectrum(cfg: PlateConfig, cap: int = 200) -> HomSpectrum:
 
     _, m_e, k_e = _window(n, _even_bracket, 1, cfg)
     m_low = m_t[_first_exists(m_t, cfg)]
-    first = k_e == 1
-    m1, m2, k2 = m_e[first], m_e[~first], k_e[~first]
     row, lo, hi = _high_scan(m_b, j_b, cfg)
     m_high = m_b[row]
-    s1, s2, s_low, s_high = _solve([(_det_even_low, m1, *_even_bracket(m1, 1, cfg)),
-                                    (_det_even_high, m2, *_even_bracket(m2, k2, cfg)),
-                                    (_det_odd_low, m_low, *_low_bracket(m_low, cfg)),
-                                    (_det_odd_high, m_high, lo, hi)],
-                                   cfg)
-    lam_e = np.empty(m_e.size)
-    lam_e[first], lam_e[~first] = s1 * s1, s2 * s2
-
     k_high = 2 + np.arange(row.size) - np.searchsorted(m_high, m_high)
     m_o, k_o = np.concatenate([m_low, m_high]), np.concatenate([np.ones_like(m_low), k_high])
-    s_o = np.concatenate([s_low, s_high])
+    low_lo, low_hi = _low_bracket(m_low, cfg)
+    odd = (ODD, m_o, np.concatenate([low_lo, lo]), np.concatenate([low_hi, hi]))
+    s_e, s_o = _solve([(EVEN, m_e, *_even_bracket(m_e, k_e, cfg)), odd], cfg)
 
-    mu = _lowest(n, m_e, k_e, lam_e, EVEN, cfg)
+    mu = _lowest(n, m_e, k_e, s_e * s_e, EVEN, cfg)
     nu = _lowest(n, m_o, k_o, s_o * s_o, ODD, cfg)
 
     for seq, label in ((mu, "longitudinal"), (nu, "torsional")):

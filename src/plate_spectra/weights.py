@@ -318,9 +318,12 @@ class MembershipReport:
 
 
 def validate(w: Weight, cfg: PlateConfig) -> MembershipReport:
-    """Check the declared plate geometry, the bounds of both the weight and
-    the plate configuration, y-evenness, and total mass |Omega|."""
+    """Check the declared plate geometry, that the declared bounds and the
+    weight's values are finite, the bounds of both the weight and the plate
+    configuration, y-evenness, and total mass |Omega|."""
     v = w.variant
+    declared = (("alpha", w.alpha), ("beta", w.beta), ("inside", v.inside), ("outside", v.outside))
+    nonfinite = [name for name, x in declared if not math.isfinite(x)]
     if isinstance(v, Bands):
         values = [v.inside, v.outside]
         ivs = sorted(v.y_intervals)
@@ -337,8 +340,11 @@ def validate(w: Weight, cfg: PlateConfig) -> MembershipReport:
 
     mass = mean_density(w, cfg) - 1.0
 
-    passed = not geometry and bounds <= 1e-12 and sym <= 1e-10 and abs(mass) <= 1e-6
+    passed = (not geometry and not nonfinite and bounds <= 1e-12 and sym <= 1e-10
+              and abs(mass) <= 1e-6)
     detail = [geometry] if geometry else []
+    if nonfinite:
+        detail.append("non-finite " + ", ".join(nonfinite))
     if bounds > 1e-12:
         detail.append(f"bounds violated by {bounds:.3e}")
     if sym > 1e-10:

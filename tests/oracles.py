@@ -52,6 +52,16 @@ def bisect_roots(f: Callable[[np.ndarray], np.ndarray], lo, hi,
         hi = np.where(active & ((below != neg) | zero), mid, hi)
 
 
+def odd_det_below_m4(s, m, sigma: float, ell: float):
+    """The torsional free-edge determinant below m^4, written out from its
+    formula at s = sqrt(lam) < m^2, apart from the package's determinant:
+    c_bar q^2 tanh(c ell) - c p^2 tanh(c_bar ell) with c_bar = sqrt(s + m^2),
+    c = sqrt(m^2 - s) and p, q = s +- (1 - sigma) m^2."""
+    c_bar, c = np.sqrt(s + m ** 2), np.sqrt(m ** 2 - s)
+    p, q = s + (1.0 - sigma) * m ** 2, s - (1.0 - sigma) * m ** 2
+    return c_bar * q ** 2 * np.tanh(c * ell) - c * p ** 2 * np.tanh(c_bar * ell)
+
+
 class MidpointRule(QuadratureRule):
     """Composite midpoint rule: order equal cells on each piece."""
 

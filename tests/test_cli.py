@@ -284,6 +284,25 @@ def test_eigs_inadmissible_weight(tmp_path):
     assert "admissibility" in proc.stderr
 
 
+@pytest.mark.parametrize("key, value", [("alpha", math.nan), ("beta", math.nan),
+                                        ("beta", math.inf), ("inside", math.nan),
+                                        ("outside", math.nan)])
+def test_eigs_non_finite_weight_spec(tmp_path, key, value):
+    # json reads NaN and Infinity; a non-finite bound used to pass validation
+    # (eigs exited 0) and a NaN value used to fail it with an empty reason
+    spec = {"variant": "x_bands", "alpha": 0.5, "beta": 1.5,
+            "parameters": {"intervals": [[math.pi / 8, 3 * math.pi / 8],
+                                         [5 * math.pi / 8, 7 * math.pi / 8]],
+                           "inside": 1.5, "outside": 0.5}}
+    (spec if key in spec else spec["parameters"])[key] = value
+    wfile = tmp_path / "w.json"
+    wfile.write_text(json.dumps(spec))
+    proc = run_cli("eigs", "--weight", str(wfile), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.strip().endswith(f"fails admissibility: non-finite {key}")
+    assert not (tmp_path / "out").exists()
+
+
 def test_eigs_reconstruct_singular_mass(tmp_path, monkeypatch, capsys):
     # --reconstruct solves its parity again, with eigenvectors, and that solve
     # can find the mass matrix singular where the values-only one did not: the

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import bisect_roots, h2_energy, integrate_2d, normalization
+from oracles import bisect_roots, h2_energy, integrate_2d, normalization, odd_det_below_m4
 from plate_spectra import PlateConfig
 from plate_spectra import spectrum
 from plate_spectra.numerics import Bracket, NonFinite, QuadratureRule, find_root, find_roots
-from plate_spectra.spectrum import (C0Violated, BranchMismatch, Mode, NotAdmissible,
+from plate_spectra.spectrum import (C0Violated, Mode, NotAdmissible,
                                     build_spectrum, characteristic_det, check_c0,
                                     eval_eigenfunction, find_hom_eigenvalue, profile_values,
                                     torsional_first_exists)
@@ -31,17 +31,17 @@ def test_det_sign_change_first_branch(ref_cfg):
     lo = (1 - ref_cfg.sigma ** 2) * m ** 4
     hi = float(m ** 4)
     delta = (hi - lo) * 1e-6
-    d_lo = characteristic_det(lo + delta, m, "even-low", ref_cfg)
-    d_hi = characteristic_det(hi - delta, m, "even-low", ref_cfg)
+    d_lo = characteristic_det(lo + delta, m, "even", ref_cfg)
+    d_hi = characteristic_det(hi - delta, m, "even", ref_cfg)
     assert d_lo * d_hi < 0
 
 
 def test_det_vanishes_at_root(ref_cfg):
     pair = find_hom_eigenvalue(Mode(1, 1, "even"), ref_cfg)
     lo = (1 - ref_cfg.sigma ** 2) * 1.0
-    scale = max(abs(characteristic_det(lo * (1 + 1e-6), 1, "even-low", ref_cfg)),
-                abs(characteristic_det(1.0 - 1e-6, 1, "even-low", ref_cfg)))
-    assert abs(characteristic_det(pair.lam, 1, "even-low", ref_cfg)) <= 1e-10 * scale
+    scale = max(abs(characteristic_det(lo * (1 + 1e-6), 1, "even", ref_cfg)),
+                abs(characteristic_det(1.0 - 1e-6, 1, "even", ref_cfg)))
+    assert abs(characteristic_det(pair.lam, 1, "even", ref_cfg)) <= 1e-10 * scale
 
 
 def test_det_sign_change_higher_branch(ref_cfg):
@@ -49,16 +49,49 @@ def test_det_sign_change_higher_branch(ref_cfg):
     om = (math.pi / ref_cfg.ell) ** 2
     lo = (1 + om * 0.25) ** 2
     hi = (1 + om) ** 2
-    d_lo = characteristic_det(lo * (1 + 1e-9), 1, "even-high", ref_cfg)
-    d_hi = characteristic_det(hi * (1 - 1e-9), 1, "even-high", ref_cfg)
+    d_lo = characteristic_det(lo * (1 + 1e-9), 1, "even", ref_cfg)
+    d_hi = characteristic_det(hi * (1 - 1e-9), 1, "even", ref_cfg)
     assert d_lo * d_hi < 0
 
 
-def test_det_branch_mismatch(ref_cfg):
-    with pytest.raises(BranchMismatch):
-        characteristic_det(2.0, 1, "even-low", ref_cfg)
-    with pytest.raises(BranchMismatch):
-        characteristic_det(0.5, 1, "even-high", ref_cfg)
+def test_det_at_branch_point(ref_cfg):
+    # at lam = m^4 (c = 0) both forms of a parity's determinant agree, so the
+    # branch point is evaluated: c_bar q^2 tanh(c_bar ell) (even) or 0 (odd),
+    # the limit of either side's form
+    for m in (1, 3, 40):
+        lam = float(m) ** 4
+        c_bar, q = math.sqrt(2.0) * m, m * m * ref_cfg.sigma
+        even = c_bar * q * q * math.tanh(c_bar * ref_cfg.ell)
+        for parity, at in (("even", even), ("odd", 0.0)):
+            assert characteristic_det(lam, m, parity, ref_cfg) == pytest.approx(at, rel=1e-14)
+            for side in (1.0 - 1e-14, 1.0 + 1e-14):
+                assert characteristic_det(lam * side, m, parity, ref_cfg) == \
+                    pytest.approx(at, rel=0.0, abs=1e-4 * even)
+
+
+@pytest.mark.parametrize("lam, parity, match", [
+    (0.0, "even", "lam must be positive"), (-1.0, "odd", "lam must be positive"),
+    (math.nan, "even", "lam must be positive"), (math.inf, "odd", "lam must be positive"),
+    (1.0, "even-low", "parity must be"), (1.0, "torsional", "parity must be"),
+])
+def test_det_refuses_bad_arguments(ref_cfg, lam, parity, match):
+    with pytest.raises(ValueError, match=match):
+        characteristic_det(lam, 1, parity, ref_cfg)
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_det_takes_each_elements_side(parity):
+    # one array straddling m^2 takes each element's own form, with the bits of
+    # a call on that element alone, and raises no floating point error
+    cfg = PlateConfig(ell=50.0, sigma=0.45)
+    m = np.array([1, 1, 1, 2, 2, 3, 3, 3])
+    s = np.array([0.9, 1.0, 1.7, 3.9, 4.0 + 1e-12, 5.0, 9.0, 250.0])
+    with np.errstate(all="raise"):
+        mixed = spectrum._det(s, m, parity, cfg.sigma, cfg.ell)
+    single = [spectrum._det(si, mi, parity, cfg.sigma, cfg.ell) for si, mi in zip(s, m)]
+    assert mixed.tolist() == single
+    assert [characteristic_det(si * si, int(mi), parity, cfg) for si, mi in zip(s, m)] == \
+        pytest.approx(single, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("call", [
@@ -66,12 +99,12 @@ def test_det_branch_mismatch(ref_cfg):
     lambda cfg: Mode(1, 2.0, "odd"),
     lambda cfg: Mode(0, 1, "even"),
     lambda cfg: characteristic_det(1.0, 0, "odd", cfg),
-    lambda cfg: characteristic_det(2.0, -1, "even-high", cfg),
+    lambda cfg: characteristic_det(2.0, -1, "even", cfg),
     lambda cfg: torsional_first_exists(2734.5, cfg),
     # operator.index reads True as 1, so a bool used to pass as m = 1
     lambda cfg: Mode(True, 2, "odd"),
     lambda cfg: Mode(2, np.True_, "even"),
-    lambda cfg: characteristic_det(1.0, True, "even-low", cfg),
+    lambda cfg: characteristic_det(1.0, True, "even", cfg),
     lambda cfg: torsional_first_exists(np.True_, cfg),
 ], ids=["mode_float_m", "mode_float_k", "mode_zero_m", "det_zero_m", "det_negative_m",
         "exists_float_m", "mode_bool_m", "mode_numpy_bool_k", "det_bool_m",
@@ -85,8 +118,8 @@ def test_numpy_integer_mode_numbers(ref_cfg):
     m, k = np.int64(10), np.int32(1)
     assert find_hom_eigenvalue(Mode(m, k, "even"), ref_cfg) == \
         find_hom_eigenvalue(Mode(10, 1, "even"), ref_cfg)
-    assert characteristic_det(9000.0, m, "even-low", ref_cfg) == \
-        characteristic_det(9000.0, 10, "even-low", ref_cfg)
+    assert characteristic_det(9000.0, m, "even", ref_cfg) == \
+        characteristic_det(9000.0, 10, "even", ref_cfg)
     assert torsional_first_exists(np.int64(2735), ref_cfg)
     # a Mode stores plain ints: numpy scalars used to be kept, and printed as
     # np.int64(10) in the "nearly coincident" warnings
@@ -207,7 +240,7 @@ def _threshold_ell(sigma: float, m: int) -> float:
 @pytest.mark.parametrize("sigma", [0.05, 0.2, 0.45])
 @pytest.mark.parametrize("m", [1, 3, 10])
 def test_single_torsional_mode_at_existence_threshold(sigma, m):
-    # just above the threshold the odd-low determinant is rounding noise at
+    # just above the threshold the odd determinant below m^4 is rounding noise at
     # m^2; s* lies within 1e-9 of the integer m there, so the single-mode
     # API refuses the plate as build_spectrum does instead of failing to
     # isolate the root
@@ -301,15 +334,16 @@ def test_scan_window_completeness(ref_cfg, ref_spectrum):
 
 
 @pytest.mark.parametrize("vals", [[-1.0, 0.0, 1.0, 2.0], [1.0, 0.0, -1.0, -2.0]])
-def test_scan_zero_ends_one_bracket(ref_cfg, vals):
+def test_scan_zero_ends_one_bracket(ref_cfg, vals, monkeypatch):
     # a simple crossing through a grid zero is one sign change, bracketed with
     # the zero as an end, and both root finders return that end exactly
     s = np.array([[10.0, 11.0, 12.0, 13.0]])
     row, lo, hi = spectrum._hits(s, np.array([vals]))
     assert row.tolist() == [0] and 11.0 in (lo[0], hi[0])
-    det = lambda x, m, sigma, ell: np.interp(x, s[0], vals)
-    assert spectrum._solve([(det, row + 1, lo, hi)], ref_cfg)[0].tolist() == [11.0]
-    assert find_root(lambda x: det(x, 1, 0.0, 0.0), Bracket(lo[0], hi[0])) == 11.0
+    det = lambda x: np.interp(x, s[0], vals)
+    monkeypatch.setattr(spectrum, "_det", lambda x, m, parity, sigma, ell: det(x))
+    assert spectrum._solve([("odd", row + 1, lo, hi)], ref_cfg)[0].tolist() == [11.0]
+    assert find_root(det, Bracket(lo[0], hi[0])) == 11.0
 
 
 def test_spectrum_mixed_branch_ordering():
@@ -402,7 +436,7 @@ def test_wide_plate_spectrum(ell, sigma):
     assert k1
     m = np.array([p.mode.m for p in k1])
     lo, hi = spectrum._low_bracket(m, cfg)
-    want = bisect_roots(lambda s: spectrum._det_odd_low(s, m, sigma, ell), lo, hi,
+    want = bisect_roots(lambda s: odd_det_below_m4(s, m, sigma, ell), lo, hi,
                         tol_rel=1e-13) ** 2
     got = np.array([p.lam for p in k1])
     assert np.all(np.abs(got - want) <= 2e-13 * want)
@@ -425,10 +459,9 @@ def _l1_plates():
 
 
 def _straddles_root(pair, cfg, rel=1e-10):
-    m, k = pair.mode.m, pair.mode.k
-    branch = "odd" if pair.mode.parity == "odd" else "even-low" if k == 1 else "even-high"
-    below = characteristic_det(pair.lam * (1.0 - rel), m, branch, cfg)
-    above = characteristic_det(pair.lam * (1.0 + rel), m, branch, cfg)
+    m, parity = pair.mode.m, pair.mode.parity
+    below = characteristic_det(pair.lam * (1.0 - rel), m, parity, cfg)
+    above = characteristic_det(pair.lam * (1.0 + rel), m, parity, cfg)
     return (below < 0.0) != (above < 0.0)
 
 
