@@ -38,8 +38,8 @@ class CliError(Exception):
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    """Replace path by a file holding text, through a temporary file beside
-    it. CliError (exit 2) if path cannot be written."""
+    """Replace path by a file holding text, encoded as UTF-8, through a
+    temporary file beside it. CliError (exit 2) if path cannot be written."""
     tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -47,8 +47,8 @@ def _atomic_write(path: Path, text: str) -> None:
         umask = os.umask(0)
         os.umask(umask)
         os.fchmod(fd, 0o666 & ~umask)  # mkstemp creates 0600; follow the umask instead
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(text.encode())
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):

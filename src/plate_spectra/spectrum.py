@@ -11,7 +11,9 @@ Longitudinal modes are the y-even family, torsional modes the y-odd family.
 Every eigenvalue has an a-priori bracket in s = sqrt(lam) (the torsional one
 below m^4 shares the longitudinal Lambda_(m,1)'s), or, torsional above m^4, a
 band that a fixed grid scans for sign changes (a grid zero ends the one
-bracket it bounds); determinants, brackets and scans take arrays of modes.
+bracket it bounds) in two levels: every 8th grid point first, then only the
+coarse interval of a row with one coarse sign change, and the whole grid of
+any other row; determinants, brackets and scans take arrays of modes.
 build_spectrum takes each parity's candidates from one window builder over
 the brackets and solves all of them in one batched ITP solve
 (numerics.find_roots, about a dozen determinant calls for all brackets,
@@ -24,14 +26,18 @@ and y broadcast: it evaluates many modes of one parity at many points, each
 element on its own mode's branch.  The L2 scales need no quadrature: each
 profile is two cosh/cos (even) or sinh/sin (odd) terms, so its square has an
 elementary integral over (-ell, ell), which _norm_consts evaluates for all
-modes of a parity in one array pass.
+modes of a parity in one array pass.  The records Mode and HomEigenpair are
+NamedTuples; build_spectrum makes them from its arrays by tuple.__new__, so
+only a Mode built by hand runs Mode's checks.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import repeat
+from typing import NamedTuple
+
 import numpy as np
 
 from .config import PlateConfig, _mode_numbers
@@ -58,27 +64,33 @@ EVEN = "even"
 ODD = "odd"
 
 
-@dataclass(frozen=True)
-class Mode:
+class _ModeFields(NamedTuple):
     m: int
     k: int
     parity: str
 
-    def __post_init__(self) -> None:
-        if not (type(self.m) is int and type(self.k) is int and self.m >= 1 and self.k >= 1):
-            for name, x in zip("mk", _mode_numbers(m=self.m, k=self.k)):
-                object.__setattr__(self, name, x)
-        if self.parity not in (EVEN, ODD):
-            raise ValueError(f"parity must be 'even' or 'odd', got {self.parity!r}")
+
+class Mode(_ModeFields):
+    """The mode (m, k) of one parity: plain ints m, k >= 1 (numpy integers
+    are converted) and 'even' or 'odd'.  A NamedTuple: it equals the plain
+    tuple (m, k, parity)."""
+
+    __slots__ = ()
+
+    def __new__(cls, m, k, parity):
+        if not (type(m) is int and type(k) is int and m >= 1 and k >= 1):
+            m, k = _mode_numbers(m=m, k=k)
+        if parity not in (EVEN, ODD):
+            raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+        return super().__new__(cls, m, k, parity)
 
 
-@dataclass(frozen=True)
-class HomEigenpair:
+class HomEigenpair(NamedTuple):
     """One eigenvalue of the homogeneous plate with its y-profile data.
 
     c and c_bar are the profile wavenumbers sqrt(|sqrt(lam) - m^2|) and
     sqrt(sqrt(lam) + m^2); norm_const scales the profile so the full
-    eigenfunction has unit L2 norm on Omega.
+    eigenfunction has unit L2 norm on Omega.  A NamedTuple, as Mode is.
     """
 
     mode: Mode
@@ -384,6 +396,7 @@ def _norm_consts(m: np.ndarray, lam: np.ndarray, parity: str, cfg: PlateConfig) 
 # determinants' simple roots take about a dozen.
 
 _SCAN_POINTS = 65
+_COARSE = 8     # the coarse pass of the band scan reads every 8th scan point
 _EDGE = 1e-9
 _TOL_REL = 1e-13
 # Largest m a window may reach; the torsional window's grows like pi / (2 ell),
@@ -434,26 +447,40 @@ def _odd_high_grid(m: np.ndarray, j: np.ndarray, cfg: PlateConfig) -> np.ndarray
     return (m * m)[:, None] + (cl / ell) ** 2
 
 
+def _flips(vals: np.ndarray) -> np.ndarray:
+    """Where vals changes sign between neighbours along its rows.  A zero
+    counts as positive, so a simple root on a grid point ends exactly one
+    bracket, which the root finders return exactly."""
+    return (vals[:, :-1] < 0.0) != (vals[:, 1:] < 0.0)
+
+
 def _hits(s: np.ndarray, vals: np.ndarray):
-    """Sign changes of vals along scan rows s, in row-major order, as
-    (row, lo, hi): [lo, hi] brackets a sign change.  A grid zero counts as
-    positive, so a simple root on it ends exactly one bracket, which the
-    root finders return exactly."""
-    row, col = np.nonzero((vals[:, :-1] < 0.0) != (vals[:, 1:] < 0.0))
+    """The _flips of vals along scan rows s, in row-major order, as
+    (row, lo, hi): [lo, hi] brackets a sign change."""
+    row, col = np.nonzero(_flips(vals))
     return row, s[row, col], s[row, col + 1]
 
 
 def _high_scan(m, j, cfg: PlateConfig):
-    """_hits of the odd determinant on the band grids of (m, j), scanned
-    in blocks of rows whose (rows, _SCAN_POINTS) temporaries stay within
-    _BLOCK_BYTES."""
+    """_hits of the odd determinant on the band grids of (m, j), in two levels.
+    A coarse pass evaluates every _COARSE-th grid point.  A row with exactly
+    one coarse sign change is then evaluated only inside that coarse
+    interval; every other row (none, or two or more: near the k = 1
+    existence threshold a band can hold two roots) on its whole grid, as
+    coarse intervals, ends included: at most 72 points.  Rows go in blocks
+    whose (rows, 72) temporaries stay within _BLOCK_BYTES."""
     m, j = np.broadcast_arrays(m, j)
-    step, parts = _BLOCK_BYTES // (8 * _SCAN_POINTS), []
+    width = (_SCAN_POINTS - 1) // _COARSE * (_COARSE + 1)
+    step, parts = _BLOCK_BYTES // (8 * width), []
     for i in range(0, m.size, step):
         mb = m[i:i + step]
         s = _odd_high_grid(mb, j[i:i + step], cfg)
-        row, lo, hi = _hits(s, _det(s, mb[:, None], ODD, cfg.sigma, cfg.ell))
-        parts.append((row + i, lo, hi))
+        coarse = _flips(_det(s[:, ::_COARSE], mb[:, None], ODD, cfg.sigma, cfg.ell))
+        # the coarse interval of a one-change row, every coarse interval of another
+        r, c = np.nonzero(coarse | (np.count_nonzero(coarse, axis=1) != 1)[:, None])
+        fine = s[r[:, None], _COARSE * c[:, None] + np.arange(_COARSE + 1)]
+        row, lo, hi = _hits(fine, _det(fine, mb[r, None], ODD, cfg.sigma, cfg.ell))
+        parts.append((r[row] + i, lo, hi))
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
@@ -512,12 +539,15 @@ def find_hom_eigenvalue(mode: Mode, cfg: PlateConfig) -> HomEigenpair:
 def _make_pairs(m: np.ndarray, k: np.ndarray, lam: np.ndarray, parity: str,
                 cfg: PlateConfig) -> list[HomEigenpair]:
     """Eigenpair records of located eigenvalues of one parity: wavenumbers and
-    L2 scales."""
+    L2 scales.  The arrays hold valid modes, so the records are built by
+    tuple.__new__, without Mode's checks."""
     _, _, c_bar, c, _ = _profile_terms(m, lam, cfg.sigma)
     norm = _norm_consts(m, lam, parity, cfg)
-    return [HomEigenpair(Mode(mi, ki, parity), li, ci, cbi, ni, cfg.sigma, cfg.ell)
-            for mi, ki, li, ci, cbi, ni in zip(m.tolist(), k.tolist(), lam.tolist(),
-                                               c.tolist(), c_bar.tolist(), norm.tolist())]
+    new = tuple.__new__
+    modes = map(new, repeat(Mode), zip(m.tolist(), k.tolist(), repeat(parity)))
+    return list(map(new, repeat(HomEigenpair),
+                    zip(modes, lam.tolist(), c.tolist(), c_bar.tolist(), norm.tolist(),
+                        repeat(cfg.sigma), repeat(cfg.ell))))
 
 
 # ---------------------------------------------------------------------------
@@ -574,13 +604,6 @@ def _solve(groups, cfg: PlateConfig) -> list[np.ndarray]:
     return [s[a:b] for _, a, b in parts]
 
 
-def _lowest(n: int, m: np.ndarray, k: np.ndarray, lam: np.ndarray, parity: str,
-            cfg: PlateConfig) -> list[HomEigenpair]:
-    """Eigenpairs of the n smallest lam; ties keep (m, k) order."""
-    order = np.lexsort((k, m, lam))[:n]
-    return _make_pairs(m[order], k[order], lam[order], parity, cfg)
-
-
 def build_spectrum(cfg: PlateConfig, cap: int = 200) -> HomSpectrum:
     """First cfg.n_modes longitudinal and torsional eigenpairs, ascending.
 
@@ -606,18 +629,22 @@ def build_spectrum(cfg: PlateConfig, cap: int = 200) -> HomSpectrum:
     odd = (ODD, m_o, np.concatenate([low_lo, lo]), np.concatenate([low_hi, hi]))
     s_e, s_o = _solve([(EVEN, m_e, *_even_bracket(m_e, k_e, cfg)), odd], cfg)
 
-    mu = _lowest(n, m_e, k_e, s_e * s_e, EVEN, cfg)
-    nu = _lowest(n, m_o, k_o, s_o * s_o, ODD, cfg)
-
-    for seq, label in ((mu, "longitudinal"), (nu, "torsional")):
-        for a, b in zip(seq, seq[1:]):
-            if abs(b.lam - a.lam) <= 1e-9 * max(abs(a.lam), 1.0):
-                warnings.warn(
-                    f"nearly coincident {label} eigenvalues at {a.lam:.12e} "
-                    f"({a.mode} vs {b.mode})", RuntimeWarning, stacklevel=2)
-
-    nu1 = nu[0].lam
-    j0 = bisect_left([p.lam for p in mu], nu1)
+    seqs = []
+    for parity, label, m, k, s in ((EVEN, "longitudinal", m_e, k_e, s_e),
+                                   (ODD, "torsional", m_o, k_o, s_o)):
+        lam = s * s
+        order = np.lexsort((k, m, lam))[:n]    # the n smallest; ties keep (m, k) order
+        lam = lam[order]
+        pairs = _make_pairs(m[order], k[order], lam, parity, cfg)
+        near = np.abs(np.diff(lam)) <= 1e-9 * np.maximum(np.abs(lam[:-1]), 1.0)
+        for i in np.flatnonzero(near).tolist():
+            a, b = pairs[i], pairs[i + 1]
+            warnings.warn(
+                f"nearly coincident {label} eigenvalues at {a.lam:.12e} "
+                f"({a.mode} vs {b.mode})", RuntimeWarning, stacklevel=2)
+        seqs.append((lam, pairs))
+    (lam_mu, mu), (lam_nu, nu) = seqs
+    j0 = int(np.searchsorted(lam_mu, lam_nu[0]))
     return HomSpectrum(mu=tuple(mu), nu=tuple(nu), j0=j0, config=cfg)
 
 

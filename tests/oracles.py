@@ -1,7 +1,7 @@
 """Reference computations the tests check the package against.
 
-Each one takes an independent route (bisection for roots, a composite
-midpoint rule, Gauss-Legendre quadrature in x and y, a converged composite
+Each one takes an independent route (bisection for roots, a one-level
+torsional band scan of every grid point, a composite midpoint rule, Gauss-Legendre quadrature in x and y, a converged composite
 Gauss-Legendre rule per mode for the L2 scales, closed-form profile
 derivatives, a direct cell sum, a per-entry or per-column form of an
 assembly, or a second form of a closed-form bound), so nothing in the
@@ -18,8 +18,9 @@ from plate_spectra.config import PlateConfig
 from plate_spectra.galerkin import _inner_edges, _pairs, _profiles_on, _y_rule
 from plate_spectra.numerics import NonFinite, NoSignChange, QuadratureRule
 from plate_spectra.optimize import OptimizeError, _weighted_sin4_cell, mu_upper_bound
-from plate_spectra.spectrum import (EVEN, HomEigenpair, HomSpectrum, _cosh_ratio,
-                                    _profile_terms, _sinh_ratio, profile_raw, profile_values)
+from plate_spectra.spectrum import (EVEN, ODD, HomEigenpair, HomSpectrum, _cosh_ratio, _det,
+                                    _hits, _odd_high_grid, _profile_terms, _sinh_ratio,
+                                    profile_raw, profile_values)
 from plate_spectra.weights import GridField, Sublevel, Weight, _in_intervals, eval_weight
 
 
@@ -50,6 +51,15 @@ def bisect_roots(f: Callable[[np.ndarray], np.ndarray], lo, hi,
         below, zero = fmid < 0.0, fmid == 0.0
         lo = np.where(active & ((below == neg) | zero), mid, lo)
         hi = np.where(active & ((below != neg) | zero), mid, hi)
+
+
+def full_band_scan(m, j, cfg: PlateConfig):
+    """The torsional band scan in one level: the odd determinant at all
+    points of the band grids of (m, j) at once, and their sign changes as
+    (row, lo, hi) in row-major order."""
+    m, j = np.broadcast_arrays(m, j)
+    s = _odd_high_grid(m, j, cfg)
+    return _hits(s, _det(s, m[:, None], ODD, cfg.sigma, cfg.ell))
 
 
 def odd_det_below_m4(s, m, sigma: float, ell: float):

@@ -1,9 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import bisect_roots, h2_energy, integrate_2d, normalization, odd_det_below_m4
+from oracles import (bisect_roots, full_band_scan, h2_energy, integrate_2d, normalization,
+                     odd_det_below_m4)
 from plate_spectra import PlateConfig
 from plate_spectra import spectrum
 from plate_spectra.numerics import Bracket, NonFinite, QuadratureRule, find_root, find_roots
@@ -127,6 +131,47 @@ def test_numpy_integer_mode_numbers(ref_cfg):
     assert type(mode.m) is int and type(mode.k) is int
     assert repr(mode) == "Mode(m=10, k=3, parity='odd')"
     assert mode == Mode(10, 3, "odd") and hash(mode) == hash(Mode(10, 3, "odd"))
+
+
+def test_mode_and_pair_records(ref_cfg, ref_spectrum):
+    with pytest.raises(ValueError, match="^parity must be 'even' or 'odd', got 'Odd'$"):
+        Mode(1, 2, "Odd")
+    with pytest.raises(ValueError, match="^mode numbers must be integers >= 1, got m=1, k=0$"):
+        Mode(m=1, k=0, parity="odd")
+    # the records are NamedTuples: a Mode equals the plain tuple of its fields
+    assert Mode(1, 2, "odd") == (1, 2, "odd") and Mode(1, 2, "odd")._fields == ("m", "k", "parity")
+    single = find_hom_eigenvalue(Mode(np.int64(1), 2, "odd"), ref_cfg)
+    assert single.mode == ref_spectrum.nu[0].mode and type(single.mode) is Mode
+    assert repr(single).startswith("HomEigenpair(mode=Mode(m=1, k=2, parity='odd'), lam=")
+    for pair in ref_spectrum.mu + ref_spectrum.nu:
+        assert type(pair) is spectrum.HomEigenpair and type(pair.mode) is Mode
+        assert type(pair.mode.m) is int and type(pair.mode.k) is int
+        assert pair.high_branch == (pair.lam > float(pair.mode.m) ** 4)
+        assert pair.sigma == ref_cfg.sigma and pair.ell == ref_cfg.ell
+    assert [p.high_branch for p in ref_spectrum.mu[:10]] == [False] * 10
+    assert all(p.high_branch for p in ref_spectrum.nu)
+
+
+def test_nearly_coincident_warnings():
+    # on very wide plates the k >= 2 eigenvalues of m = 1 crowd above 1
+    with warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        build_spectrum(PlateConfig(ell=3e5, n_modes=30))
+    assert [str(w.message) for w in got] == [
+        "nearly coincident longitudinal eigenvalues at 1.000000000055e+00 "
+        "(Mode(m=1, k=2, parity='even') vs Mode(m=1, k=3, parity='even'))",
+        "nearly coincident longitudinal eigenvalues at 1.000000000494e+00 "
+        "(Mode(m=1, k=3, parity='even') vs Mode(m=1, k=4, parity='even'))",
+        "nearly coincident torsional eigenvalues at 1.000000000219e+00 "
+        "(Mode(m=1, k=2, parity='odd') vs Mode(m=1, k=3, parity='odd'))"]
+    assert all(w.category is RuntimeWarning and w.filename == __file__ for w in got)
+    with warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        build_spectrum(PlateConfig(ell=1e6, n_modes=30))
+    text = [str(w.message) for w in got]
+    assert sum("longitudinal" in t for t in text) == 25 and sum("torsional" in t for t in text) == 24
+    assert text[-1] == ("nearly coincident torsional eigenvalues at 1.000000011371e+00 "
+                        "(Mode(m=1, k=25, parity='odd') vs Mode(m=1, k=26, parity='odd'))")
 
 
 # ---------------------------------------------------------------------------
@@ -581,3 +626,63 @@ def test_torsional_threshold_modes_straddle_roots(ref_cfg):
         assert _straddles_root(pair, ref_cfg), mode
     low = find_hom_eigenvalue(Mode(2735, 1, "odd"), ref_cfg).lam
     assert find_hom_eigenvalue(Mode(2735, 1, "even"), ref_cfg).lam < low < 2735.0 ** 4
+
+
+# ---------------------------------------------------------------------------
+# two-level torsional band scan against the one-level scan of every grid point
+# ---------------------------------------------------------------------------
+
+def _assert_scan_matches_oracle(m, j, cfg):
+    got, want = spectrum._high_scan(m, j, cfg), full_band_scan(m, j, cfg)
+    assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
+
+@pytest.mark.parametrize("cfg", _l1_plates() + [
+    PlateConfig(ell=math.pi / 2, n_modes=250),  # criterion 9
+    PlateConfig(ell=50.0, sigma=0.45), PlateConfig(ell=1000.0)],
+    ids=lambda c: f"ell={c.ell:.4f},sigma={c.sigma:.3f},n={c.n_modes}")
+def test_two_level_scan_matches_full_scan(cfg):
+    _, m, j = spectrum._window(cfg.n_modes, spectrum._band_bracket, 0, cfg)
+    _assert_scan_matches_oracle(m, j, cfg)
+
+
+def test_two_level_scan_at_the_threshold_rows(ref_cfg):
+    # the torsional k = 1 existence threshold of the reference plate lies
+    # between m = 2734 and 2735, where a band can hold two roots
+    m, j = np.meshgrid(np.arange(2725, 2745), np.arange(3), indexing="ij")
+    _assert_scan_matches_oracle(m.ravel(), j.ravel(), ref_cfg)
+
+
+def test_two_level_scan_rows_without_one_coarse_change(ref_cfg, monkeypatch):
+    # a determinant (s - a)(s - b) per row, by m: two roots inside one coarse
+    # interval (no coarse change), two in different coarse intervals, one
+    # root on a coarse grid point (a zero counts as positive), and none
+    m, j = np.arange(1, 5), np.zeros(4, dtype=int)
+    s = spectrum._odd_high_grid(m, j, ref_cfg)
+    mid = 0.5 * (s[:, :-1] + s[:, 1:])
+    a = np.array([mid[0, 17], mid[1, 9], s[2, 24], 0.0])
+    b = np.array([mid[0, 21], mid[1, 44], 1e300, 1e300])
+    want = spectrum._hits(s, (s - a[:, None]) * (s - b[:, None]))
+    assert want[0].tolist() == [0, 0, 1, 1, 2]
+    monkeypatch.setattr(spectrum, "_det",
+                        lambda x, mm, parity, sigma, ell: (x - a[mm - 1]) * (x - b[mm - 1]))
+    got = spectrum._high_scan(m, j, ref_cfg)
+    assert [v.tolist() for v in got] == [v.tolist() for v in want]
+
+
+@settings(max_examples=25, deadline=None)
+@given(log_ell=st.floats(math.log(math.pi / 300), math.log(50.0)), sigma=st.floats(0.02, 0.48),
+       n=st.integers(1, 120))
+def test_two_level_scan_matches_full_scan_property(log_ell, sigma, n):
+    cfg = PlateConfig(ell=math.exp(log_ell), sigma=sigma, n_modes=n)
+    _, m, j = spectrum._window(n, spectrum._band_bracket, 0, cfg)
+    _assert_scan_matches_oracle(m, j, cfg)
+
+
+@pytest.mark.parametrize("cfg", [PlateConfig(), PlateConfig(ell=math.pi / 2, sigma=0.45)],
+                         ids=["ref", "wide-k1"])
+def test_single_torsional_modes_match_full_scan(monkeypatch, cfg):
+    modes = [Mode(m, k, "odd") for m in (1, 2, 7, 2734, 2735) for k in (2, 3, 5, 9)]
+    got = [find_hom_eigenvalue(mode, cfg) for mode in modes]
+    monkeypatch.setattr(spectrum, "_high_scan", full_band_scan)
+    assert got == [find_hom_eigenvalue(mode, cfg) for mode in modes]
