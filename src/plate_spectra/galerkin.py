@@ -20,11 +20,22 @@ sin(m x_i) are entries of one exact-angle table of cos(pi r / (2 nx)),
 r < 4 nx, accurate to an ulp or two however large k x_i is. Fields on a grid
 are one matrix product of the scaled sines with the y profiles.
 
-grid_basis is the only source of these cell-grid tables: the x sines, the y
-profiles and the gather of the upper triangle of each parity, and one cosine
-table for both, each built the first time it is read. The spectrum memoizes
-the tables of the grid it was last read on, so the solves and expansions of a
-density search, and both parities of solve_weighted, share one set.
+Two memos on the spectrum hold the tables, each table built the first time
+it is read. PlateTables, one per (parity, n), hold what no grid changes: the
+modes' m and 1/sqrt(lam), and the band path's default y rule (no
+breakpoints) with its node profiles and their full-width Gram matrix, which
+a band weight without y-band edges reads in place of its own quadrature.
+They are kept for the spectrum's life. grid_basis is the only source of the
+cell-grid tables: the x sines, the y profiles and the gather of the upper
+triangle of each parity, and one cosine table for both. Its memo keeps the
+grid it was last read on, so the solves and expansions of a density search,
+and both parities of solve_weighted, share one set; a call on another grid
+replaces the grid tables, not the PlateTables.
+
+solve_weighted also does a weight's own parity-independent work once for
+both of its assemblies: a sublevel weight's cell weights, and its cosine
+moments when both parities read the same K moment rows; a band weight's x
+matrix of each interval set when both parities have the same m list.
 """
 from __future__ import annotations
 
@@ -160,27 +171,64 @@ def _contract(mom: np.ndarray, profs: np.ndarray, gather) -> np.ndarray:
     return acc
 
 
-def _pairs(spectrum: HomSpectrum, parity: str, n: int) -> list[HomEigenpair]:
-    pairs = list((spectrum.mu if parity == EVEN else spectrum.nu)[:n])
-    if len(pairs) < n:
-        raise ValueError(f"spectrum holds {len(pairs)} {parity} modes, need {n}")
-    return pairs
-
-
 @dataclass(frozen=True, eq=False)
-class ParityTables:
-    """Grid tables of the first n modes of one parity on the nx by ny cell
-    grid of the plate of half-width ell, each built the first time it is read:
-    assembly reads gather and profiles, expansion sines and profiles."""
+class PlateTables:
+    """Grid-independent tables of the first n modes of one parity on the
+    spectrum's plate, each built the first time it is read: the modes' m and
+    1/sqrt(lam) for every solve, and the band path's default y rule (no
+    breakpoints) for band weights without y-band edges."""
 
     pairs: tuple[HomEigenpair, ...]
-    nx: int
-    ny: int
-    ell: float
+    cfg: PlateConfig
 
     @cached_property
     def m(self) -> np.ndarray:
         return np.array([p.mode.m for p in self.pairs])
+
+    @cached_property
+    def d_isqrt(self) -> np.ndarray:
+        """D^{-1/2}: 1/sqrt(lam) of each mode."""
+        return 1.0 / np.sqrt(np.array([p.lam for p in self.pairs]))
+
+    @cached_property
+    def band_y(self) -> tuple[np.ndarray, ...]:
+        """Nodes y and weights wq of the y rule without breakpoints, the
+        profiles at y and their full-width Gram matrix (profs * wq) @ profs.T."""
+        y, wq = _y_rule(self.pairs, self.cfg, ()).nodes_weights()
+        profs = _profiles_on(self.pairs, y)
+        return y, wq, profs, (profs * wq) @ profs.T
+
+
+def _plate_tables(spectrum: HomSpectrum, parity: str, n: int) -> PlateTables:
+    """The spectrum's PlateTables of its first n modes of one parity, in a
+    memo of their own (spectrum.plate_tables), kept for the spectrum's life."""
+    key = (parity, n)
+    memo = spectrum.plate_tables
+    if key not in memo:
+        pairs = (spectrum.mu if parity == EVEN else spectrum.nu)[:n]
+        if len(pairs) < n:
+            raise ValueError(f"spectrum holds {len(pairs)} {parity} modes, need {n}")
+        memo[key] = PlateTables(pairs, spectrum.config)
+    return memo[key]
+
+
+@dataclass(frozen=True, eq=False)
+class ParityTables:
+    """Grid tables of the modes of one PlateTables on the nx by ny cell grid
+    of its plate, each built the first time it is read: assembly reads gather
+    and profiles, expansion sines and profiles."""
+
+    plate: PlateTables
+    nx: int
+    ny: int
+
+    @property
+    def m(self) -> np.ndarray:
+        return self.plate.m
+
+    @property
+    def ell(self) -> float:
+        return self.plate.cfg.ell
 
     @cached_property
     def sines(self) -> np.ndarray:
@@ -190,7 +238,7 @@ class ParityTables:
     @cached_property
     def profiles(self) -> np.ndarray:
         """(n, ny) y profiles at the cell centres."""
-        return _profiles_on(self.pairs, cell_ys(self.ny, self.ell))
+        return _profiles_on(self.plate.pairs, cell_ys(self.ny, self.ell))
 
     @cached_property
     def gather(self) -> tuple[np.ndarray, ...]:
@@ -216,29 +264,40 @@ class GridBasis:
     def cos_table(self) -> np.ndarray:
         """(nx, K) cos(k x_i), k < K, the larger 2 max m + 1 of the two
         parities; each parity reads its own leading columns."""
-        k_max = max(2 * p.mode.m for p in self.even.pairs + self.odd.pairs)
+        k_max = 2 * int(max(self.even.m.max(), self.odd.m.max()))
         return _cell_trig(self.even.nx, np.arange(k_max + 1))
 
 
 def grid_basis(spectrum: HomSpectrum, n: int, nx: int, ny: int) -> GridBasis:
     """The spectrum's grid tables for the first n modes on the nx by ny cell
-    grid of its plate. Its memo keeps only the most recent (n, nx, ny)."""
+    grid of its plate. Its memo keeps only the most recent (n, nx, ny); the
+    PlateTables it reads are memoized apart and outlive a change of grid."""
     key = (n, nx, ny)
     memo = spectrum.grid_tables
     if key not in memo:
         memo.clear()
-        memo[key] = GridBasis(ParityTables(spectrum.mu[:n], nx, ny, spectrum.config.ell),
-                              ParityTables(spectrum.nu[:n], nx, ny, spectrum.config.ell))
+        memo[key] = GridBasis(ParityTables(_plate_tables(spectrum, EVEN, n), nx, ny),
+                              ParityTables(_plate_tables(spectrum, ODD, n), nx, ny))
     return memo[key]
 
 
-def assemble_mass(w: Weight, spectrum: HomSpectrum, parity: str, n: int) -> np.ndarray:
+def _once(shared: dict, key, make):
+    """shared[key], made by make() the first time it is read."""
+    if key not in shared:
+        shared[key] = make()
+    return shared[key]
+
+
+def assemble_mass(w: Weight, spectrum: HomSpectrum, parity: str, n: int, *,
+                  _shared: dict | None = None) -> np.ndarray:
     """Weighted mass matrix C_{nm} = int_Omega p z_n z_m for one parity.
 
     Band weights: each term coeff * chi_X(x) * chi_Y(y) of the density is an
     x matrix times a y matrix. The x matrix is closed form (_x_matrix); the
     y matrix is a quadrature with the band edges as breakpoints. Each
-    distinct interval set is integrated once per call.
+    distinct interval set is integrated once per call. Without band edges
+    inside the plate the rule, its profiles and the full-width y matrix are
+    the spectrum's PlateTables.
 
     Sublevel weights are integrated with the midpoint rule on their own grid,
     whose cells are those of the spectrum's plate, through cosine moments:
@@ -251,40 +310,49 @@ def assemble_mass(w: Weight, spectrum: HomSpectrum, parity: str, n: int) -> np.n
     once, so the matrix returned is exactly symmetric.
     The cosine table, the y profiles and the gather come from the
     spectrum's grid tables for n and the field's grid (grid_basis).
+
+    _shared holds the weight's parity-independent work (cell weights, the
+    moments of each K, the x matrix of each interval set and m list), so
+    that solve_weighted's two calls do it once.
     ValueError when the weight was declared on another plate (plate_mismatch).
     """
     v = w.variant
     mismatch = plate_mismatch(v, spectrum.config.ell)
     if mismatch:
         raise ValueError(f"weight does not fit the spectrum's plate: {mismatch}")
-    pairs = _pairs(spectrum, parity, n)
+    plate = _plate_tables(spectrum, parity, n)
+    shared = {} if _shared is None else _shared
     mat = np.zeros((n, n))
 
     if isinstance(v, Sublevel):
         f = v.field
         basis = grid_basis(spectrum, n, f.nx, f.ny)
         tables = basis.parity(parity)
-        cell_w = (0.5 * f.cell_area) * v.node_values()               # (nx, ny)
-        k = 2 * int(tables.m.max()) + 1
-        mom = basis.cos_table[:, :k].T @ cell_w                      # (K, ny), halved
+        cell_w = _once(shared, "cell_w", lambda: (0.5 * f.cell_area) * v.node_values())
+        k = 2 * int(plate.m.max()) + 1
+        # (K, ny), halved; one product per K, shared by parities of the same K
+        mom = _once(shared, ("mom", k), lambda: basis.cos_table[:, :k].T @ cell_w)
         gather = tables.gather
         mat[gather[0], gather[1]] = _contract(mom, tables.profiles, gather)
     else:
         cfg = spectrum.config
-        freqs = [p.mode.m for p in pairs]
-        rule = _y_rule(pairs, cfg, sorted(set(_inner_edges(v.y_intervals, -cfg.ell, cfg.ell))))
-        y, wq = rule.nodes_weights()
-        profs = _profiles_on(pairs, y)
-        x_mats, y_mats = {}, {}
+        edges = sorted(set(_inner_edges(v.y_intervals, -cfg.ell, cfg.ell)))
+        if edges:
+            y, wq = _y_rule(plate.pairs, cfg, edges).nodes_weights()
+            profs = _profiles_on(plate.pairs, y)
+            y_mats = {}
+        else:
+            y, wq, profs, gram = plate.band_y
+            y_mats = {None: gram}
+        m_key = plate.m.tobytes()
         for coeff, x_iv, y_iv in v.terms():
             if coeff == 0.0:
                 continue
-            if x_iv not in x_mats:
-                x_mats[x_iv] = _x_matrix(freqs, x_iv)
+            x_mat = _once(shared, (x_iv, m_key), lambda: _x_matrix(plate.m, x_iv))
             if y_iv not in y_mats:
                 yw = wq if y_iv is None else wq * _in_intervals(y, y_iv)
                 y_mats[y_iv] = (profs * yw) @ profs.T
-            mat = mat + coeff * (x_mats[x_iv] * y_mats[y_iv])
+            mat = mat + coeff * (x_mat * y_mats[y_iv])
 
     if not np.all(np.isfinite(mat)):
         raise QuadratureFailure("non-finite mass matrix entries")
@@ -295,18 +363,18 @@ def assemble_mass(w: Weight, spectrum: HomSpectrum, parity: str, n: int) -> np.n
 # solve
 # ---------------------------------------------------------------------------
 
-def _scaled_eig(w: Weight, spectrum: HomSpectrum, parity: str, n: int, vectors: bool):
+def _scaled_eig(w: Weight, spectrum: HomSpectrum, parity: str, n: int, vectors: bool,
+                shared: dict | None = None):
     """Eigenvalues lam(p) ascending for one parity, from the transformed
     symmetric problem M b = (1/lam) b with M = D^{-1/2} C D^{-1/2}, solved by
-    LAPACK's symmetric eigensolver (``sym_eig``).
+    LAPACK's symmetric eigensolver (``sym_eig``). shared goes to
+    assemble_mass.
 
     Returns (lam, the columns b in lam's order or None without vectors,
     D^{-1/2}, C). SingularMass unless M is positive definite.
     """
-    pairs = _pairs(spectrum, parity, n)
-    d = np.array([p.lam for p in pairs])
-    c = assemble_mass(w, spectrum, parity, n)
-    d_isqrt = 1.0 / np.sqrt(d)
+    d_isqrt = _plate_tables(spectrum, parity, n).d_isqrt
+    c = assemble_mass(w, spectrum, parity, n, _shared=shared)
     evals, vecs = sym_eig(d_isqrt[:, None] * c * d_isqrt[None, :], vectors=vectors)
     if evals[0] <= 0.0:
         raise SingularMass(f"weighted mass matrix not positive definite "
@@ -330,12 +398,14 @@ def solve_parity(w: Weight, spectrum: HomSpectrum, parity: str, n: int):
 
 def solve_weighted(w: Weight, spectrum: HomSpectrum, n: int | None = None) -> GalerkinSpectrum:
     """Weighted eigenvalues mu_n(p), nu_n(p) at truncation n (both parities),
-    from one values-only eigensolve per parity. They can differ from
-    solve_parity's in the last bits (``sym_eig``)."""
+    from one assembly and one values-only eigensolve per parity; the two
+    assemblies share the weight's parity-independent work (assemble_mass).
+    They can differ from solve_parity's in the last bits (``sym_eig``)."""
     if n is None:
         n = spectrum.config.n_modes
-    mu_p = _scaled_eig(w, spectrum, EVEN, n, vectors=False)[0]
-    nu_p = _scaled_eig(w, spectrum, ODD, n, vectors=False)[0]
+    shared = {}
+    mu_p = _scaled_eig(w, spectrum, EVEN, n, vectors=False, shared=shared)[0]
+    nu_p = _scaled_eig(w, spectrum, ODD, n, vectors=False, shared=shared)[0]
     return GalerkinSpectrum(mu_p=mu_p, nu_p=nu_p, truncation=n)
 
 

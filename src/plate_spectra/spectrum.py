@@ -109,12 +109,14 @@ class HomEigenpair(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class HomSpectrum:
     """Ordered longitudinal (mu) and torsional (nu) eigenpairs, plus j0, and
-    the memo of galerkin.grid_basis."""
+    the memos of galerkin's grid-independent tables (plate_tables, one entry
+    per parity and n) and of galerkin.grid_basis (grid_tables, one grid)."""
 
     mu: tuple[HomEigenpair, ...]
     nu: tuple[HomEigenpair, ...]
     j0: int
     config: PlateConfig
+    plate_tables: dict = field(default_factory=dict, init=False, repr=False)
     grid_tables: dict = field(default_factory=dict, init=False, repr=False)
 
 
@@ -399,9 +401,12 @@ _SCAN_POINTS = 65
 _COARSE = 8     # the coarse pass of the band scan reads every 8th scan point
 _EDGE = 1e-9
 _TOL_REL = 1e-13
-# Largest m a window may reach; the torsional window's grows like pi / (2 ell),
-# so a plate narrower than about ell = 1.6e-6 is refused before any allocation.
+# Largest m a window may reach; the torsional window's grows like pi / (2 ell)
+# and with n, so a window that large is refused before any allocation.
 _MAX_TORSIONAL_M = 10 ** 6
+# build_spectrum refuses plates narrower than this multiple of _narrow_bound's
+# leading-order width (the margin covers the measured thresholds, see there).
+_NARROW_MARGIN = 1.1
 
 
 def _even_bracket(m, k, cfg: PlateConfig):
@@ -420,6 +425,22 @@ def _even_bracket(m, k, cfg: PlateConfig):
     return s_lo + pad, s_hi - pad
 
 
+def _narrow_bound(sigma: float) -> float:
+    """Narrowest plate build_spectrum solves at this sigma.
+
+    As ell -> 0 the longitudinal (1, 1) root in s tends to its bracket's lower
+    end s0 = sqrt(1 - sigma^2), where the O(ell) term of the even determinant
+    vanishes: to leading order it lies a fraction ell^2 (1 - sigma)(1 + s0) /
+    (3 s0) of the bracket's width above s0, so below the ell at which that
+    fraction is _EDGE the padded bracket misses it.  The measured thresholds
+    lie within 3e-4 of that ell for sigma in [0.01, 0.49] (3.89e-5 at sigma
+    0.01, 4.31e-5 at 0.2, 5.23e-5 at 0.49) and 8% above it at sigma = 0.001,
+    so the bound is _NARROW_MARGIN times it.
+    """
+    s0 = math.sqrt(1.0 - sigma * sigma)
+    return _NARROW_MARGIN * math.sqrt(3.0 * _EDGE * s0 / ((1.0 + s0) * (1.0 - sigma)))
+
+
 def _band(j):
     """The band c ell in (j pi, j pi + pi/2), pulled in by _EDGE of its width:
     torsional roots above m^4 lie only in these bands."""
@@ -434,17 +455,24 @@ def _band_bracket(m, j, cfg: PlateConfig):
     return m * m + c_lo * c_lo, m * m + c_hi * c_hi
 
 
-def _odd_high_grid(m: np.ndarray, j: np.ndarray, cfg: PlateConfig) -> np.ndarray:
-    """Scan points in s, one row per (m, j), over the band j of m; scanning
-    the bands finds the occasional double root near the k = 1 existence
-    threshold."""
-    ell = cfg.ell
+def _scan_ends(m: np.ndarray, j: np.ndarray, cfg: PlateConfig):
+    """Ends (lo, hi) in c ell of the scan grid, one per (m, j), over the band
+    j of m; scanning the bands finds the occasional double root near the
+    k = 1 existence threshold."""
     lo, hi = _band(j)
     # keep the scan clear of the trivial determinant zero at c = 0: the
     # offset must shift s = m^2 + c^2 by well over its rounding resolution
-    lo = np.maximum(np.maximum(lo, 1e-7), 3e-6 * m * ell)
-    cl = np.linspace(lo, hi, _SCAN_POINTS, axis=-1)
-    return (m * m)[:, None] + (cl / ell) ** 2
+    return np.maximum(np.maximum(lo, 1e-7), 3e-6 * m * cfg.ell), hi
+
+
+def _scan_points(rows: np.ndarray, i, ell: float) -> np.ndarray:
+    """Scan points in s at the grid indices i (broadcast against the rows)
+    of _SCAN_POINTS-point grids in c ell, with linspace's bits: lo + step i
+    with step = (hi - lo) / (_SCAN_POINTS - 1), and hi last.  rows holds
+    the columns m^2, lo, step and hi, one row per grid."""
+    mm, lo, step, hi = rows.T[:, :, None]
+    cl = np.where(i == _SCAN_POINTS - 1, hi, step * i + lo)
+    return mm + (cl / ell) ** 2
 
 
 def _flips(vals: np.ndarray) -> np.ndarray:
@@ -467,20 +495,23 @@ def _high_scan(m, j, cfg: PlateConfig):
     one coarse sign change is then evaluated only inside that coarse
     interval; every other row (none, or two or more: near the k = 1
     existence threshold a band can hold two roots) on its whole grid, as
-    coarse intervals, ends included: at most 72 points.  Rows go in blocks
-    whose (rows, 72) temporaries stay within _BLOCK_BYTES."""
+    coarse intervals, ends included: at most 72 points.  Only the points
+    read are built (_scan_points).  Rows go in blocks whose (rows, 72)
+    temporaries stay within _BLOCK_BYTES."""
     m, j = np.broadcast_arrays(m, j)
     width = (_SCAN_POINTS - 1) // _COARSE * (_COARSE + 1)
     step, parts = _BLOCK_BYTES // (8 * width), []
     for i in range(0, m.size, step):
         mb = m[i:i + step]
-        s = _odd_high_grid(mb, j[i:i + step], cfg)
-        coarse = _flips(_det(s[:, ::_COARSE], mb[:, None], ODD, cfg.sigma, cfg.ell))
+        lo, hi = _scan_ends(mb, j[i:i + step], cfg)
+        rows = np.column_stack([mb * mb, lo, (hi - lo) / (_SCAN_POINTS - 1), hi])
+        s = _scan_points(rows, np.arange(0, _SCAN_POINTS, _COARSE), cfg.ell)
+        coarse = _flips(_det(s, mb[:, None], ODD, cfg.sigma, cfg.ell))
         # the coarse interval of a one-change row, every coarse interval of another
         r, c = np.nonzero(coarse | (np.count_nonzero(coarse, axis=1) != 1)[:, None])
-        fine = s[r[:, None], _COARSE * c[:, None] + np.arange(_COARSE + 1)]
-        row, lo, hi = _hits(fine, _det(fine, mb[r, None], ODD, cfg.sigma, cfg.ell))
-        parts.append((r[row] + i, lo, hi))
+        fine = _scan_points(rows[r], _COARSE * c[:, None] + np.arange(_COARSE + 1), cfg.ell)
+        row, lo_s, hi_s = _hits(fine, _det(fine, mb[r, None], ODD, cfg.sigma, cfg.ell))
+        parts.append((r[row] + i, lo_s, hi_s))
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
@@ -609,13 +640,20 @@ def build_spectrum(cfg: PlateConfig, cap: int = 200) -> HomSpectrum:
 
     The (m, k) scan window is derived from the a-priori eigenvalue brackets,
     so no eigenvalue below the returned ones can be missed. Raises C0Violated
-    in the degenerate resonant case excluded by the theory.
+    in the degenerate resonant case excluded by the theory, and ValueError
+    on a plate narrower than _narrow_bound(sigma).
     """
     n = cfg.n_modes
     if n > cap:
         raise ValueError(f"n_modes={n} exceeds the safety cap {cap}")
-    # the torsional window refuses a plate too narrow for it, before c0 (whose
-    # s* is then too large to tell an integer from a fraction)
+    # a plate too narrow for the (1, 1) bracket is refused before the torsional
+    # window is built and before c0 (whose s* can be too large to tell an
+    # integer from a fraction)
+    bound = _narrow_bound(cfg.sigma)
+    if cfg.ell < bound:
+        raise ValueError(f"ell = {cfg.ell} is too small at sigma = {cfg.sigma}: plates "
+                         f"narrower than ell = {bound:.4g} are refused (the longitudinal "
+                         "(1, 1) eigenvalue lies too close to its bracket's end)")
     m_t, m_b, j_b = _window(n, _band_bracket, 0, cfg)
     _require_c0(cfg)
 

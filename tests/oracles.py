@@ -15,11 +15,11 @@ from typing import Callable
 import numpy as np
 
 from plate_spectra.config import PlateConfig
-from plate_spectra.galerkin import _inner_edges, _pairs, _profiles_on, _y_rule
+from plate_spectra.galerkin import _inner_edges, _profiles_on, _y_rule
 from plate_spectra.numerics import NonFinite, NoSignChange, QuadratureRule
 from plate_spectra.optimize import OptimizeError, _weighted_sin4_cell, mu_upper_bound
 from plate_spectra.spectrum import (EVEN, ODD, HomEigenpair, HomSpectrum, _cosh_ratio, _det,
-                                    _hits, _odd_high_grid, _profile_terms, _sinh_ratio,
+                                    _band, _hits, _profile_terms, _sinh_ratio,
                                     profile_raw, profile_values)
 from plate_spectra.weights import GridField, Sublevel, Weight, _in_intervals, eval_weight
 
@@ -53,12 +53,22 @@ def bisect_roots(f: Callable[[np.ndarray], np.ndarray], lo, hi,
         hi = np.where(active & ((below != neg) | zero), mid, hi)
 
 
+def full_band_grid(m: np.ndarray, j: np.ndarray, cfg: PlateConfig) -> np.ndarray:
+    """All 65 scan points in s of the band grids of (m, j), one row each, by
+    np.linspace in c ell from the band's lower end (kept clear of c = 0) to
+    its upper end."""
+    lo, hi = _band(j)
+    lo = np.maximum(np.maximum(lo, 1e-7), 3e-6 * m * cfg.ell)
+    cl = np.linspace(lo, hi, 65, axis=-1)
+    return (m * m)[:, None] + (cl / cfg.ell) ** 2
+
+
 def full_band_scan(m, j, cfg: PlateConfig):
     """The torsional band scan in one level: the odd determinant at all
     points of the band grids of (m, j) at once, and their sign changes as
     (row, lo, hi) in row-major order."""
     m, j = np.broadcast_arrays(m, j)
-    s = _odd_high_grid(m, j, cfg)
+    s = full_band_grid(m, j, cfg)
     return _hits(s, _det(s, m[:, None], ODD, cfg.sigma, cfg.ell))
 
 
@@ -304,7 +314,7 @@ def mass_matrix_by_columns(w: Weight, spectrum: HomSpectrum, parity: str,
     """C = int p z_a z_b for one parity: band weights term by term with
     per-entry x integrals, sublevel weights one y column at a time from
     np.cos(k x_i) moments."""
-    pairs = _pairs(spectrum, parity, n)
+    pairs = (spectrum.mu if parity == "even" else spectrum.nu)[:n]
     cfg = spectrum.config
     v = w.variant
     mat = np.zeros((n, n))

@@ -362,6 +362,19 @@ def test_spectrum_rejects_tiny_ell_before_c0(tmp_path):
     assert not (tmp_path / "table1.csv").exists()
 
 
+@pytest.mark.parametrize("sigma", ["0.01", "0.2", "0.49"])
+@pytest.mark.parametrize("ell", ["2e-6", "1e-5", "2e-5", "3e-5", "4e-5"])
+def test_spectrum_refuses_narrow_plates(tmp_path, capsys, ell, sigma):
+    # these plates used to exit 5 with "no sign change in an eigenvalue
+    # bracket": the longitudinal (1, 1) root lies inside its bracket's padding
+    code = main(["spectrum", "--ell", ell, "--sigma", sigma, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert f"ell = {float(ell)} is too small at sigma = {float(sigma)}" in err
+    assert not (tmp_path / "table1.csv").exists()
+
+
 @pytest.mark.parametrize("sigma", ["1e-200", "1e-160"])
 def test_spectrum_tiny_sigma_is_one_line_c0_error(tmp_path, sigma):
     # q = (sigma / (2 - sigma))^2 underflows to 0 (1e-200) or leaves 1/q out of

@@ -14,8 +14,8 @@ from plate_spectra.numerics import sym_eig
 from plate_spectra.optimize import default_study_weights, make_pstar
 from plate_spectra.spectrum import build_spectrum, eval_eigenfunction, profile_values
 from plate_spectra.weights import (Cross, GridField, Sublevel, Weight, XBands, YBands,
-                                   eval_weight, make_breve_p, make_pbar_j, make_tilde_p,
-                                   make_uniform, sqrt_mass_integral)
+                                   eval_weight, make_breve_p, make_doublebar_p, make_pbar_j,
+                                   make_tilde_p, make_uniform, sqrt_mass_integral)
 
 
 def sig3(x: float) -> str:
@@ -457,6 +457,113 @@ def test_grid_tables_built_once_and_only_when_read(ref_cfg, monkeypatch):
     solve_weighted(w, spec, 12)
     assert built() == ([0], [15, 15])
     assert list(spec.grid_tables) == [(12, *grid)]
+
+
+# ---------------------------------------------------------------------------
+# per-spectrum plate tables and the work solve_weighted shares between parities
+# ---------------------------------------------------------------------------
+
+def _one_weight_per_family(cfg):
+    """A weight of each random family of the weighted-solve benchmark: x-bands,
+    y-bands (a mirrored pair around a central band), cross and a 600x31
+    sublevel weight."""
+    ell = cfg.ell
+    return [
+        Weight(XBands(((0.2, 0.9), (1.4, 1.7), (2.3, 3.0)), 1.3, 0.6), cfg.alpha, cfg.beta),
+        Weight(YBands(((-0.9 * ell, -0.6 * ell), (-0.3 * ell, 0.3 * ell), (0.6 * ell, 0.9 * ell)),
+                      1.4, 0.7, ell), cfg.alpha, cfg.beta),
+        Weight(Cross(((0.4, 1.1), (2.0, 2.5)), ((-0.2 * ell, 0.2 * ell),), cfg.beta, cfg.alpha,
+                     ell), cfg.alpha, cfg.beta),
+        random_grid_weight(np.random.default_rng(11), cfg, shape=(600, 31)),
+    ]
+
+
+def _single_parity_eigs(w, spec, parity, n):
+    """One parity's weighted eigenvalues from assemble_mass alone, sharing no
+    work with the other parity, and a values-only sym_eig."""
+    pairs = (spec.mu if parity == "even" else spec.nu)[:n]
+    d_isqrt = 1.0 / np.sqrt(np.array([p.lam for p in pairs]))
+    c = assemble_mass(w, spec, parity, n)
+    return 1.0 / sym_eig(d_isqrt[:, None] * c * d_isqrt[None, :], vectors=False)[0][::-1]
+
+
+@pytest.mark.parametrize("ell, n, ks, same_m", [
+    (math.pi / 150, 30, [61, 61], True), (math.pi / 150, 100, [201, 201], True),
+    (math.pi / 2, 30, [17, 17], False),      # the m lists differ, K is shared
+    (math.pi / 2, 100, [31, 33], False)],    # both differ: each parity its own moments
+    ids=["ref-30", "ref-100", "wide-30", "wide-100"])
+def test_solve_weighted_equals_independent_parity_solves(ell, n, ks, same_m):
+    # solve_weighted does a weight's parity-independent work once for both
+    # parities; its eigenvalues are those of two solves that share nothing,
+    # each on a spectrum of its own, bit for bit
+    cfg = PlateConfig(ell=ell, n_modes=n)
+    spec = build_spectrum(cfg)
+    m = [[p.mode.m for p in pairs] for pairs in (spec.mu, spec.nu)]
+    assert [2 * max(ms) + 1 for ms in m] == ks and (m[0] == m[1]) == same_m
+    own = {parity: build_spectrum(cfg) for parity in ("even", "odd")}
+    for label, w in default_study_weights(cfg, spec) + [
+            (type(w.variant).__name__, w) for w in _one_weight_per_family(cfg)]:
+        gs = solve_weighted(w, spec, n)
+        assert np.array_equal(gs.mu_p, _single_parity_eigs(w, own["even"], "even", n)), label
+        assert np.array_equal(gs.nu_p, _single_parity_eigs(w, own["odd"], "odd", n)), label
+
+
+def test_plate_tables_built_once_per_parity_and_n(ref_cfg, monkeypatch):
+    # the band path's default y rule, its profiles and Gram matrix are built
+    # once per (spectrum, parity, n), whatever grid the grid tables were last
+    # read on, and never for a sublevel weight; solve_weighted forms each x
+    # matrix and a sublevel weight's cell weights once for both parities
+    from plate_spectra import galerkin
+    rules, x_mats, nodes = [], [], []
+    y_rule, x_matrix, node_values = galerkin._y_rule, galerkin._x_matrix, Sublevel.node_values
+
+    def counted_rule(pairs, cfg, breakpoints):
+        rules.append((pairs[0].mode.parity, len(pairs), tuple(breakpoints)))
+        return y_rule(pairs, cfg, breakpoints)
+
+    def counted_x(freqs, intervals):
+        x_mats.append(intervals)
+        return x_matrix(freqs, intervals)
+
+    def counted_nodes(self):
+        nodes.append(self)
+        return node_values(self)
+
+    def built():
+        got = (sorted(rules), len(x_mats), len(nodes))
+        rules.clear(), x_mats.clear(), nodes.clear()
+        return got
+
+    monkeypatch.setattr(galerkin, "_y_rule", counted_rule)
+    monkeypatch.setattr(galerkin, "_x_matrix", counted_x)
+    monkeypatch.setattr(Sublevel, "node_values", counted_nodes)
+    spec = build_spectrum(ref_cfg)
+    grid_w = random_grid_weight(np.random.default_rng(6), ref_cfg, shape=(120, 15))
+    solve_weighted(grid_w, spec, 12)
+    solve_parity(grid_w, spec, "odd", 12)
+    assert built() == ([], 0, 2)
+    uniform, pbar, pdoublebar = (make_uniform(ref_cfg), make_pbar_j(10, ref_cfg),
+                                 make_doublebar_p(ref_cfg))
+    solve_weighted(uniform, spec, 12)
+    assert built() == ([("even", 12, ()), ("odd", 12, ())], 1, 0)
+    solve_weighted(pbar, spec, 12)
+    solve_weighted(pdoublebar, spec, 12)
+    solve_parity(pbar, spec, "even", 12)
+    assert built() == ([], 2 + 2 + 2, 0)
+    # another grid replaces the grid tables, not the plate tables
+    expand_field(spec, "odd", np.ones(12), (60, 3))
+    solve_weighted(grid_w, spec, 12)
+    solve_weighted(uniform, spec, 12)
+    assert built() == ([], 1, 1)
+    assert list(spec.grid_tables) == [(12, 120, 15)]
+    # a y-band weight builds a rule with its band edges on every assembly
+    solve_weighted(make_breve_p(ref_cfg), spec, 12)
+    rules_got, _, _ = built()
+    assert [parity for parity, _, _ in rules_got] == ["even", "odd"]
+    assert all(n == 12 and edges for _, n, edges in rules_got)
+    solve_weighted(uniform, spec, 20)
+    assert built() == ([("even", 20, ()), ("odd", 20, ())], 1, 0)
+    assert sorted(spec.plate_tables) == [("even", 12), ("even", 20), ("odd", 12), ("odd", 20)]
 
 
 # ---------------------------------------------------------------------------

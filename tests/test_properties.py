@@ -112,6 +112,21 @@ def test_grid_table_memo_matches_fresh_spectrum(plate, seed, grids, calls):
     assert len(spec.grid_tables) == 1
 
 
+@settings(max_examples=30, deadline=None)
+@given(log_ell=st.floats(-7.0, -3.0), sigma=st.floats(0.01, 0.49))
+@example(log_ell=math.log10(spectrum._narrow_bound(0.2)), sigma=0.2)
+def test_narrow_plates_solve_or_are_refused(log_ell, sigma):
+    # a plate either solves or, below spectrum._narrow_bound, is refused with
+    # the ValueError the CLI turns into exit 2; no root isolation failure
+    # (exit 5) is left between
+    cfg = PlateConfig(ell=10.0 ** log_ell, sigma=sigma)
+    if cfg.ell < spectrum._narrow_bound(sigma):
+        with pytest.raises(ValueError, match="is too small"):
+            build_spectrum(cfg)
+    else:
+        assert len(build_spectrum(cfg).mu) == cfg.n_modes
+
+
 @st.composite
 def few_level_fields(draw):
     """nx x ny fields (ny odd) of a few integer levels; the levels force ties."""

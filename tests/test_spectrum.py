@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (bisect_roots, full_band_scan, h2_energy, integrate_2d, normalization,
-                     odd_det_below_m4)
+from oracles import (bisect_roots, full_band_grid, full_band_scan, h2_energy, integrate_2d,
+                     normalization, odd_det_below_m4)
 from plate_spectra import PlateConfig
 from plate_spectra import spectrum
 from plate_spectra.numerics import Bracket, NonFinite, QuadratureRule, find_root, find_roots
@@ -658,7 +658,7 @@ def test_two_level_scan_rows_without_one_coarse_change(ref_cfg, monkeypatch):
     # interval (no coarse change), two in different coarse intervals, one
     # root on a coarse grid point (a zero counts as positive), and none
     m, j = np.arange(1, 5), np.zeros(4, dtype=int)
-    s = spectrum._odd_high_grid(m, j, ref_cfg)
+    s = full_band_grid(m, j, ref_cfg)
     mid = 0.5 * (s[:, :-1] + s[:, 1:])
     a = np.array([mid[0, 17], mid[1, 9], s[2, 24], 0.0])
     b = np.array([mid[0, 21], mid[1, 44], 1e300, 1e300])
